@@ -1,15 +1,13 @@
 // Command xvlint runs the project's invariant analyzers (detorder,
-// lockcheck, ctxpoll, errclose, sharemut, snapdiscipline, metriccheck,
-// vergate) over the given packages and exits non-zero when any
-// diagnostic is found.
+// ctxpoll, errclose, sharemut, metriccheck) over the given packages and
+// exits non-zero when any diagnostic is found.
 //
 // Usage:
 //
 //	go run ./cmd/xvlint ./...                        # what CI runs (scripts/lint.sh)
 //	go run ./cmd/xvlint -json ./...                  # findings as a JSON array
 //	go run ./cmd/xvlint -sarif out.sarif ./...       # also write SARIF 2.1.0 for CI annotation
-//	go run ./cmd/xvlint -only sharemut,vergate ./... # bisect findings by analyzer
-//	go run ./cmd/xvlint -writemanifest ./internal/store  # refresh vergate's format manifest
+//	go run ./cmd/xvlint -only sharemut,ctxpoll ./... # bisect findings by analyzer
 //	go run ./cmd/xvlint help                         # print the invariant catalogue
 //
 // It must be invoked from inside the module: the loader type-checks from
@@ -39,7 +37,6 @@ func run(args []string, stdout io.Writer) int {
 	sarifOut := fs.String("sarif", "", "also write findings as SARIF 2.1.0 to `file` (- for stdout)")
 	only := fs.String("only", "", "comma-separated `analyzers` to run (default: all)")
 	disable := fs.String("disable", "", "comma-separated `analyzers` to skip")
-	writeManifest := fs.Bool("writemanifest", false, "regenerate vergate's format.manifest for the matched packages and exit")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: xvlint [flags] [packages]    (or: xvlint help)")
 		fs.PrintDefaults()
@@ -66,10 +63,6 @@ func run(args []string, stdout io.Writer) int {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
-	}
-
-	if *writeManifest {
-		return writeManifests(prog, stdout)
 	}
 
 	diags := lint.Run(prog, analyzers, lint.RunOptions{})
@@ -151,29 +144,6 @@ func selectAnalyzers(only, disable string) ([]*lint.Analyzer, error) {
 		return nil, fmt.Errorf("no analyzers selected")
 	}
 	return out, nil
-}
-
-// writeManifests refreshes format.manifest in every matched package
-// under vergate's roots.
-func writeManifests(prog *lint.Program, stdout io.Writer) int {
-	wrote := 0
-	for _, pkg := range prog.Packages {
-		if !lint.VerGate.AppliesTo(pkg.Path) {
-			continue
-		}
-		path, err := lint.WriteManifest(pkg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xvlint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", path)
-		wrote++
-	}
-	if wrote == 0 {
-		fmt.Fprintln(os.Stderr, "xvlint: no matched package is under vergate's roots; nothing written")
-		return 2
-	}
-	return 0
 }
 
 func printHelp(w io.Writer) {

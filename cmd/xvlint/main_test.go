@@ -45,12 +45,12 @@ func TestSelectAnalyzers(t *testing.T) {
 		t.Fatalf("default selection: %v, %d analyzers", err, len(all))
 	}
 
-	only, err := selectAnalyzers("sharemut,vergate", "")
+	only, err := selectAnalyzers("sharemut,ctxpoll", "")
 	if err != nil || len(only) != 2 {
 		t.Fatalf("-only selection: %v, got %d analyzers", err, len(only))
 	}
 	for _, a := range only {
-		if a.Name != "sharemut" && a.Name != "vergate" {
+		if a.Name != "sharemut" && a.Name != "ctxpoll" {
 			t.Errorf("-only leaked analyzer %s", a.Name)
 		}
 	}

@@ -54,9 +54,9 @@ func run(args []string, stdout io.Writer) error {
 	readOnly := fs.Bool("readonly", false, "disable POST /update")
 	maxUpdate := fs.Int64("maxupdate", 0, "maximum /update body bytes (0: default 8 MiB)")
 	maxRows := fs.Int("maxrows", 0, "hard cap on /query response rows; the default when no limit is passed, and explicit limits are clamped to it (0: default 10000)")
-	maxRewritings := fs.Int("maxrewritings", 0, "equivalent rewritings enumerated per cold query before cost selection (0: default 8)")
-	compactChain := fs.Int("compactchain", 0, "fold delta chains online once any view's chain reaches this many segments (0: default 16)")
-	compactBytes := fs.Int64("compactbytes", 0, "fold delta chains online once their total size reaches this many bytes (0: default 32 MiB)")
+	maxRewritings := fs.Int("maxrewritings", 0, "equivalent rewritings enumerated per cold query before cost selection (0: default 2; higher values search longer and hold far more memory on cold //-queries)")
+	maxChain := fs.Int("compactchain", 0, "fold delta chains online once any view's chain reaches this many segments (0: default 16)")
+	maxChainBytes := fs.Int64("compactbytes", 0, "fold delta chains online once their total size reaches this many bytes (0: default 32 MiB)")
 	noCompact := fs.Bool("nocompact", false, "disable online compaction (chains then grow until xvstore compact)")
 	groupWait := fs.Duration("groupwait", 0, "straggler window: after the first queued update opens a commit group, wait this long for more writers to join before sealing it (0: natural batching only)")
 	groupMax := fs.Int("groupmax", 0, "maximum update requests merged into one commit group (0: default 64)")
@@ -82,7 +82,7 @@ func run(args []string, stdout io.Writer) error {
 	srv, err := serve.New(serve.Config{Dir: *dir, Workers: *workers, PlanCacheSize: *planCache,
 		ReadOnly: *readOnly, MaxUpdateBytes: *maxUpdate, MaxResponseRows: *maxRows,
 		MaxRewritings:   *maxRewritings,
-		CompactMaxChain: *compactChain, CompactMaxBytes: *compactBytes, CompactDisabled: *noCompact,
+		CompactMaxChain: *maxChain, CompactMaxBytes: *maxChainBytes, CompactDisabled: *noCompact,
 		GroupWait: *groupWait, GroupMax: *groupMax, MaxVersions: *maxVersions,
 		SlowQuery: *slowQuery, Logger: logger, TraceRingSize: *traceRing})
 	if err != nil {

@@ -20,6 +20,7 @@ import (
 	"xmlviews/internal/nodeid"
 	"xmlviews/internal/nrel"
 	"xmlviews/internal/predicate"
+	"xmlviews/internal/store"
 	"xmlviews/internal/view"
 	"xmlviews/internal/xmltree"
 )
@@ -68,13 +69,25 @@ func (o Options) effectiveWorkers() int {
 	return o.Workers
 }
 
-// Execute runs a plan against the store.
-func Execute(p *core.Plan, st *view.Store) (*Result, error) {
+// Reader is the read side of a view store — all the executor needs to run
+// a plan. Both *view.Store (the live extents, materializing lazily from
+// the document) and *view.Snapshot (one pinned epoch) satisfy it. The
+// returned relation and block handle share storage with every concurrent
+// reader: the executor clones before mutating.
+type Reader interface {
+	//xvlint:sharedreturn
+	Relation(v *core.View) *nrel.Relation
+	//xvlint:sharedreturn
+	Blocks(v *core.View) *store.Blocks
+}
+
+// Execute runs a plan against a store or a snapshot of one.
+func Execute(p *core.Plan, st Reader) (*Result, error) {
 	return ExecuteWith(p, st, Options{})
 }
 
 // ExecuteWith runs a plan with explicit options.
-func ExecuteWith(p *core.Plan, st *view.Store, opts Options) (*Result, error) {
+func ExecuteWith(p *core.Plan, st Reader, opts Options) (*Result, error) {
 	ex := &executor{st: st, opts: opts}
 	res, err := ex.run(p)
 	if err != nil {
@@ -85,7 +98,7 @@ func ExecuteWith(p *core.Plan, st *view.Store, opts Options) (*Result, error) {
 }
 
 type executor struct {
-	st   *view.Store
+	st   Reader
 	opts Options
 }
 

@@ -55,7 +55,7 @@ type Edge struct {
 	InFuncLit bool
 }
 
-// FuncNode is one function in the graph, keyed like lockcheck's registry
+// FuncNode is one function in the graph, keyed by funcKey
 // (pkgpath.Func or pkgpath.Recv.Method). Functions outside the loaded
 // program (standard library, interface methods) get a node with nil Pkg
 // and Decl so their incoming edges are still navigable.

@@ -57,7 +57,7 @@ func runCtxPoll(pass *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if _, ok := funcDirective(pass.Pkg.Fset, fd, "nopoll"); ok {
+			if docAnnotated(fd.Doc, "nopoll") {
 				continue
 			}
 			ctxPollFunc(pass, fd)

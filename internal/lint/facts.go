@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // Facts is phase 1's per-function summary layer, modeled on go/analysis
@@ -12,8 +11,7 @@ import (
 // enough that a fixpoint over every function costs less than the type
 // check that precedes it). Phase 2 analyzers consume facts across
 // package boundaries: sharemut asks "does this callee mutate its
-// argument", snapdiscipline asks "does this callee read extents from the
-// store I hand it", ctxpoll asks "does this helper poll cancellation".
+// argument", ctxpoll asks "does this helper poll cancellation".
 //
 // All facts are keyed by funcKey (pkgpath.Func / pkgpath.Recv.Method).
 // Parameter indices count declared parameters left to right from 0; the
@@ -21,21 +19,14 @@ import (
 type Facts struct {
 	// SharedReturn marks functions whose return value aliases storage
 	// shared beyond the call (seeded by //xvlint:sharedreturn doc
-	// directives, propagated through trivial wrappers that `return` a
-	// shared-returning call — the facade's re-exports).
+	// directives on functions and on interface methods, propagated through
+	// trivial wrappers that `return` a shared-returning call — the
+	// facade's re-exports).
 	SharedReturn map[string]bool
 	// Mutates records which parameters a function writes through:
 	// element/field/deref assignment, copy into, or passing the parameter
 	// onward to a callee that mutates it.
 	Mutates map[string]map[int]bool
-	// ReadsExtents records parameters through which the function
-	// (transitively) calls a SharedReturn accessor, or which escape into
-	// storage the analysis cannot follow. snapdiscipline uses it to stop
-	// the live store from being handed to extent readers.
-	ReadsExtents map[string]map[int]bool
-	// HoldsLock lists the mutex names a function requires via
-	// //xvlint:requires or visibly acquires in its body.
-	HoldsLock map[string][]string
 	// PollsCtx marks functions whose body (or a callee's, outside
 	// function literals) reaches a cancellation poll.
 	PollsCtx map[string]bool
@@ -60,20 +51,13 @@ func computeFacts(prog *Program) *Facts {
 	facts := &Facts{
 		SharedReturn: map[string]bool{},
 		Mutates:      map[string]map[int]bool{},
-		ReadsExtents: map[string]map[int]bool{},
-		HoldsLock:    map[string][]string{},
 		PollsCtx:     map[string]bool{},
 	}
 	g := prog.CallGraph()
 
 	returnedCallees := map[string][]string{}
 	var flows []argFlow
-	declared := map[string]bool{}
-	for key, node := range g.Nodes {
-		if node.Decl != nil {
-			declared[key] = true
-		}
-	}
+	seedInterfaceMethods(prog, facts.SharedReturn)
 
 	for _, key := range g.Keys() {
 		node := g.Nodes[key]
@@ -82,19 +66,12 @@ func computeFacts(prog *Program) *Facts {
 		}
 		pkg, fd := node.Pkg, node.Decl
 
-		if _, ok := funcDirective(pkg.Fset, fd, "sharedreturn"); ok {
+		if docAnnotated(fd.Doc, "sharedreturn") {
 			facts.SharedReturn[key] = true
-		}
-		if d, ok := funcDirective(pkg.Fset, fd, "requires"); ok && d.Arg != "" {
-			facts.HoldsLock[key] = append(facts.HoldsLock[key], d.Arg)
 		}
 		if fd.Body == nil {
 			continue
 		}
-		for mu := range lockAcquisitions(fd) {
-			facts.HoldsLock[key] = append(facts.HoldsLock[key], mu)
-		}
-		sort.Strings(facts.HoldsLock[key])
 		if containsPoll(pkg.Info, fd.Body) {
 			facts.PollsCtx[key] = true
 		}
@@ -140,34 +117,6 @@ func computeFacts(prog *Program) *Facts {
 		}
 	}
 
-	// ReadsExtents: direct uses first (needs the final SharedReturn set),
-	// then the same flow fixpoint.
-	for _, key := range g.Keys() {
-		node := g.Nodes[key]
-		if node.Decl == nil || node.Decl.Body == nil {
-			continue
-		}
-		params := paramObjects(node.Pkg.Info, node.Decl)
-		if r := directExtentReads(node.Pkg.Info, node.Decl, params, facts.SharedReturn, declared); len(r) > 0 {
-			facts.ReadsExtents[key] = r
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, fl := range flows {
-			if fl.calleeIdx < 0 {
-				continue
-			}
-			if facts.ReadsExtents[fl.callee][fl.calleeIdx] && !facts.ReadsExtents[fl.caller][fl.callerIdx] {
-				if facts.ReadsExtents[fl.caller] == nil {
-					facts.ReadsExtents[fl.caller] = map[int]bool{}
-				}
-				facts.ReadsExtents[fl.caller][fl.callerIdx] = true
-				changed = true
-			}
-		}
-	}
-
 	// PollsCtx fixpoint: a call (outside function literals, which may run
 	// on another goroutine) to a polling function polls.
 	for changed := true; changed; {
@@ -186,6 +135,34 @@ func computeFacts(prog *Program) *Facts {
 		}
 	}
 	return facts
+}
+
+// seedInterfaceMethods marks interface methods whose declaration carries
+// //xvlint:sharedreturn, keyed like a call through the interface resolves
+// (pkgpath.Iface.Method), so a shared accessor stays tracked when callers
+// hold it behind an interface (algebra's executor reads extents through
+// algebra.Reader).
+func seedInterfaceMethods(prog *Program, shared map[string]bool) {
+	for _, pkg := range prog.Packages {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				it, ok := ts.Type.(*ast.InterfaceType)
+				if !ok {
+					return true
+				}
+				for _, m := range it.Methods.List {
+					if docAnnotated(m.Doc, "sharedreturn") && len(m.Names) == 1 {
+						shared[pkg.Path+"."+ts.Name.Name+"."+m.Names[0].Name] = true
+					}
+				}
+				return false
+			})
+		}
+	}
 }
 
 // paramObjects maps the function's receiver (-1) and parameters (0..n-1)
@@ -281,8 +258,8 @@ func directMutations(info *types.Info, fd *ast.FuncDecl, params map[types.Object
 }
 
 // paramFlows records every call argument (and method receiver) that is a
-// path rooted at one of the caller's parameters, so the Mutates and
-// ReadsExtents fixpoints can walk caller->callee. Taking the address of
+// path rooted at one of the caller's parameters, so the Mutates
+// fixpoint can walk caller->callee. Taking the address of
 // the parameter flows the parameter itself.
 func paramFlows(info *types.Info, callerKey string, fd *ast.FuncDecl, params map[types.Object]int) []argFlow {
 	var flows []argFlow
@@ -353,93 +330,5 @@ func directReturnedCallees(info *types.Info, fd *ast.FuncDecl) []string {
 		}
 		return true
 	})
-	return out
-}
-
-// directExtentReads classifies every use of each parameter. A parameter
-// "reads extents" when a SharedReturn accessor is called on it, or when
-// it escapes into storage the analysis cannot follow (assigned away,
-// stored in a composite literal, returned, sent on a channel, or passed
-// to a function without a declaration in the program). Flow into
-// declared callees is handled by the fixpoint, not here.
-func directExtentReads(info *types.Info, fd *ast.FuncDecl, params map[types.Object]int, shared, declared map[string]bool) map[int]bool {
-	out := map[int]bool{}
-	var stack []ast.Node
-	// parentOf returns the nearest non-paren ancestor above the node at
-	// the top of the stack.
-	parentOf := func() ast.Node {
-		for i := len(stack) - 2; i >= 0; i-- {
-			if _, ok := stack[i].(*ast.ParenExpr); ok {
-				continue
-			}
-			return stack[i]
-		}
-		return nil
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		stack = append(stack, n)
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		idx, isParam := params[info.ObjectOf(id)]
-		if !isParam {
-			return true
-		}
-		switch p := parentOf().(type) {
-		case *ast.SelectorExpr:
-			// p.Method(...) or p.Field: a shared-returning accessor call
-			// (or its method value — the receiver escapes into the bound
-			// value) reads extents; everything else through the selector
-			// is the callee's business (method) or a plain field read.
-			if fn, _ := info.Uses[p.Sel].(*types.Func); fn != nil && shared[funcKey(fn)] {
-				out[idx] = true
-			}
-		case *ast.CallExpr:
-			// A call argument (the callee position is a SelectorExpr or
-			// Ident parent, handled above/below). Declared callees are
-			// covered by the flow fixpoint; undeclared or unresolvable
-			// callees swallow the value — treat as an extent read unless
-			// it is a harmless builtin.
-			if unparen(p.Fun) == ast.Expr(id) {
-				break // calling the parameter itself
-			}
-			fn, _ := resolveCall(info, p)
-			if fn == nil {
-				if hid, ok := unparen(p.Fun).(*ast.Ident); ok {
-					if _, isB := info.Uses[hid].(*types.Builtin); isB && (hid.Name == "len" || hid.Name == "cap") {
-						break
-					}
-				}
-				out[idx] = true
-			} else if !declared[funcKey(fn)] {
-				// Standard-library or otherwise undeclared callee: the
-				// flow fixpoint has no facts to consult, so assume the
-				// worst of the argument.
-				out[idx] = true
-			}
-		case *ast.BinaryExpr, *ast.SwitchStmt, *ast.CaseClause, *ast.RangeStmt, *ast.IfStmt:
-			// Comparisons and iteration read, they do not alias.
-		case *ast.AssignStmt:
-			onLHS := false
-			for _, lhs := range p.Lhs {
-				if unparen(lhs) == ast.Expr(id) {
-					onLHS = true
-				}
-			}
-			if !onLHS {
-				out[idx] = true // q := p aliases the parameter away
-			}
-		default:
-			out[idx] = true
-		}
-		return true
-	})
-	// The flow fixpoint needs arg-position uses resolved against the
-	// callee's facts; undeclared callee args were already marked above.
 	return out
 }

@@ -1,19 +1,20 @@
-// Package lint implements xvlint, the project's invariant checker: four
-// static analyzers that machine-check whole-codebase rules which earlier
-// PRs established by convention and spot tests.
+// Package lint implements xvlint, the project's invariant checker: five
+// static analyzers that machine-check whole-codebase rules no type
+// boundary can express.
 //
 //   - detorder: map-range iteration in determinism-critical packages must
 //     not reach rendered output or cost accumulation (plan text, cost
 //     estimates, summary text, HTTP bodies must be byte-identical across
 //     runs; Go randomizes map iteration order).
-//   - lockcheck: functions annotated //xvlint:requires(<mu>) (catalog
-//     mutation, compaction, epoch advance) may only be reached from callers
-//     that hold the lock.
 //   - ctxpoll: tuple/row loops in the rewrite/execution/maintenance engines
 //     must poll cancellation, so an abandoned request stops burning CPU.
 //   - errclose: error returns from Close/Sync/WriteFile on the persist path
 //     must not be discarded; a dropped error can silently violate the
 //     write-catalog-last durability protocol.
+//   - sharemut: relations and block handles returned by shared accessors
+//     (//xvlint:sharedreturn) must not be written through.
+//   - metriccheck: metric label values are compile-time bounded and metric
+//     names are constant, xvserve_-prefixed and registered once.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer, Pass, diagnostics, testdata fixtures with "// want"
@@ -35,8 +36,8 @@ import (
 )
 
 // Analyzer is one named check. Run reports diagnostics for a single
-// package; analyzers that need program-wide context (lockcheck's
-// annotation registry spans packages) read Pass.Prog.
+// package; analyzers that need program-wide context (sharemut's facts,
+// metriccheck's registration census) read Pass.Prog.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and test fixtures.
 	Name string
@@ -55,13 +56,10 @@ type Analyzer struct {
 }
 
 // All returns the full xvlint suite in the order diagnostics are grouped:
-// the four intraprocedural v1 analyzers, then the four interprocedural v2
-// analyzers built on the call-graph/facts layer.
+// the three intraprocedural analyzers, then the two built on the
+// call-graph/facts layer.
 func All() []*Analyzer {
-	return []*Analyzer{
-		DetOrder, LockCheck, CtxPoll, ErrClose,
-		ShareMut, SnapDiscipline, MetricCheck, VerGate,
-	}
+	return []*Analyzer{DetOrder, CtxPoll, ErrClose, ShareMut, MetricCheck}
 }
 
 // AppliesTo reports whether the analyzer checks the given import path.
@@ -96,12 +94,12 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 	// directives maps filename -> line -> directives on that line.
-	directives map[string]map[int][]Directive
+	directives map[string]map[int][]string
 }
 
 // Program is everything one xvlint invocation loaded. Analyzers that check
-// cross-package properties (lockcheck) consult every package here, not
-// just the one under analysis.
+// cross-package properties (sharemut, metriccheck) consult every package
+// here, not just the one under analysis.
 type Program struct {
 	Fset     *token.FileSet
 	Packages []*Package
@@ -128,16 +126,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Analyzer: p.Analyzer.Name,
 		Pos:      p.Pkg.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// ReportAt records a diagnostic at an explicit file position. vergate
-// uses it to point findings into format.manifest, which has no AST.
-func (p *Pass) ReportAt(pos token.Position, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      pos,
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
@@ -179,76 +167,63 @@ func Run(prog *Program, analyzers []*Analyzer, opts RunOptions) []Diagnostic {
 	return diags
 }
 
-// Directive is one parsed //xvlint:<name>(<arg>) annotation. Every
-// suppression in the codebase is one of these, so every exception to an
-// invariant is a greppable, reviewed decision.
-type Directive struct {
-	// Name is the directive keyword: orderindependent, requires, lockheld,
-	// nopoll, errok.
-	Name string
-	// Arg is the parenthesized argument (the mutex name for requires and
-	// lockheld), or "".
-	Arg string
+// A directive is one //xvlint:<name> annotation (orderindependent, nopoll,
+// errok, sharedreturn, aliasok, boundedlabel), optionally followed by free
+// text — the justification lives on the same line as the suppression it
+// explains. Every suppression in the codebase is one of these, so every
+// exception to an invariant is a greppable, reviewed decision.
+var directiveRE = regexp.MustCompile(`^xvlint:([a-z]+)(?:\s|$)`)
+
+// directiveName returns the directive a comment line carries, or "".
+func directiveName(c *ast.Comment) string {
+	text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+	if m := directiveRE.FindStringSubmatch(text); m != nil {
+		return m[1]
+	}
+	return ""
 }
 
-// The directive may be followed by free text — the justification lives on
-// the same line as the suppression it explains.
-var directiveRE = regexp.MustCompile(`^xvlint:([a-z]+)(?:\(([^)]*)\))?(?:\s|$)`)
-
 // parseDirectives indexes every //xvlint: comment of the file by line.
-func parseDirectives(fset *token.FileSet, f *ast.File) map[int][]Directive {
-	out := map[int][]Directive{}
+func parseDirectives(fset *token.FileSet, f *ast.File) map[int][]string {
+	out := map[int][]string{}
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			text := strings.TrimPrefix(c.Text, "//")
-			text = strings.TrimSpace(text)
-			m := directiveRE.FindStringSubmatch(text)
-			if m == nil {
-				continue
+			if name := directiveName(c); name != "" {
+				line := fset.Position(c.Pos()).Line
+				out[line] = append(out[line], name)
 			}
-			line := fset.Position(c.Pos()).Line
-			out[line] = append(out[line], Directive{Name: m[1], Arg: strings.TrimSpace(m[2])})
 		}
 	}
 	return out
 }
 
-// directivesAt returns the directives attached to a statement-level node:
-// those on the node's first line or on the line immediately above it.
-func (pkg *Package) directivesAt(pos token.Pos) []Directive {
-	p := pkg.Fset.Position(pos)
-	byLine := pkg.directives[p.Filename]
-	if byLine == nil {
-		return nil
-	}
-	out := append([]Directive(nil), byLine[p.Line-1]...)
-	return append(out, byLine[p.Line]...)
-}
-
 // stmtAnnotated reports whether the statement starting at pos carries the
 // named directive (same line or the line above).
 func (pkg *Package) stmtAnnotated(pos token.Pos, name string) bool {
-	for _, d := range pkg.directivesAt(pos) {
-		if d.Name == name {
-			return true
+	p := pkg.Fset.Position(pos)
+	byLine := pkg.directives[p.Filename]
+	for _, line := range []int{p.Line - 1, p.Line} {
+		for _, d := range byLine[line] {
+			if d == name {
+				return true
+			}
 		}
 	}
 	return false
 }
 
-// funcDirective returns the first directive with the given name in the
-// function's doc comment, if any.
-func funcDirective(fset *token.FileSet, fd *ast.FuncDecl, name string) (Directive, bool) {
-	if fd.Doc == nil {
-		return Directive{}, false
+// docAnnotated reports whether a doc comment (of a function, or of an
+// interface method) carries the named directive.
+func docAnnotated(doc *ast.CommentGroup, name string) bool {
+	if doc == nil {
+		return false
 	}
-	for _, c := range fd.Doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if m := directiveRE.FindStringSubmatch(text); m != nil && m[1] == name {
-			return Directive{Name: m[1], Arg: strings.TrimSpace(m[2])}, true
+	for _, c := range doc.List {
+		if directiveName(c) == name {
+			return true
 		}
 	}
-	return Directive{}, false
+	return false
 }
 
 // unparen strips any number of enclosing parentheses.
@@ -279,8 +254,8 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// funcKey names a function the way lockcheck's annotation registry keys
-// it: pkgpath.Func or pkgpath.Recv.Method (pointer receivers stripped).
+// funcKey names a function the way the call graph and facts key it:
+// pkgpath.Func or pkgpath.Recv.Method (pointer receivers stripped).
 func funcKey(fn *types.Func) string {
 	if fn.Pkg() == nil {
 		return fn.Name()

@@ -9,11 +9,9 @@ package linttest
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
-	"strings"
 	"testing"
 
 	"xmlviews/internal/lint"
@@ -59,25 +57,6 @@ func Run(t *testing.T, dir string, analyzers ...*lint.Analyzer) {
 						wants = append(wants, &expectation{file: pos.Filename, line: pos.Line, re: re, raw: pat})
 					}
 				}
-			}
-		}
-	}
-
-	// vergate points manifest findings into format.manifest itself; the
-	// fixture's expectations ride in its # comments.
-	mpath := filepath.Join(dir, lint.ManifestName)
-	if data, err := os.ReadFile(mpath); err == nil {
-		for i, line := range strings.Split(string(data), "\n") {
-			for _, m := range wantRE.FindAllStringSubmatch(line, -1) {
-				pat, err := unquote(m[1])
-				if err != nil {
-					t.Fatalf("%s:%d: bad want literal %s: %v", mpath, i+1, m[1], err)
-				}
-				re, err := regexp.Compile(pat)
-				if err != nil {
-					t.Fatalf("%s:%d: bad want pattern %q: %v", mpath, i+1, pat, err)
-				}
-				wants = append(wants, &expectation{file: mpath, line: i + 1, re: re, raw: pat})
 			}
 		}
 	}

@@ -167,7 +167,7 @@ func (c *chainImporter) Import(path string) (*types.Package, error) {
 // checkPackage parses and type-checks one package's files.
 func checkPackage(fset *token.FileSet, imp types.Importer, importPath string, paths []string) (*Package, error) {
 	var files []*ast.File
-	dirs := map[string]map[int][]Directive{}
+	dirs := map[string]map[int][]string{}
 	for _, path := range paths {
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 		if err != nil {

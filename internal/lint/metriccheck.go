@@ -4,14 +4,11 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/types"
-	"reflect"
 	"regexp"
-	"sort"
 	"strconv"
-	"strings"
 )
 
-// MetricCheck freezes the observability surface three ways.
+// MetricCheck freezes the observability surface two ways.
 //
 // Label cardinality: every argument of a CounterVec/GaugeVec .With(...)
 // call must come from a compile-time-bounded set — a constant, a local
@@ -27,34 +24,18 @@ import (
 // and registered exactly once program-wide (the Registry panics on
 // duplicates at runtime; the analyzer moves that to lint time).
 //
-// /stats: the Stats struct's json field set is pinned against the
-// allowlist below. Dashboards and the soak harness parse these keys;
-// renaming or dropping one is a breaking API change that must be made
-// here, deliberately, not as a side effect of a refactor.
+// The /stats key set is pinned by the statsFields golden test in
+// internal/serve/obs_test.go, not here.
 var MetricCheck = &Analyzer{
 	Name:    "metriccheck",
-	Summary: "metric labels bounded, names xvserve_* registered once, /stats keys pinned",
-	Doc: "flags unbounded CounterVec/GaugeVec label values (request-derived strings), " +
-		"metric names that are non-constant, mis-shaped (xvserve_[a-z_]+) or registered twice, " +
-		"and drift in the frozen /stats JSON field set",
+	Summary: "metric labels bounded, names xvserve_* registered once",
+	Doc: "flags unbounded CounterVec/GaugeVec label values (request-derived strings) and " +
+		"metric names that are non-constant, mis-shaped (xvserve_[a-z_]+) or registered twice",
 	Roots: []string{"xmlviews/internal/serve"},
 	Run:   runMetricCheck,
 }
 
 var metricNameRE = regexp.MustCompile(`^xvserve_[a-z_]+$`)
-
-// statsAllowlist is the frozen /stats key set. Changing the surface
-// means editing this list in the same PR — which is the point.
-var statsAllowlist = []string{
-	"uptime_seconds", "views", "epoch", "degraded", "queries",
-	"rewrites_run", "client_disconnects", "errors", "rows_served",
-	"plan_cache_hits", "plan_cache_misses", "plan_cache_size",
-	"plan_hit_rate", "subsume_cache_entries", "rewrite_ms_total",
-	"exec_ms_total", "updates_applied", "tuples_added", "tuples_deleted",
-	"cache_invalidations", "maintain_ms_total", "max_delta_chain",
-	"delta_bytes", "compactions_run", "delta_segments_folded",
-	"compact_bytes_reclaimed", "compact_errors",
-}
 
 // registrarMethods are the obs.Registry constructors; the first argument
 // is the metric name.
@@ -66,7 +47,6 @@ var registrarMethods = map[string]bool{
 func runMetricCheck(pass *Pass) {
 	checkLabelBounds(pass)
 	checkRegistrations(pass)
-	checkStatsStruct(pass)
 }
 
 // --- label cardinality ---
@@ -275,78 +255,4 @@ func checkRegistrations(pass *Pass) {
 				r.name, byName[r.name])
 		}
 	}
-}
-
-// --- /stats pin ---
-
-func checkStatsStruct(pass *Pass) {
-	allow := map[string]bool{}
-	for _, k := range statsAllowlist {
-		allow[k] = true
-	}
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			ts, ok := n.(*ast.TypeSpec)
-			if !ok || ts.Name.Name != "Stats" {
-				return true
-			}
-			st, ok := ts.Type.(*ast.StructType)
-			if !ok || st.Fields == nil {
-				return true
-			}
-			got := map[string]bool{}
-			tagged := false
-			for _, field := range st.Fields.List {
-				key := jsonKey(field)
-				if key == "" {
-					continue
-				}
-				tagged = true
-				got[key] = true
-				if !allow[key] {
-					pass.Reportf(field.Pos(),
-						"/stats key %q is not in the frozen field set: dashboards parse this surface — "+
-							"add the key to statsAllowlist in internal/lint/metriccheck.go in the same change, deliberately",
-						key)
-				}
-			}
-			if !tagged {
-				return true // an unrelated Stats type with no json surface
-			}
-			var missing []string
-			for _, k := range statsAllowlist {
-				if !got[k] {
-					missing = append(missing, k)
-				}
-			}
-			if len(missing) > 0 {
-				sort.Strings(missing)
-				pass.Reportf(ts.Pos(),
-					"/stats is missing frozen keys %s: dashboards parse these — removing one is a breaking "+
-						"change that must also edit statsAllowlist in internal/lint/metriccheck.go",
-					strings.Join(missing, ", "))
-			}
-			return true
-		})
-	}
-}
-
-// jsonKey extracts the json key from a struct field tag ("" for
-// untagged fields, "-", or option-only tags).
-func jsonKey(field *ast.Field) string {
-	if field.Tag == nil {
-		return ""
-	}
-	raw, err := strconv.Unquote(field.Tag.Value)
-	if err != nil {
-		return ""
-	}
-	tag := reflect.StructTag(raw).Get("json")
-	if tag == "" || tag == "-" {
-		return ""
-	}
-	if i := strings.Index(tag, ","); i >= 0 {
-		tag = tag[:i]
-	}
-	return tag
 }

@@ -33,7 +33,7 @@ import (
 // taint. Deliberate in-place mutation (construction-time code that owns
 // the storage it just built) carries //xvlint:aliasok with the reason.
 //
-// Like lockcheck, the tracking is positional, not path-sensitive: it
+// The tracking is positional, not path-sensitive: it
 // follows statements in source order and is an auditing aid, not a
 // proof; the race detector covers the dynamic side.
 var ShareMut = &Analyzer{

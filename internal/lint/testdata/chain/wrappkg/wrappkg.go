@@ -20,9 +20,3 @@ func GrowAll(r *storepkg.Rel) {
 func CheckStop(done chan struct{}) bool {
 	return storepkg.Cancelled(done)
 }
-
-// ReadSize reads an extent from the store it is handed, one level
-// removed — the reads-extents fact crosses the wrapper.
-func ReadSize(s *storepkg.Store) int {
-	return len(Cached(s, "v").Rows)
-}

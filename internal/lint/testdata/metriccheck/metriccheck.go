@@ -1,6 +1,6 @@
-// Package metriccheck exercises the three frozen observability
-// surfaces: label cardinality on vector metrics, registration
-// discipline on the Registry, and the pinned /stats field set. The
+// Package metriccheck exercises the two frozen observability
+// surfaces: label cardinality on vector metrics and registration
+// discipline on the Registry. The
 // analyzer matches the obs types by name (CounterVec, GaugeVec,
 // Registry), so the fixture models them locally and stays stdlib-only.
 package metriccheck
@@ -98,16 +98,4 @@ func RegisterNonConstBuggy(r *Registry, name string) *Counter {
 func RegisterTwiceBuggy(r *Registry) {
 	r.Gauge("xvserve_epoch", "the epoch")        // want `registered 2 times`
 	r.Gauge("xvserve_epoch", "the epoch, again") // want `registered 2 times`
-}
-
-// --- /stats pin ---
-
-// Stats mirrors the real /stats body with one alien key and most of
-// the frozen set missing, so both directions of drift are pinned.
-type Stats struct { // want `missing frozen keys`
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	Views         int     `json:"views"`
-	Epoch         int64   `json:"epoch"`
-	Bogus         string  `json:"bogus_field"` // want `not in the frozen field set`
-	internal      int
 }

@@ -162,3 +162,22 @@ func ReadOnly(s *Store) int {
 	}
 	return n
 }
+
+// Reader is the accessor behind an interface (algebra.Reader's shape): the
+// directive on the method declaration keeps calls through it tracked.
+type Reader interface {
+	//xvlint:sharedreturn
+	Relation(name string) *Relation
+	// Fresh builds a private relation; no directive, no taint.
+	Fresh(name string) *Relation
+}
+
+func ThroughInterface(r Reader) {
+	rel := r.Relation("v")
+	rel.Cols[0] = "renamed" // want `shared via`
+}
+
+func ThroughInterfaceFresh(r Reader) {
+	rel := r.Fresh("v")
+	rel.Cols[0] = "mine"
+}

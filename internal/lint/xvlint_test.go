@@ -18,10 +18,6 @@ func TestDetOrderFixtures(t *testing.T) {
 	linttest.Run(t, "testdata/detorder", lint.DetOrder)
 }
 
-func TestLockCheckFixtures(t *testing.T) {
-	linttest.Run(t, "testdata/lockcheck", lint.LockCheck)
-}
-
 func TestCtxPollFixtures(t *testing.T) {
 	linttest.Run(t, "testdata/ctxpoll", lint.CtxPoll)
 }
@@ -34,16 +30,8 @@ func TestShareMutFixtures(t *testing.T) {
 	linttest.Run(t, "testdata/sharemut", lint.ShareMut)
 }
 
-func TestSnapDisciplineFixtures(t *testing.T) {
-	linttest.Run(t, "testdata/snapdiscipline", lint.SnapDiscipline)
-}
-
 func TestMetricCheckFixtures(t *testing.T) {
 	linttest.Run(t, "testdata/metriccheck", lint.MetricCheck)
-}
-
-func TestVerGateFixtures(t *testing.T) {
-	linttest.Run(t, "testdata/vergate", lint.VerGate)
 }
 
 // TestRepoIsClean runs the full suite over the real codebase: the tree

@@ -432,7 +432,7 @@ func applyWithUndo(doc *xmltree.Document, u xmltree.Update) (*xmltree.Node, func
 // diffRelations returns the rows of new missing from old (adds) and the
 // rows of old missing from new (dels), under set semantics.
 //
-//xvlint:nopoll runs under the batch's update lock; a partial diff would persist a hole
+//xvlint:nopoll runs inside one batch's apply; a partial diff would persist a hole
 func diffRelations(old, new *nrel.Relation) (adds, dels *nrel.Relation) {
 	adds, dels = nrel.NewRelation(new.Cols...), nrel.NewRelation(new.Cols...)
 	oldKeys := make(map[string]bool, old.Len())

@@ -1,6 +1,7 @@
 package maintain_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -172,14 +173,14 @@ func TestScopedMultiUpdateBatchNets(t *testing.T) {
 	doc := xmltree.MustParseParen(`site(item(name "pen"))`)
 	v := mkView("v", `site(//item[id](/name[v]))`)
 	st := view.NewStore(doc, []*core.View{v})
-	batch, err := st.ApplyUpdates([]xmltree.Update{
+	batch, err := st.ApplyUpdates(context.Background(), []xmltree.Update{
 		{Kind: xmltree.UpdateInsert, Parent: doc.Root.ID, Subtree: xmltree.MustParseParen(`item(name "ink")`)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	inserted := doc.Root.Children[len(doc.Root.Children)-1]
-	batch, err = st.ApplyUpdates([]xmltree.Update{
+	batch, err = st.ApplyUpdates(context.Background(), []xmltree.Update{
 		{Kind: xmltree.UpdateSetValue, Target: inserted.Children[0].ID, Value: "dye"},
 		{Kind: xmltree.UpdateDelete, Target: inserted.ID},
 	})
@@ -240,7 +241,7 @@ func TestScopedRandomParity(t *testing.T) {
 			default:
 				u = xmltree.Update{Kind: xmltree.UpdateSetValue, Target: n.ID, Value: fmt.Sprintf("t%d", r.Intn(4))}
 			}
-			if _, err := st.ApplyUpdates([]xmltree.Update{u}); err != nil {
+			if _, err := st.ApplyUpdates(context.Background(), []xmltree.Update{u}); err != nil {
 				t.Fatalf("seed %d round %d: %v", seed, round, err)
 			}
 			for _, v := range views {

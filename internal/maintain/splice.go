@@ -17,7 +17,7 @@ import (
 // O(n log n)). view.Store establishes the maintained-extent invariant with
 // it when updates begin.
 //
-//xvlint:nopoll runs once per view under the update lock when updates begin; sorts cannot be resumed
+//xvlint:nopoll runs once per view on the single updater when updates begin; sorts cannot be resumed
 func SortByKey(r *nrel.Relation) *nrel.Relation {
 	out := nrel.NewRelation(r.Cols...)
 	out.Rows = append([]nrel.Tuple(nil), r.Rows...)
@@ -70,7 +70,7 @@ func (kc keyCache) key(row nrel.Tuple) string {
 // is O(log n) key comparisons (probed keys render once per splice) plus
 // the memmove.
 //
-//xvlint:nopoll in-place extent mutation under the update lock; a partial splice is a corrupt extent
+//xvlint:nopoll in-place extent mutation on the single updater; a partial splice is a corrupt extent
 func spliceSorted(rel *nrel.Relation, adds, dels *nrel.Relation) (added, deleted []nrel.Tuple) {
 	kc := keyCache{}
 	search := func(key string) (int, bool) {
@@ -100,7 +100,7 @@ func spliceSorted(rel *nrel.Relation, adds, dels *nrel.Relation) (added, deleted
 // is an add). Both inputs are small scoped relations, so plain maps are
 // fine here.
 //
-//xvlint:nopoll inputs are one update's scoped evaluations, bounded by scope size, under the update lock
+//xvlint:nopoll inputs are one update's scoped evaluations, bounded by scope size
 func diffKeyed(a, b *nrel.Relation) (adds, dels *nrel.Relation) {
 	adds, dels = nrel.NewRelation(b.Cols...), nrel.NewRelation(b.Cols...)
 	var aKeys map[string]bool

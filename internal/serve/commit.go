@@ -17,6 +17,12 @@ package serve
 // client disconnect never cancels a commit it joined — the departed
 // request is answered 499 by its handler while the committer finishes
 // the group for everyone else.
+//
+// The committer is also the only code that can reach the store directory,
+// the catalog object, the live store and the document: they are fields of
+// the committer value, which New hands to `go c.run()` and does not keep.
+// Commit and online compaction therefore cannot interleave — not because
+// both take a lock, but because one goroutine runs them in turn.
 
 import (
 	"context"
@@ -30,6 +36,8 @@ import (
 	"xmlviews/internal/cost"
 	"xmlviews/internal/maintain"
 	"xmlviews/internal/obs"
+	"xmlviews/internal/store"
+	"xmlviews/internal/summary"
 	"xmlviews/internal/view"
 	"xmlviews/internal/xmltree"
 )
@@ -61,60 +69,147 @@ type commitAck struct {
 
 func (r *commitReq) ack(a commitAck) { r.done <- a }
 
-func (s *Server) groupMax() int {
-	if s.cfg.GroupMax > 0 {
-		return s.cfg.GroupMax
-	}
-	return defaultGroupMax
+// committer is the daemon's single writer. It owns the catalog object, the
+// live store (and through it the document and the maintained summary),
+// and every mutation of the store directory; what handlers see of an
+// epoch is what publish hands the Server.
+type committer struct {
+	srv *Server
+	cat *store.Catalog
+	st  *view.Store
+	q   <-chan *commitReq
 }
 
-// commitLoop is the committer goroutine: it owns the document, the
-// summary, the catalog mutation path and the epoch-scoped cache swap.
-// Every update reaching disk flows through here, one group at a time.
-//
-//xvlint:owner(committer)
-func (s *Server) commitLoop() {
-	defer s.commitWG.Done()
+// run is the committer goroutine: one group at a time, each followed by a
+// compaction when the policy trips. A store opened with already-long
+// chains (e.g. a daemon that crashed before compacting) is folded before
+// the first update commits.
+func (c *committer) run() {
+	defer close(c.srv.done)
+	if c.refreshChains() {
+		c.compact()
+	}
 	for {
+		// Stop wins over a non-empty queue: once Close is called no new
+		// group starts, and everything still queued is refused.
 		select {
-		case <-s.commitStop:
-			s.drainQueue()
+		case <-c.srv.stop:
+			c.drainQueue()
 			return
-		case first := <-s.commitQ:
-			s.commitGroup(s.collectGroup(first))
+		default:
+		}
+		select {
+		case <-c.srv.stop:
+		case first := <-c.q:
+			c.commitGroup(c.collectGroup(first))
 		}
 	}
+}
+
+// publish makes the store's current epoch the one handlers read: a fresh
+// pin on the live version, the epoch's summary, empty caches (plans and
+// containment verdicts computed under an older summary must not survive)
+// and an estimator over the catalog's statistics.
+func (c *committer) publish(sum *summary.Summary) {
+	s := c.srv
+	snap := c.st.Snapshot()
+	next := epochState{
+		sum:     sum,
+		subsume: core.NewSubsumeCache(0),
+		plans:   newPlanCache(s.cfg.PlanCacheSize),
+		est:     cost.NewEstimator(cost.FromCatalog(c.cat, sum)),
+		st:      snap,
+		epoch:   snap.Epoch(),
+	}
+	s.mu.Lock()
+	old := s.cur.st
+	s.cur = next
+	s.mu.Unlock()
+	if old != nil {
+		old.Release()
+	}
+}
+
+// refreshChains recomputes the delta-chain gauges from the catalog and
+// reports whether a compaction is due: online compaction is enabled and
+// the policy trips.
+func (c *committer) refreshChains() bool {
+	var longest, total int64
+	for i := range c.cat.Views {
+		e := &c.cat.Views[i]
+		if n := int64(len(e.Deltas)); n > longest {
+			longest = n
+		}
+		for _, d := range e.Deltas {
+			total += d.Bytes
+		}
+	}
+	s := c.srv
+	s.met.maxChain.SetInt(longest)
+	s.met.deltaBytes.SetInt(total)
+	maxChain, maxBytes := int64(s.cfg.CompactMaxChain), s.cfg.CompactMaxBytes
+	if maxChain <= 0 {
+		maxChain = defaultCompactMaxChain
+	}
+	if maxBytes <= 0 {
+		maxBytes = defaultCompactMaxBytes
+	}
+	return !s.cfg.CompactDisabled && (longest >= maxChain || total >= maxBytes)
+}
+
+// compact folds the delta chains; callers have seen refreshChains report
+// one due.
+// Queries are untouched (they serve memory extents against their pinned
+// epoch); updates queue for the duration of the fold. The epoch is
+// preserved, so nothing is republished. A compaction failure leaves the
+// store consistent (the catalog still references the old chains and the
+// fold is idempotent), so it is counted and retried after the next group
+// rather than degrading the server.
+func (c *committer) compact() {
+	s := c.srv
+	start := time.Now()
+	res, err := view.CompactCatalog(s.cfg.Dir, c.cat)
+	s.met.compactSeconds.ObserveDuration(time.Since(start))
+	if err != nil {
+		s.met.compactErrors.Inc()
+		return
+	}
+	s.met.compactions.Inc()
+	s.met.compactFolded.Add(int64(res.Folded))
+	s.met.compactReclaimed.Add(res.BytesReclaimed)
+	c.refreshChains()
 }
 
 // collectGroup seals one commit group: the first request plus whatever
 // queued behind it (natural batching — while the previous group fsynced,
 // writers accumulated), topped up during an optional GroupWait straggler
 // window, capped at GroupMax.
-//
-//xvlint:owner(committer)
-func (s *Server) collectGroup(first *commitReq) []*commitReq {
+func (c *committer) collectGroup(first *commitReq) []*commitReq {
 	group := []*commitReq{first}
-	max := s.groupMax()
+	max := c.srv.cfg.GroupMax
+	if max <= 0 {
+		max = defaultGroupMax
+	}
 	for len(group) < max {
 		select {
-		case r := <-s.commitQ:
+		case r := <-c.q:
 			group = append(group, r)
 			continue
 		default:
 		}
 		break
 	}
-	if wait := s.cfg.GroupWait; wait > 0 && len(group) < max {
+	if wait := c.srv.cfg.GroupWait; wait > 0 && len(group) < max {
 		timer := time.NewTimer(wait)
 		defer timer.Stop()
 	straggle:
 		for len(group) < max {
 			select {
-			case r := <-s.commitQ:
+			case r := <-c.q:
 				group = append(group, r)
 			case <-timer.C:
 				break straggle
-			case <-s.commitStop:
+			case <-c.srv.stop:
 				break straggle
 			}
 		}
@@ -124,12 +219,10 @@ func (s *Server) collectGroup(first *commitReq) []*commitReq {
 
 // drainQueue answers every request still queued at shutdown; none of them
 // joined a sealed group, so refusing them is exact.
-//
-//xvlint:owner(committer)
-func (s *Server) drainQueue() {
+func (c *committer) drainQueue() {
 	for {
 		select {
-		case r := <-s.commitQ:
+		case r := <-c.q:
 			r.ack(commitAck{status: http.StatusServiceUnavailable, errMsg: "server is shutting down"})
 		default:
 			return
@@ -138,11 +231,10 @@ func (s *Server) drainQueue() {
 }
 
 // commitGroup validates each member request, merges the accepted ones
-// into one batch, applies and persists it as one epoch, swaps the
-// epoch-scoped caches, and acks every member with its own result.
-//
-//xvlint:owner(committer)
-func (s *Server) commitGroup(group []*commitReq) {
+// into one batch, applies and persists it as one epoch, publishes the new
+// epoch, and acks every member with its own result.
+func (c *committer) commitGroup(group []*commitReq) {
+	s := c.srv
 	now := time.Now()
 	for _, r := range group {
 		s.met.queueWait.ObserveDuration(now.Sub(r.enq))
@@ -154,13 +246,10 @@ func (s *Server) commitGroup(group []*commitReq) {
 		}
 		return
 	}
-
-	// updMu serializes the commit against the online compactor (catalog
-	// mutation and segment files must not interleave with a fold).
-	s.updMu.Lock()
-	defer s.updMu.Unlock()
-	if s.st.Document() == nil {
-		if err := s.loadDocument(); err != nil {
+	if c.st.Document() == nil {
+		// A daemon that only answers queries never reads the document back;
+		// the first update attaches it.
+		if err := view.AttachDocument(s.cfg.Dir, c.cat, c.st); err != nil {
 			for _, r := range group {
 				r.ack(commitAck{status: http.StatusConflict, errMsg: "store is not updatable: " + err.Error()})
 			}
@@ -172,7 +261,7 @@ func (s *Server) commitGroup(group []*commitReq) {
 	// earlier accepted requests will have left it: an insert under a node
 	// an earlier request deletes must fail exactly as the merged apply
 	// would. Rejected requests fail alone; the group commits without them.
-	dry := maintain.NewDryRun(s.st.Document())
+	dry := maintain.NewDryRun(c.st.Document())
 	var live []*commitReq
 	var merged []xmltree.Update
 	for _, r := range group {
@@ -196,22 +285,13 @@ func (s *Server) commitGroup(group []*commitReq) {
 	ctx := obs.WithTrace(context.Background(), gtr)
 
 	start := time.Now()
-	res, err := view.ApplyAndPersistStaged(ctx, s.cfg.Dir, s.cat, s.st, merged,
+	res, err := view.ApplyAndPersistStaged(ctx, s.cfg.Dir, c.cat, c.st, merged,
 		func(res *view.UpdateResult) {
 			// The merged batch is applied: the store installed the new
-			// extent version. Swap the epoch-scoped caches immediately —
-			// plans and containment verdicts computed under the old summary
-			// must not survive, and queries pin store version and caches
-			// together (see snapshot), so the swap must not wait out the
-			// disk persist. If the persist then fails, memory ahead of disk
-			// is the degraded state handled below.
-			s.mu.Lock()
-			s.sum = res.Summary
-			s.subsume = core.NewSubsumeCache(0)
-			s.plans = newPlanCache(s.cfg.PlanCacheSize)
-			s.est = cost.NewEstimator(cost.FromCatalog(s.cat, res.Summary))
-			s.cacheEpoch = res.Epoch
-			s.mu.Unlock()
+			// extent version. Publish it immediately, so queries never wait
+			// out the disk persist. If the persist then fails, memory ahead
+			// of disk is the degraded state handled below.
+			c.publish(res.Summary)
 			s.met.invalidations.Inc()
 		})
 	// The pipeline recorded "apply", "persist" and "catalog" spans on the
@@ -237,9 +317,9 @@ func (s *Server) commitGroup(group []*commitReq) {
 	s.met.updates.Add(int64(len(live)))
 	s.met.groupCommits.Inc()
 	s.met.groupSize.Observe(float64(len(live)))
-	for _, c := range res.Changed {
-		s.met.tuplesAdded.Add(int64(c.Adds))
-		s.met.tuplesDeleted.Add(int64(c.Dels))
+	for _, ch := range res.Changed {
+		s.met.tuplesAdded.Add(int64(ch.Adds))
+		s.met.tuplesDeleted.Add(int64(ch.Dels))
 	}
 	dur := time.Since(start)
 	s.met.maintainSeconds.ObserveDuration(dur)
@@ -253,30 +333,28 @@ func (s *Server) commitGroup(group []*commitReq) {
 			slog.String("group_trace", gtr.ID), slog.Int("group_size", len(live)),
 			slog.String("error", perr.Error()))
 		for _, r := range live {
-			s.fanOutSpans(r, gtr)
+			fanOutSpans(r, gtr)
 			r.ack(commitAck{status: http.StatusInternalServerError,
 				errMsg: perr.Error() + "; queries keep serving the applied batch from memory, further updates are disabled"})
 		}
 		return
 	}
 	// The group persisted: the catalog now carries the new row counts, so
-	// refresh the cost estimator built eagerly in the visibility hook
+	// refresh the cost estimator published eagerly in the visibility hook
 	// (same summary, fresher cardinalities).
+	est := cost.NewEstimator(cost.FromCatalog(c.cat, res.Summary))
 	s.mu.Lock()
-	s.est = cost.NewEstimator(cost.FromCatalog(s.cat, res.Summary))
+	s.cur.est = est
 	s.mu.Unlock()
-	// The delta chains grew by one segment per changed view. Refresh the
-	// gauges (updMu is held) and wake the compactor when the policy trips.
-	s.refreshChainGauges()
-	if !s.cfg.CompactDisabled && s.overThreshold() {
-		s.signalCompact()
-	}
+	// The delta chains grew by one segment per changed view: refresh the
+	// gauges before the acks, fold after them when the policy trips.
+	over := c.refreshChains()
 	changed := res.Changed
 	if changed == nil {
 		changed = []view.ChangedView{}
 	}
 	for _, r := range live {
-		s.fanOutSpans(r, gtr)
+		fanOutSpans(r, gtr)
 		r.ack(commitAck{resp: &UpdateResponse{
 			Epoch:          res.Epoch,
 			Applied:        len(r.updates),
@@ -286,13 +364,16 @@ func (s *Server) commitGroup(group []*commitReq) {
 			GroupSize:      len(live),
 		}})
 	}
+	if over {
+		c.compact()
+	}
 }
 
 // fanOutSpans copies the group trace's committer-phase spans onto one
 // member request's trace, preserving absolute timing, so per-request
 // traces (ring, slow log, trace=1) still show apply/persist/catalog
 // phases under group commit.
-func (s *Server) fanOutSpans(r *commitReq, gtr *obs.Trace) {
+func fanOutSpans(r *commitReq, gtr *obs.Trace) {
 	for _, sp := range gtr.Spans() {
 		r.tr.AddSpan(sp.Name, gtr.Begin.Add(sp.Start), sp.Dur)
 	}

@@ -276,7 +276,7 @@ func TestServeSoakGroupCommit(t *testing.T) {
 					return
 				}
 				// MVCC retention must hold while readers pin snapshots.
-				if v := srv.st.Versions(); v > maxVersions {
+				if v := int(metricValue(t, ts, "xvserve_store_versions")); v > maxVersions {
 					errs <- fmt.Errorf("retention bound broken: %d versions (max %d)", v, maxVersions)
 					return
 				}

@@ -1,0 +1,238 @@
+package serve
+
+import (
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"xmlviews/internal/maintain"
+	"xmlviews/internal/store"
+	"xmlviews/internal/view"
+)
+
+// barrierUpdate targets a node that does not exist: the committer rejects
+// it at dry-run with 422 and commits nothing. Because one goroutine runs
+// commits and compactions in turn, its ack also proves that every step the
+// previous group triggered (compaction included) has finished.
+const barrierUpdate = `[{"op":"settext","target":"1.99.1","value":"x"}]`
+
+func barrier(t *testing.T, ts *httptest.Server) {
+	t.Helper()
+	var e errorResponse
+	if code := postUpdate(t, ts, barrierUpdate, &e); code != http.StatusUnprocessableEntity {
+		t.Fatalf("barrier update: status %d (%s), want 422 from the committer", code, e.Error)
+	}
+}
+
+// longestChain reads the longest delta chain from the directory's catalog.
+func longestChain(t *testing.T, dir string) int {
+	t.Helper()
+	cat, err := store.OpenCatalog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	longest := 0
+	for _, e := range cat.Views {
+		if len(e.Deltas) > longest {
+			longest = len(e.Deltas)
+		}
+	}
+	return longest
+}
+
+// TestCompactionIsACommitterStep: with a chain threshold of 2 and
+// sequential acked updates that each extend one view's chain, compaction
+// runs after exactly every second commit. Nothing is polled: the counts
+// are exact after each barrier.
+func TestCompactionIsACommitterStep(t *testing.T) {
+	ts, dir := newUpdatableServer(t, Config{CompactMaxChain: 2})
+	for k := 1; k <= 7; k++ {
+		var up UpdateResponse
+		body := fmt.Sprintf(`[{"op":"settext","target":"1.1.1","value":"n%d"}]`, k)
+		if code := postUpdate(t, ts, body, &up); code != http.StatusOK || up.Epoch != int64(k) {
+			t.Fatalf("update %d: status %d, epoch %d", k, code, up.Epoch)
+		}
+		barrier(t, ts)
+		var st Stats
+		getJSON(t, ts.URL+"/stats", &st)
+		if st.Compactions != int64(k/2) || st.DeltaSegmentsFolded != int64(2*(k/2)) || st.CompactErrors != 0 {
+			t.Fatalf("after update %d: compactions_run %d, delta_segments_folded %d, compact_errors %d; want %d, %d, 0",
+				k, st.Compactions, st.DeltaSegmentsFolded, st.CompactErrors, k/2, 2*(k/2))
+		}
+		if st.MaxDeltaChain != int64(k%2) {
+			t.Fatalf("after update %d: max_delta_chain %d, want %d", k, st.MaxDeltaChain, k%2)
+		}
+		if got := longestChain(t, dir); got != k%2 {
+			t.Fatalf("after update %d: longest catalog chain %d, want %d", k, got, k%2)
+		}
+	}
+}
+
+// TestOverThresholdStoreFoldedBeforeFirstCommit: a store opened with chains
+// already over the threshold is compacted before the first update commits,
+// so that update's delta lands on the fresh base instead of being folded
+// with the old chain.
+func TestOverThresholdStoreFoldedBeforeFirstCommit(t *testing.T) {
+	ts, dir := newUpdatableServer(t, Config{CompactDisabled: true})
+	for k := 1; k <= 3; k++ {
+		var up UpdateResponse
+		body := fmt.Sprintf(`[{"op":"settext","target":"1.1.1","value":"old%d"}]`, k)
+		if code := postUpdate(t, ts, body, &up); code != http.StatusOK {
+			t.Fatalf("seeding update %d: status %d", k, code)
+		}
+	}
+	if got := longestChain(t, dir); got != 3 {
+		t.Fatalf("seeded chain %d, want 3", got)
+	}
+
+	srv, err := New(Config{Dir: dir, CompactMaxChain: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	ts2 := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts2.Close)
+	var up UpdateResponse
+	if code := postUpdate(t, ts2, `[{"op":"settext","target":"1.1.1","value":"new"}]`, &up); code != http.StatusOK || up.Epoch != 4 {
+		t.Fatalf("first update: status %d, epoch %d", code, up.Epoch)
+	}
+	var st Stats
+	getJSON(t, ts2.URL+"/stats", &st)
+	if st.Compactions != 1 || st.DeltaSegmentsFolded != 3 || st.MaxDeltaChain != 1 {
+		t.Fatalf("compactions_run %d, delta_segments_folded %d, max_delta_chain %d; want 1, 3, 1 (fold first, then commit)",
+			st.Compactions, st.DeltaSegmentsFolded, st.MaxDeltaChain)
+	}
+	if got := longestChain(t, dir); got != 1 {
+		t.Fatalf("longest catalog chain %d, want 1", got)
+	}
+}
+
+// TestCloseRefusesQueueAndLeaksNothing: requests still queued when Close
+// is called are answered 503 — no new group starts — and the committer
+// goroutine is gone when Close returns.
+func TestCloseRefusesQueueAndLeaksNothing(t *testing.T) {
+	_, dir := newUpdatableServer(t, Config{ReadOnly: true}) // builds the store; starts no goroutine
+	before := runtime.NumGoroutine()
+	// GroupMax 1: the committer takes the parked request alone, so the
+	// requests queued behind it stay queued.
+	srv, err := New(Config{Dir: dir, GroupMax: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parse := func(body string) *commitReq {
+		ups, err := maintain.ParseUpdates([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &commitReq{updates: ups, enq: time.Now(), done: make(chan commitAck, 1)}
+	}
+	// Park the committer inside an ack: this request's done channel is
+	// unbuffered, so the committer blocks until the test receives.
+	parked := parse(barrierUpdate)
+	parked.done = make(chan commitAck)
+	srv.commitQ <- parked
+	for len(srv.commitQ) > 0 {
+		time.Sleep(time.Millisecond) // until the committer has taken it
+	}
+	var queued []*commitReq
+	for i := 0; i < 3; i++ {
+		r := parse(fmt.Sprintf(`[{"op":"settext","target":"1.1.1","value":"q%d"}]`, i))
+		queued = append(queued, r)
+		srv.commitQ <- r
+	}
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	<-srv.stop // Close has begun
+	if ack := <-parked.done; ack.status != http.StatusUnprocessableEntity {
+		t.Fatalf("parked request acked %d, want 422", ack.status)
+	}
+	<-closed
+	for i, r := range queued {
+		select {
+		case ack := <-r.done:
+			if ack.status != http.StatusServiceUnavailable || ack.resp != nil {
+				t.Fatalf("queued request %d acked %+v, want 503", i, ack)
+			}
+		default:
+			t.Fatalf("queued request %d was never answered", i)
+		}
+	}
+	// A request arriving after Close is refused by its handler.
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/update",
+		strings.NewReader(`[{"op":"settext","target":"1.1.1","value":"late"}]`)))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("update after Close: status %d, want 503", rec.Code)
+	}
+	srv.Close() // idempotent
+	// The exiting goroutines may need a moment to be reaped.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before New", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Reads keep working on a closed server.
+	rec = httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/stats after Close: %d", rec.Code)
+	}
+}
+
+// TestHandlersCannotReachLiveStore is the runtime stand-in for "handlers
+// cannot name the live store": nothing reachable from a Server through its
+// own struct types is a *view.Store or a *store.Catalog. Those live in the
+// committer, which the walker does flag.
+func TestHandlersCannotReachLiveStore(t *testing.T) {
+	forbidden := map[reflect.Type]bool{
+		reflect.TypeOf(view.Store{}):    true,
+		reflect.TypeOf(store.Catalog{}): true,
+	}
+	own := reflect.TypeOf(Server{}).PkgPath()
+	var walk func(t reflect.Type, path string, seen map[reflect.Type]bool, hits *[]string)
+	walk = func(t reflect.Type, path string, seen map[reflect.Type]bool, hits *[]string) {
+		if forbidden[t] {
+			*hits = append(*hits, path)
+			return
+		}
+		if seen[t] {
+			return
+		}
+		seen[t] = true
+		switch t.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Chan:
+			walk(t.Elem(), path, seen, hits)
+		case reflect.Map:
+			walk(t.Key(), path+"[key]", seen, hits)
+			walk(t.Elem(), path, seen, hits)
+		case reflect.Struct:
+			if t.PkgPath() != own {
+				return // another package's internals are not nameable here
+			}
+			for i := 0; i < t.NumField(); i++ {
+				f := t.Field(i)
+				walk(f.Type, path+"."+f.Name, seen, hits)
+			}
+		}
+	}
+	var hits []string
+	walk(reflect.TypeOf(Server{}), "Server", map[reflect.Type]bool{}, &hits)
+	if len(hits) > 0 {
+		t.Fatalf("Server reaches the live store or catalog through %v", hits)
+	}
+	hits = nil
+	walk(reflect.TypeOf(committer{}), "committer", map[reflect.Type]bool{}, &hits)
+	if len(hits) != 2 {
+		t.Fatalf("walker found %v in committer, want its cat and st fields", hits)
+	}
+}

@@ -115,7 +115,7 @@ func newMetricsSet(r *obs.Registry) *metricsSet {
 		maintainSeconds: r.Histogram("xvserve_maintain_seconds", "End-to-end update batch latency: apply, persist and cache swap.", nil),
 		applySeconds:    r.Histogram("xvserve_maintain_apply_seconds", "In-memory maintenance latency of update batches (diff + splice).", nil),
 		persistSeconds:  r.Histogram("xvserve_maintain_persist_seconds", "Disk persistence latency of update batches (delta and document writes).", nil),
-		compactSeconds:  r.Histogram("xvserve_compact_seconds", "Online compaction latency under the update lock.", nil),
+		compactSeconds:  r.Histogram("xvserve_compact_seconds", "Online compaction latency (a committer step; updates queue behind it).", nil),
 		groupSize: r.Histogram("xvserve_commit_group_size", "Requests merged per committed group.",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128}),
 		queueWait: r.Histogram("xvserve_commit_queue_wait_seconds", "Time update requests waited in the commit queue before their group sealed.", nil),

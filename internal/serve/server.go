@@ -30,8 +30,6 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"path/filepath"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -69,19 +67,20 @@ type Config struct {
 	MaxResponseRows int
 	// MaxRewritings bounds how many equivalent rewritings the search
 	// enumerates before the cost model picks the cheapest (<= 0: default
-	// 8). Higher values find more alternatives on cold queries at the
-	// price of longer searches; 1 reproduces the first-found behavior.
+	// 2). Higher values find more alternatives on cold queries at the
+	// price of longer, memory-hungrier searches; 1 reproduces the
+	// first-found behavior.
 	MaxRewritings int
 	// CompactMaxChain and CompactMaxBytes set the online compaction
 	// policy: when any view's delta chain reaches CompactMaxChain segments
 	// (<= 0: default 16) or the chains' total size reaches CompactMaxBytes
-	// (<= 0: default 32 MiB), the background compactor folds every chain
+	// (<= 0: default 32 MiB), the committer folds every chain
 	// into fresh base segments and reclaims the superseded files. The
 	// epoch is preserved and queries are unaffected (compaction is
 	// disk-only; extents are served from memory).
 	CompactMaxChain int
 	CompactMaxBytes int64
-	// CompactDisabled turns the background compactor off (chains then grow
+	// CompactDisabled turns online compaction off (chains then grow
 	// until an offline `xvstore compact`). Read-only servers never
 	// compact.
 	CompactDisabled bool
@@ -116,56 +115,41 @@ const (
 	defaultCompactMaxBytes = 32 << 20
 )
 
-// defaultMaxRewritings bounds the per-query alternative enumeration.
-const defaultMaxRewritings = 8
+// defaultMaxRewritings bounds the per-query alternative enumeration. Two
+// is what every recorded run uses: on XMark-sized summaries the search for
+// eight alternatives of a cold //-query grows past 16 GB (bench/README.md).
+const defaultMaxRewritings = 2
 
 // Server answers queries over one store directory. It is safe for
-// concurrent use; updates serialize among themselves and against the
-// epoch-keyed caches.
+// concurrent use. It holds only what request handlers may touch: the send
+// side of the commit queue and the epoch state the committer publishes.
+// The directory, the catalog, the live store and the document belong to
+// the committer goroutine (commit.go), which New starts and does not
+// retain — no handler can name them.
 type Server struct {
-	cfg   Config
-	cat   *store.Catalog
-	views []*core.View
-	// st is the live store; request handling reads extents only through
-	// snapshot() so one request never spans two epochs (snapdiscipline).
-	st      *view.Store //xvlint:livestore
+	cfg     Config
+	views   []*core.View
 	started time.Time
 
-	// mu guards the epoch-scoped state: the summary (updates can change
-	// it), the plan/subsume caches, and cacheEpoch — the store epoch the
-	// caches were built for. The committer swaps them wholesale after
-	// installing a new store version; snapshot() pins store version and
-	// caches together, retrying across the brief swap window, so a
-	// query's snapshot is always internally consistent without readers
-	// ever waiting out an apply or fsync.
-	mu         sync.RWMutex
-	sum        *summary.Summary
-	subsume    *core.SubsumeCache
-	plans      *planCache
-	est        *cost.Estimator
-	cacheEpoch int64
+	// mu guards cur, the epoch state the committer last published. The
+	// committer swaps it wholesale the moment a new store version is
+	// readable; handlers copy it and re-pin its snapshot under the read
+	// lock, so a query's state is always internally consistent and readers
+	// never wait out an apply or fsync.
+	mu  sync.RWMutex
+	cur epochState
 
-	// The commit queue: /update handlers enqueue parsed requests and a
-	// single committer goroutine (commitLoop, see commit.go) drains it,
-	// merging queued requests into one group-committed epoch. updMu is
-	// committer-internal — it serializes commits against the online
-	// compactor (catalog mutation and segment files must not interleave
-	// with a fold); handlers never take it and never touch the document,
-	// catalog or persist path directly. degraded is set when a batch was
-	// applied in memory but could not be persisted; further updates are
-	// refused so the directory's delta chains never skip an epoch.
-	commitQ    chan *commitReq
-	commitStop chan struct{}
-	commitWG   sync.WaitGroup
-	updMu      sync.Mutex
-	degraded   atomic.Bool
-
-	// Online compaction: updates signal compactCh when the delta chains
-	// cross the policy thresholds; a background goroutine folds them.
-	compactCh   chan struct{}
-	compactStop chan struct{}
-	compactWG   sync.WaitGroup
-	closeOnce   sync.Once
+	// commitQ carries parsed /update requests to the committer. stop is
+	// closed by Close; done is closed when the committer has exited (at
+	// once on a read-only server, which starts none). degraded is set when
+	// a batch was applied in memory but could not be persisted; further
+	// updates are refused so the directory's delta chains never skip an
+	// epoch.
+	commitQ   chan<- *commitReq
+	stop      chan struct{}
+	done      chan struct{}
+	degraded  atomic.Bool
+	closeOnce sync.Once
 
 	// Observability: one registry holds every instrument (counters,
 	// gauges, per-phase latency histograms) and backs both GET /metrics
@@ -201,55 +185,39 @@ func New(cfg Config) (*Server, error) {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	reg := obs.NewRegistry()
+	q := make(chan *commitReq, commitQueueDepth)
 	s := &Server{
-		cfg:         cfg,
-		cat:         cat,
-		sum:         sum,
-		views:       views,
-		st:          st,
-		subsume:     core.NewSubsumeCache(0),
-		plans:       newPlanCache(cfg.PlanCacheSize),
-		est:         cost.NewEstimator(cost.FromCatalog(cat, sum)),
-		started:     time.Now(),
-		compactCh:   make(chan struct{}, 1),
-		compactStop: make(chan struct{}),
-		commitQ:     make(chan *commitReq, commitQueueDepth),
-		commitStop:  make(chan struct{}),
-		reg:         reg,
-		met:         newMetricsSet(reg),
-		ring:        obs.NewRing(cfg.TraceRingSize),
-		log:         logger,
+		cfg:     cfg,
+		views:   views,
+		started: time.Now(),
+		commitQ: q,
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
+		reg:     reg,
+		met:     newMetricsSet(reg),
+		ring:    obs.NewRing(cfg.TraceRingSize),
+		log:     logger,
 	}
-	s.cacheEpoch = st.Epoch()
 	s.registerGauges()
+	reg.GaugeFunc("xvserve_store_versions", "MVCC extent versions the store tracks (live + retained for pinned readers).",
+		func() float64 { return float64(st.Versions()) })
 	obs.RegisterRuntimeMetrics(reg)
-	// Uncontended here (nothing else has the *Server yet), but taking the
-	// lock keeps refreshChainGauges's contract uniform for every caller.
-	s.updMu.Lock()
-	s.refreshChainGauges()
-	s.updMu.Unlock()
-	if !cfg.ReadOnly {
-		s.commitWG.Add(1)
-		//xvlint:ownedby(committer) goroutine entry point: this go statement IS the committer
-		go s.commitLoop()
-	}
-	if !cfg.ReadOnly && !cfg.CompactDisabled {
-		s.compactWG.Add(1)
-		go s.compactLoop()
-		// A store opened with already-long chains (e.g. a daemon that
-		// crashed before compacting) is folded right away.
-		if s.overThreshold() {
-			s.signalCompact()
-		}
+	c := &committer{srv: s, cat: cat, st: st, q: q}
+	c.publish(sum)
+	c.refreshChains()
+	if cfg.ReadOnly {
+		close(s.done)
+	} else {
+		go c.run()
 	}
 	return s, nil
 }
 
-// registerGauges adds the gauges that sample live server state at scrape
-// time: epoch, degraded flag, cache sizes, view count and uptime.
+// registerGauges adds the gauges that sample the published server state
+// at scrape time: epoch, degraded flag, cache sizes, view count and uptime.
 func (s *Server) registerGauges() {
 	s.reg.GaugeFunc("xvserve_epoch", "Current store epoch.",
-		func() float64 { return float64(s.st.Epoch()) })
+		func() float64 { return float64(s.epoch()) })
 	s.reg.GaugeFunc("xvserve_degraded", "1 when an update batch was applied in memory but not persisted (updates disabled).",
 		func() float64 {
 			if s.degraded.Load() {
@@ -261,119 +229,29 @@ func (s *Server) registerGauges() {
 		func() float64 {
 			s.mu.RLock()
 			defer s.mu.RUnlock()
-			return float64(s.plans.len())
+			return float64(s.cur.plans.len())
 		})
 	s.reg.GaugeFunc("xvserve_subsume_cache_entries", "Verdicts held by the epoch's summary-implication cache.",
 		func() float64 {
 			s.mu.RLock()
 			defer s.mu.RUnlock()
-			return float64(s.subsume.Len())
+			return float64(s.cur.subsume.Len())
 		})
 	s.reg.GaugeFunc("xvserve_commit_queue_depth", "Update requests waiting in the commit queue.",
 		func() float64 { return float64(len(s.commitQ)) })
-	s.reg.GaugeFunc("xvserve_store_versions", "MVCC extent versions the store tracks (live + retained for pinned readers).",
-		func() float64 { return float64(s.st.Versions()) })
 	s.reg.GaugeFunc("xvserve_views", "Materialized views served.",
 		func() float64 { return float64(len(s.views)) })
 	s.reg.GaugeFunc("xvserve_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return time.Since(s.started).Seconds() })
 }
 
-// Close stops the committer and the background compactor. The HTTP
-// handler remains usable for reads; /update requests still queued when
-// the committer stops are answered 503, and chains then only compact
-// offline.
+// Close stops the committer, waiting out the group or compaction it is in
+// the middle of. The HTTP handler remains usable for reads; /update
+// requests still queued when the committer stops are answered 503, and
+// chains then only compact offline.
 func (s *Server) Close() {
-	s.closeOnce.Do(func() {
-		close(s.commitStop)
-		s.commitWG.Wait()
-		close(s.compactStop)
-		s.compactWG.Wait()
-	})
-}
-
-// refreshChainGauges recomputes the delta-chain stats from the catalog.
-// Callers hold updMu — it reads s.cat, which updates mutate.
-//
-//xvlint:requires(updMu)
-func (s *Server) refreshChainGauges() {
-	var longest int64
-	var total int64
-	for i := range s.cat.Views {
-		e := &s.cat.Views[i]
-		if n := int64(len(e.Deltas)); n > longest {
-			longest = n
-		}
-		for _, d := range e.Deltas {
-			total += d.Bytes
-		}
-	}
-	s.met.maxChain.SetInt(longest)
-	s.met.deltaBytes.SetInt(total)
-}
-
-func (s *Server) compactMaxChain() int64 {
-	if s.cfg.CompactMaxChain > 0 {
-		return int64(s.cfg.CompactMaxChain)
-	}
-	return defaultCompactMaxChain
-}
-
-func (s *Server) compactMaxBytes() int64 {
-	if s.cfg.CompactMaxBytes > 0 {
-		return s.cfg.CompactMaxBytes
-	}
-	return defaultCompactMaxBytes
-}
-
-func (s *Server) overThreshold() bool {
-	return int64(s.met.maxChain.Value()) >= s.compactMaxChain() ||
-		int64(s.met.deltaBytes.Value()) >= s.compactMaxBytes()
-}
-
-func (s *Server) signalCompact() {
-	select {
-	case s.compactCh <- struct{}{}:
-	default: // a compaction is already pending
-	}
-}
-
-func (s *Server) compactLoop() {
-	defer s.compactWG.Done()
-	for {
-		select {
-		case <-s.compactStop:
-			return
-		case <-s.compactCh:
-			s.compactOnce()
-		}
-	}
-}
-
-// compactOnce folds the delta chains under the update lock. Queries are
-// untouched (they serve memory extents against the epoch snapshot);
-// updates queue behind the lock for the duration of the fold. The epoch
-// is preserved, so no cache is invalidated. A compaction failure leaves
-// the store consistent (the catalog still references the old chains and
-// the fold is idempotent), so it is counted and retried on the next
-// trigger rather than degrading the server.
-func (s *Server) compactOnce() {
-	s.updMu.Lock()
-	defer s.updMu.Unlock()
-	if s.degraded.Load() || !s.overThreshold() {
-		return
-	}
-	start := time.Now()
-	res, err := view.CompactCatalog(s.cfg.Dir, s.cat)
-	s.met.compactSeconds.ObserveDuration(time.Since(start))
-	if err != nil {
-		s.met.compactErrors.Inc()
-		return
-	}
-	s.met.compactions.Inc()
-	s.met.compactFolded.Add(int64(res.Folded))
-	s.met.compactReclaimed.Add(res.BytesReclaimed)
-	s.refreshChainGauges()
+	s.closeOnce.Do(func() { close(s.stop) })
+	<-s.done
 }
 
 // Views returns the number of views served.
@@ -394,34 +272,31 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// epochState is a consistent snapshot of one epoch: the summary, the
-// caches keyed to it, and the store's extents pinned at it. Callers must
-// Release st when done so the store can drop superseded MVCC versions.
+// epochState is one epoch as the committer publishes it: the summary, the
+// caches keyed to it, and the store's extents pinned at it. The copy
+// snapshot returns carries its own pin on st, which callers must Release
+// so the store can drop superseded MVCC versions.
 type epochState struct {
 	sum     *summary.Summary
 	subsume *core.SubsumeCache
 	plans   *planCache
 	est     *cost.Estimator
-	st      *view.Store
+	st      *view.Snapshot
 	epoch   int64
 }
 
 func (s *Server) snapshot() epochState {
-	for {
-		s.mu.RLock()
-		es := epochState{sum: s.sum, subsume: s.subsume, plans: s.plans, est: s.est, epoch: s.cacheEpoch}
-		st := s.st.Snapshot()
-		s.mu.RUnlock()
-		if st.Epoch() == es.epoch {
-			es.st = st
-			return es
-		}
-		// The committer installed a new store version between the cache
-		// read and the pin; drop the pin and retry against the swapped
-		// caches (the swap is a few assignments away — see commitGroup).
-		st.Release()
-		runtime.Gosched()
-	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	es := s.cur
+	es.st = es.st.Snapshot()
+	return es
+}
+
+func (s *Server) epoch() int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.cur.epoch
 }
 
 // QueryResponse is the JSON answer to /query.
@@ -818,7 +693,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	req := &commitReq{updates: updates, tr: tr, enq: time.Now(), done: make(chan commitAck, 1)}
 	select {
 	case s.commitQ <- req:
-	case <-s.commitStop:
+	case <-s.stop:
 		s.fail(w, r, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	case <-ctx.Done():
@@ -840,27 +715,11 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		// commits for everyone else (the ack lands in the buffered done
 		// channel unread); only this response reports the disconnect.
 		s.clientGone(w, r, "client closed request while the update was committing")
-	case <-s.commitStop:
+	case <-s.stop:
 		// Shutdown raced the commit; the group may or may not have
 		// committed, the client must retry against the reopened store.
 		s.fail(w, r, http.StatusServiceUnavailable, "server is shutting down")
 	}
-}
-
-// loadDocument attaches the persisted source document to the open store;
-// callers hold updMu.
-//
-//xvlint:requires(updMu)
-func (s *Server) loadDocument() error {
-	if s.cat.DocSegment == "" {
-		return fmt.Errorf("no document segment in catalog (store built before updates existed); rebuild with xvstore build")
-	}
-	doc, err := store.ReadDocumentFile(filepath.Join(s.cfg.Dir, s.cat.DocSegment))
-	if err != nil {
-		return err
-	}
-	s.st.SetDocument(doc)
-	return nil
 }
 
 // rewriteBest runs the full search (up to MaxResults equivalent
@@ -908,7 +767,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status": "ok",
 		"views":  len(s.views),
-		"epoch":  s.st.Epoch(),
+		"epoch":  s.epoch(),
 	})
 }
 
@@ -947,8 +806,7 @@ type Stats struct {
 	CacheInvalidations int64   `json:"cache_invalidations"`
 	MaintainMillis     float64 `json:"maintain_ms_total"`
 	// Online-compaction state: the current longest delta chain and total
-	// delta bytes, and what the background compactor has folded/reclaimed
-	// so far.
+	// delta bytes, and what online compaction has folded/reclaimed so far.
 	MaxDeltaChain         int64 `json:"max_delta_chain"`
 	DeltaBytes            int64 `json:"delta_bytes"`
 	Compactions           int64 `json:"compactions_run"`

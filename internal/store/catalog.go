@@ -21,9 +21,8 @@ const ManifestName = "catalog.json"
 //
 // There is deliberately no version-3 decode arm: the summary parser
 // accepts text with and without the statistics suffix unconditionally,
-// so v2 and v3 manifests go through the same path.
-//
-//xvlint:verok(3) summary parser accepts both forms unconditionally
+// so v2 and v3 manifests go through the same path (testdata/ holds one
+// of each; TestGoldenCatalogs opens both).
 const CatalogVersion = 3
 
 // MinCatalogVersion is the oldest manifest version this code still reads:

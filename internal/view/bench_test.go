@@ -1,6 +1,7 @@
 package view_test
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -124,7 +125,7 @@ func BenchmarkMaintainUpdate(b *testing.B) {
 		}
 		// Warm the store (first batch sorts the extents and builds the
 		// maintained summary once; steady state is what a daemon sees).
-		if _, err := st.ApplyUpdates([]xmltree.Update{
+		if _, err := st.ApplyUpdates(context.Background(), []xmltree.Update{
 			{Kind: xmltree.UpdateSetValue, Target: target, Value: "0.00"},
 		}); err != nil {
 			b.Fatal(err)
@@ -132,7 +133,7 @@ func BenchmarkMaintainUpdate(b *testing.B) {
 		b.Run(fmt.Sprintf("maintain/xmark%d", scale), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, err := st.ApplyUpdates([]xmltree.Update{
+				_, err := st.ApplyUpdates(context.Background(), []xmltree.Update{
 					{Kind: xmltree.UpdateSetValue, Target: target, Value: fmt.Sprintf("%d.00", i)},
 				})
 				if err != nil {

@@ -48,58 +48,39 @@ func (e *PersistError) Error() string {
 }
 func (e *PersistError) Unwrap() error { return e.Err }
 
-// ApplyAndPersist runs one update batch against an open store and appends
-// the resulting delta segments to its directory: one delta file per
-// changed view, the re-encoded document, and the catalog (new epoch,
+// ApplyAndPersistStaged runs one update batch against an open store and
+// appends the resulting delta segments to its directory: one delta file
+// per changed view, the re-encoded document, and the catalog (new epoch,
 // rebuilt summary, updated row counts) — the catalog write last and the
 // catalog object mutated only after every file write succeeded, so a
 // crash or I/O failure mid-persist leaves both the catalog object and
 // the directory's manifest on the pre-batch state, with only
 // unreferenced files behind. The store must carry its document
-// (SetDocument after OpenStore, or use UpdateStore).
+// (OpenUpdatableStore, or AttachDocument on an open store).
+//
+// onApplied (when non-nil) runs after the batch is applied to the
+// in-memory store — the new extent version is installed and the result
+// (epoch, per-view deltas, rebuilt summary) is complete — but before any
+// file write. A serving layer uses it to publish the new epoch the moment
+// it is readable, so queries never wait out the disk persist.
 //
 // An apply failure leaves everything untouched. A persist failure is
 // returned as *PersistError together with the batch result: the
 // in-memory store has advanced and the directory has not.
 //
-// Callers persisting to the same directory must serialize their calls;
-// the serving layer and CLI both do. The annotation below makes xvlint
-// enforce it: every call must come from under the serving layer's update
-// lock or carry an explicit waiver.
+// When ctx carries an obs.Trace, the pipeline records "apply" (in-memory
+// maintenance, including the engine's diff/splice sub-spans), "persist"
+// (delta and document file writes) and "catalog" (commit write) spans.
+// The context does not cancel the batch: aborting between apply and
+// catalog-write is exactly the memory-ahead-of-disk state PersistError
+// exists to report, so the batch always runs to completion or error.
 //
-//xvlint:requires(updMu)
-func ApplyAndPersist(dir string, cat *store.Catalog, st *Store, updates []xmltree.Update) (*UpdateResult, error) {
-	//xvlint:lockheld(updMu) annotated wrapper: every caller of ApplyAndPersist already holds or waives updMu
-	return ApplyAndPersistCtx(context.Background(), dir, cat, st, updates)
-}
-
-// ApplyAndPersistCtx is ApplyAndPersist with a context. When ctx carries an
-// obs.Trace, the pipeline records "apply" (in-memory maintenance, including
-// the engine's diff/splice sub-spans), "persist" (delta and document file
-// writes) and "catalog" (commit write) spans. The context does not cancel
-// the batch: aborting between apply and catalog-write is exactly the
-// memory-ahead-of-disk state PersistError exists to report, so the batch
-// always runs to completion or error.
-//
-//xvlint:requires(updMu)
-func ApplyAndPersistCtx(ctx context.Context, dir string, cat *store.Catalog, st *Store, updates []xmltree.Update) (*UpdateResult, error) {
-	//xvlint:lockheld(updMu) annotated wrapper: every caller of ApplyAndPersistCtx already holds or waives updMu
-	return ApplyAndPersistStaged(ctx, dir, cat, st, updates, nil)
-}
-
-// ApplyAndPersistStaged is ApplyAndPersistCtx with a visibility hook:
-// onApplied (when non-nil) runs after the batch is applied to the
-// in-memory store — the new extent version is installed and the result
-// (epoch, per-view deltas, rebuilt summary) is complete — but before any
-// file write. A serving layer uses it to swap its epoch-scoped caches the
-// moment the new epoch is readable, so queries never wait out the disk
-// persist; if the persist then fails, memory being ahead of disk is
-// exactly the *PersistError / degraded-mode state.
-//
-//xvlint:requires(updMu)
+// Everything that mutates one directory — this function and
+// CompactCatalog — must be called from one goroutine at a time; the
+// serving layer's committer and the offline CLI are each that goroutine.
 func ApplyAndPersistStaged(ctx context.Context, dir string, cat *store.Catalog, st *Store, updates []xmltree.Update, onApplied func(*UpdateResult)) (*UpdateResult, error) {
 	endApply := obs.StartSpan(ctx, "apply")
-	batch, err := st.ApplyUpdatesCtx(ctx, updates)
+	batch, err := st.ApplyUpdates(ctx, updates)
 	endApply()
 	if err != nil {
 		return nil, err
@@ -171,7 +152,7 @@ func ApplyAndPersistStaged(ctx context.Context, dir string, cat *store.Catalog, 
 }
 
 // OpenUpdatableStore opens a store directory together with its persisted
-// document, ready for ApplyAndPersist.
+// document, ready for ApplyAndPersistStaged.
 func OpenUpdatableStore(dir string) (*store.Catalog, *Store, error) {
 	cat, err := store.OpenCatalog(dir)
 	if err != nil {
@@ -185,15 +166,26 @@ func OpenUpdatableStore(dir string) (*store.Catalog, *Store, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	if err := AttachDocument(dir, cat, st); err != nil {
+		return nil, nil, err
+	}
+	return cat, st, nil
+}
+
+// AttachDocument loads the directory's persisted source document into an
+// open store, making it updatable. Serving layers call it lazily, on the
+// first update: a store that only answers queries never reads the
+// document back.
+func AttachDocument(dir string, cat *store.Catalog, st *Store) error {
 	if cat.DocSegment == "" {
-		return nil, nil, fmt.Errorf("view: store %s has no persisted document; rebuild it to make it updatable", dir)
+		return fmt.Errorf("view: store %s has no persisted document; rebuild it to make it updatable", dir)
 	}
 	doc, err := store.ReadDocumentFile(filepath.Join(dir, cat.DocSegment))
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	st.SetDocument(doc)
-	return cat, st, nil
+	return nil
 }
 
 // UpdateStore applies an update batch to a store directory offline: open,
@@ -203,8 +195,7 @@ func UpdateStore(dir string, updates []xmltree.Update) (*UpdateResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	//xvlint:lockheld(updMu) offline CLI path: the store was opened here, nothing else holds it
-	return ApplyAndPersist(dir, cat, st, updates)
+	return ApplyAndPersistStaged(context.Background(), dir, cat, st, updates, nil)
 }
 
 // CompactResult reports what a compaction did.
@@ -226,15 +217,13 @@ func CompactStore(dir string) (*CompactResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	//xvlint:lockheld(updMu) offline CLI path: the catalog was opened here, nothing else holds it
 	return CompactCatalog(dir, cat)
 }
 
 // CompactCatalog is CompactStore for callers that hold the directory's
-// live catalog object (the serving daemon's online compactor must mutate
-// the same catalog its update path appends to, or a later persisted batch
-// would resurrect folded chains). Callers must serialize it against
-// ApplyAndPersist on the same directory.
+// live catalog object (the serving daemon's committer must mutate the
+// same catalog its update path appends to, or a later persisted batch
+// would resurrect folded chains).
 //
 // Crash safety: each folded extent is written to a *new* base segment
 // (named <stem>.c<epoch>.xvs), the catalog is atomically renamed into
@@ -243,8 +232,6 @@ func CompactStore(dir string) (*CompactResult, error) {
 // untouched files (plus unreferenced new-base files a later compaction
 // run cannot collide with, since the epoch has to advance before chains
 // regrow); a crash after it leaves only removable garbage.
-//
-//xvlint:requires(updMu)
 func CompactCatalog(dir string, cat *store.Catalog) (*CompactResult, error) {
 	res := &CompactResult{}
 	type obsolete struct {

@@ -1,6 +1,7 @@
 package view
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -19,7 +20,7 @@ func mvccStore(t *testing.T) (*Store, *core.View, *xmltree.Document) {
 
 func applyOne(t *testing.T, st *Store, doc *xmltree.Document, val string) {
 	t.Helper()
-	if _, err := st.ApplyUpdates([]xmltree.Update{
+	if _, err := st.ApplyUpdates(context.Background(), []xmltree.Update{
 		{Kind: xmltree.UpdateInsert, Parent: doc.Root.ID, Subtree: xmltree.MustParseParen(`b "` + val + `"`)},
 	}); err != nil {
 		t.Fatal(err)
@@ -64,7 +65,7 @@ func TestMVCCUnpinnedVersionsNotRetained(t *testing.T) {
 func TestMVCCRetentionBound(t *testing.T) {
 	st, v, doc := mvccStore(t)
 	st.SetMaxVersions(3)
-	var snaps []*Store
+	var snaps []*Snapshot
 	for i := 0; i < 6; i++ {
 		snaps = append(snaps, st.Snapshot())
 		applyOne(t, st, doc, fmt.Sprintf("y%d", i))
@@ -151,5 +152,53 @@ func TestMVCCConcurrentReadersDontBlockCommit(t *testing.T) {
 	wg.Wait()
 	if st.Epoch() != batches {
 		t.Fatalf("final epoch %d, want %d", st.Epoch(), batches)
+	}
+}
+
+// TestSnapshotOutlivesCommitsAndCompaction: a snapshot taken at epoch E
+// keeps reading E's rows — through the persisted write path, not just the
+// in-memory one — after two further commits and a compaction of the
+// directory underneath, and releasing it (twice) returns the store to one
+// tracked version.
+func TestSnapshotOutlivesCommitsAndCompaction(t *testing.T) {
+	dir := t.TempDir()
+	doc := xmltree.MustParseParen(`a(b "1")`)
+	v := &core.View{Name: "v", Pattern: pattern.MustParse(`a(/b[v])`), DerivableParentIDs: true}
+	if _, err := BuildStore(dir, doc, []*core.View{v}); err != nil {
+		t.Fatal(err)
+	}
+	cat, st, err := OpenUpdatableStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := func(val string) {
+		t.Helper()
+		ups := []xmltree.Update{{Kind: xmltree.UpdateInsert, Parent: st.Document().Root.ID,
+			Subtree: xmltree.MustParseParen(`b "` + val + `"`)}}
+		if _, err := ApplyAndPersistStaged(context.Background(), dir, cat, st, ups, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit("2")
+	snap := st.Snapshot()
+	want := snap.Relation(v).Sorted().String()
+	commit("3")
+	commit("4")
+	if res, err := CompactCatalog(dir, cat); err != nil || res.Folded != 3 {
+		t.Fatalf("compaction: %+v, %v", res, err)
+	}
+	if snap.Epoch() != 1 || st.Epoch() != 3 {
+		t.Fatalf("epochs: snapshot %d, store %d; want 1, 3", snap.Epoch(), st.Epoch())
+	}
+	if got := snap.Relation(v).Sorted().String(); got != want || snap.Relation(v).Len() != 2 {
+		t.Fatalf("snapshot at epoch 1 now reads\n%s\nwant\n%s", got, want)
+	}
+	if got := st.Relation(v).Len(); got != 4 {
+		t.Fatalf("live store has %d rows, want 4", got)
+	}
+	snap.Release()
+	snap.Release()
+	if got := st.Versions(); got != 1 {
+		t.Fatalf("%d versions after release, want 1", got)
 	}
 }

@@ -1,6 +1,7 @@
 package view_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -273,7 +274,7 @@ func TestMaintenanceOracleMemory(t *testing.T) {
 			gen := &updateGen{r: r}
 			for round := 0; round < batches; round++ {
 				ups := gen.batch(doc)
-				batch, err := st.ApplyUpdates(ups)
+				batch, err := st.ApplyUpdates(context.Background(), ups)
 				if err != nil {
 					t.Fatalf("round %d: ApplyUpdates: %v", round, err)
 				}
@@ -304,7 +305,7 @@ func TestMaintenanceOracleQueries(t *testing.T) {
 	gen := &updateGen{r: r, conforming: true}
 	for round := 0; round < 8; round++ {
 		ups := gen.batch(doc)
-		batch, err := st.ApplyUpdates(ups)
+		batch, err := st.ApplyUpdates(context.Background(), ups)
 		if err != nil {
 			t.Fatalf("round %d: ApplyUpdates: %v", round, err)
 		}

@@ -214,9 +214,9 @@ func (c *blockCache) put(key string, b *store.Blocks) {
 // version copy-on-write. Snapshot pins the live version in O(1) and
 // readers execute whole plans against the pin while ApplyUpdates installs
 // successors without waiting for them; a superseded version is retained
-// until its last pin drops (Release), within a bounded window (see
-// SetMaxVersions) so slow readers can never make the store accumulate
-// versions without bound.
+// until its last pin drops (Snapshot.Release), within a bounded window
+// (see SetMaxVersions) so slow readers can never make the store
+// accumulate versions without bound.
 //
 // Prepared views (those carrying reasoning-only virtual attributes) are
 // cached separately because their column naming differs from the stored
@@ -227,11 +227,11 @@ func (c *blockCache) put(key string, b *store.Blocks) {
 // execute plans against one store. Callers that apply updates must
 // serialize ApplyUpdates calls among themselves (delta chains append in
 // epoch order) and must not concurrently materialize from the live
-// document — serving layers route all mutation through one committer
-// goroutine and read through Snapshot, which never touches the document.
+// document — serving layers give the store to one committer goroutine
+// and hand everyone else a Snapshot, which never touches the document.
 type Store struct {
 	mu    sync.RWMutex
-	doc   *xmltree.Document // nil for disk-backed stores (OpenStore) and snapshots
+	doc   *xmltree.Document // nil for disk-backed stores until SetDocument
 	views []*core.View
 	// msum is the incrementally maintained summary, built lazily on the
 	// first update batch and advanced with each one, so per-batch summary
@@ -246,19 +246,35 @@ type Store struct {
 	// blocks caches columnar block handles, shared with snapshots (it
 	// validates by relation pointer, so versions cannot cross-contaminate).
 	blocks *blockCache
+}
 
-	// Snapshot-only fields. parent is the live store whose version the
-	// snapshot pinned; snap is that immutable version; overlay holds
-	// extents materialized lazily on the snapshot itself (prepared renames
-	// over frozen bases), guarded by the snapshot's own mu.
-	parent   *Store
-	snap     *extentVersion
-	released bool // guarded by parent.mu
-	overlay  map[string]*nrel.Relation
+// Snapshot is a read-only view of one pinned extent version: later
+// ApplyUpdates calls on the parent store install successor versions and
+// cannot affect it, so a multi-view plan executed against it sees one
+// consistent epoch. It carries no document (prepared extents derive from
+// the frozen bases by renaming) and has no mutating method.
+type Snapshot struct {
+	parent *Store
+	ver    *extentVersion
+	// released is guarded by parent.mu.
+	released bool
+	// overlay holds prepared extents derived lazily on this snapshot
+	// (renamed headers over frozen bases); guarded by mu.
+	mu      sync.Mutex
+	overlay map[string]*nrel.Relation
 }
 
 // preparedKey identifies a prepared view's extent across rewriter clones.
 func preparedKey(v *core.View) string { return v.Name + "\x1f" + v.Pattern.String() }
+
+// extentKey is the cache key of a view's extent: the name for a base view,
+// preparedKey for a prepared one.
+func extentKey(v *core.View) string {
+	if v.Stored != nil {
+		return preparedKey(v)
+	}
+	return v.Name
+}
 
 // NewStore materializes all base views over the document. Derived
 // navigation views are materialized lazily by the executor.
@@ -272,8 +288,7 @@ func NewStore(doc *xmltree.Document, views []*core.View) *Store {
 }
 
 // Document returns the store's backing document; nil for stores opened
-// from disk that have not attached one with SetDocument, and always nil
-// for snapshots.
+// from disk that have not attached one with SetDocument.
 func (st *Store) Document() *xmltree.Document { return st.doc }
 
 // SetDocument attaches the source document to a disk-opened store, making
@@ -287,56 +302,48 @@ func (st *Store) SetDocument(doc *xmltree.Document) {
 }
 
 // Epoch returns the store's maintenance epoch: the number of update
-// batches applied since the extents were built. A snapshot reports the
-// epoch of its pinned version.
+// batches applied since the extents were built.
 func (st *Store) Epoch() int64 {
-	if st.parent != nil {
-		return st.snap.epoch
-	}
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	return st.cur.epoch
 }
 
-// Snapshot pins the live extent version and returns a read-only store
-// over it: later ApplyUpdates calls install successor versions and cannot
-// affect the snapshot, so a multi-view plan executed against it sees one
-// consistent epoch. Pinning is O(1) — no extents are copied. The snapshot
-// carries no document (prepared extents derive from the frozen bases) and
-// must not be used with ApplyUpdates. Callers should Release the snapshot
-// when done so the parent store can drop superseded versions promptly;
-// an unreleased snapshot stays readable regardless.
-func (st *Store) Snapshot() *Store {
-	if st.parent != nil {
-		// Snapshot of a snapshot: re-pin the same version.
-		p := st.parent
-		p.mu.Lock()
-		st.snap.refs++
-		p.mu.Unlock()
-		return &Store{views: st.views, parent: p, snap: st.snap, blocks: st.blocks}
-	}
+// Snapshot pins the live extent version. Pinning is O(1) — no extents are
+// copied. Callers should Release the snapshot when done so the store can
+// drop superseded versions promptly; an unreleased snapshot stays
+// readable regardless.
+func (st *Store) Snapshot() *Snapshot {
 	st.mu.Lock()
-	v := st.cur
-	v.refs++
-	st.mu.Unlock()
-	return &Store{views: st.views, parent: st, snap: v, blocks: st.blocks}
+	defer st.mu.Unlock()
+	st.cur.refs++
+	return &Snapshot{parent: st, ver: st.cur}
 }
 
-// Release drops a snapshot's pin. When the last pin on a superseded
+// Snapshot re-pins the same version under an independent pin, so a holder
+// can hand out pins that outlive its own Release.
+func (sn *Snapshot) Snapshot() *Snapshot {
+	sn.parent.mu.Lock()
+	defer sn.parent.mu.Unlock()
+	sn.ver.refs++
+	return &Snapshot{parent: sn.parent, ver: sn.ver}
+}
+
+// Epoch returns the epoch of the pinned version.
+func (sn *Snapshot) Epoch() int64 { return sn.ver.epoch }
+
+// Release drops the snapshot's pin. When the last pin on a superseded
 // version drops, the parent store stops retaining it. Release is
-// idempotent and a no-op on a live store.
-func (st *Store) Release() {
-	if st.parent == nil {
-		return
-	}
-	p := st.parent
+// idempotent.
+func (sn *Snapshot) Release() {
+	p := sn.parent
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if st.released {
+	if sn.released {
 		return
 	}
-	st.released = true
-	v := st.snap
+	sn.released = true
+	v := sn.ver
 	if v.refs > 0 {
 		v.refs--
 	}
@@ -354,9 +361,6 @@ func (st *Store) Release() {
 // one plus superseded versions retained for pinned snapshots. Bounded by
 // SetMaxVersions (DefaultMaxVersions when unset).
 func (st *Store) Versions() int {
-	if st.parent != nil {
-		return st.parent.Versions()
-	}
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	return 1 + len(st.retained)
@@ -369,7 +373,7 @@ func (st *Store) Versions() int {
 // through their own references; the store merely stops tracking the
 // version. n <= 0 keeps the current bound.
 func (st *Store) SetMaxVersions(n int) {
-	if st.parent != nil || n <= 0 {
+	if n <= 0 {
 		return
 	}
 	st.mu.Lock()
@@ -412,22 +416,15 @@ func (st *Store) trimLocked() {
 // carries the per-view tuple deltas and the rebuilt summary; the store
 // epoch advances by one.
 //
+// When ctx carries an obs.Trace, the maintenance engine records aggregate
+// "diff" and "splice" spans on it; the context is otherwise unused
+// (maintenance is not cancellable mid-batch — a partial apply would desync
+// extents from the document).
+//
 // Readers never wait: they pin versions via Snapshot and the diff/splice
 // pass runs outside the store lock. Callers that apply updates must
 // serialize among themselves so delta chains append in epoch order.
-func (st *Store) ApplyUpdates(updates []xmltree.Update) (*maintain.Batch, error) {
-	return st.ApplyUpdatesCtx(context.Background(), updates)
-}
-
-// ApplyUpdatesCtx is ApplyUpdates with a context. When ctx carries an
-// obs.Trace, the maintenance engine records aggregate "diff" and "splice"
-// spans on it; the context is otherwise unused (maintenance is not
-// cancellable mid-batch — a partial apply would desync extents from the
-// document).
-func (st *Store) ApplyUpdatesCtx(ctx context.Context, updates []xmltree.Update) (*maintain.Batch, error) {
-	if st.parent != nil {
-		return nil, fmt.Errorf("view: cannot apply updates to a snapshot")
-	}
+func (st *Store) ApplyUpdates(ctx context.Context, updates []xmltree.Update) (*maintain.Batch, error) {
 	st.mu.Lock()
 	if st.doc == nil {
 		st.mu.Unlock()
@@ -524,9 +521,6 @@ func flatCols(v *core.View) []string {
 //
 //xvlint:sharedreturn
 func (st *Store) Relation(v *core.View) *nrel.Relation {
-	if st.parent != nil {
-		return st.snapRelation(v)
-	}
 	st.mu.RLock()
 	r, ok := lookupIn(st.cur, v)
 	st.mu.RUnlock()
@@ -538,7 +532,14 @@ func (st *Store) Relation(v *core.View) *nrel.Relation {
 	if r, ok := lookupIn(st.cur, v); ok {
 		return r
 	}
-	r = st.materialize(v)
+	// With a document attached the view is evaluated over it. A disk-backed
+	// store has none: a prepared view's extent is then the stored base
+	// extent under renamed slot columns.
+	if st.doc != nil {
+		r = MaterializeFlat(v, st.doc)
+	} else {
+		r = materializeFrom(st.cur, v)
+	}
 	nv := st.cur.clone()
 	if v.Stored != nil {
 		nv.prepared[preparedKey(v)] = r
@@ -551,26 +552,26 @@ func (st *Store) Relation(v *core.View) *nrel.Relation {
 	return r
 }
 
-// snapRelation serves a snapshot read: the pinned version first, then the
-// snapshot's private overlay of lazily derived extents.
-func (st *Store) snapRelation(v *core.View) *nrel.Relation {
-	if r, ok := lookupIn(st.snap, v); ok {
+// Relation returns the view's extent at the pinned epoch: the pinned
+// version first, then the snapshot's private overlay of lazily derived
+// prepared extents. Shared storage, as for Store.Relation.
+//
+//xvlint:sharedreturn
+func (sn *Snapshot) Relation(v *core.View) *nrel.Relation {
+	if r, ok := lookupIn(sn.ver, v); ok {
 		return r
 	}
-	key := v.Name
-	if v.Stored != nil {
-		key = preparedKey(v)
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if r, ok := st.overlay[key]; ok {
+	key := extentKey(v)
+	sn.mu.Lock()
+	defer sn.mu.Unlock()
+	if r, ok := sn.overlay[key]; ok {
 		return r
 	}
-	r := materializeFrom(st.snap, v)
-	if st.overlay == nil {
-		st.overlay = map[string]*nrel.Relation{}
+	r := materializeFrom(sn.ver, v)
+	if sn.overlay == nil {
+		sn.overlay = map[string]*nrel.Relation{}
 	}
-	st.overlay[key] = r
+	sn.overlay[key] = r
 	return r
 }
 
@@ -587,56 +588,45 @@ func (st *Store) snapRelation(v *core.View) *nrel.Relation {
 //
 //xvlint:sharedreturn
 func (st *Store) Blocks(v *core.View) *store.Blocks {
+	st.mu.RLock()
+	ver := st.cur
+	st.mu.RUnlock()
+	return blocksOf(st.blocks, ver, v, st.Relation)
+}
+
+// Blocks is Store.Blocks over the pinned version.
+//
+//xvlint:sharedreturn
+func (sn *Snapshot) Blocks(v *core.View) *store.Blocks {
+	return blocksOf(sn.parent.blocks, sn.ver, v, sn.Relation)
+}
+
+// blocksOf serves a block handle for the view's extent in ver from the
+// shared cache. A prepared extent missing from ver materializes through
+// derive (renamed header over the base extent's shared rows), which caches
+// it, pinning the handle to the cached pointer.
+func blocksOf(cache *blockCache, ver *extentVersion, v *core.View, derive func(*core.View) *nrel.Relation) *store.Blocks {
 	if v.Nav != nil {
 		return nil
 	}
-	key := v.Name
-	if v.Stored != nil {
-		key = preparedKey(v)
-	}
-	var rel *nrel.Relation
-	var ok bool
-	var seed *store.ZoneMap
-	if st.parent != nil {
-		rel, ok = lookupIn(st.snap, v)
-		seed = st.snap.zoneSeeds[v.Name]
-	} else {
-		st.mu.RLock()
-		rel, ok = lookupIn(st.cur, v)
-		seed = st.cur.zoneSeeds[v.Name]
-		st.mu.RUnlock()
-	}
+	rel, ok := lookupIn(ver, v)
 	if !ok {
 		if v.Stored == nil {
 			return nil
 		}
-		// A prepared extent materializes on demand (renamed header over the
-		// base extent's shared rows); Relation caches it, pinning the handle
-		// built below to the cached pointer.
-		rel = st.Relation(v)
+		rel = derive(v)
 	}
-	if b := st.blocks.get(key, rel); b != nil {
+	key := extentKey(v)
+	if b := cache.get(key, rel); b != nil {
 		return b
 	}
-	built := store.BlocksFromRelation(rel, seed)
-	st.blocks.put(key, built)
+	built := store.BlocksFromRelation(rel, ver.zoneSeeds[v.Name])
+	cache.put(key, built)
 	return built
 }
 
-// materialize builds the extent of a cache-missed view on the live store;
-// callers hold the write lock. With a document attached the view is
-// evaluated over it. A disk-backed store has no document: a prepared
-// view's extent is then derived from the stored base extent by renaming
-// slot columns (the data is identical — preparation only adds reasoning
-// attributes), and a missing base extent is a caller error.
-func (st *Store) materialize(v *core.View) *nrel.Relation {
-	if st.doc != nil {
-		return MaterializeFlat(v, st.doc)
-	}
-	return materializeFrom(st.cur, v)
-}
-
-// materializeFrom derives a prepared extent from a version's stored base.
+// materializeFrom derives a prepared extent from a version's stored base;
+// a missing base extent is a caller error.
 func materializeFrom(ver *extentVersion, v *core.View) *nrel.Relation {
 	base, ok := ver.rels[v.Name]
 	if !ok || v.Stored == nil {
@@ -667,20 +657,12 @@ func renameStored(base *nrel.Relation, v *core.View) *nrel.Relation {
 	return out
 }
 
-// Put registers a precomputed extent (used by tests and by the executor
-// for derived views). A Put extent is not necessarily key-sorted, so the
-// sorted-extent invariant is re-established on the next update batch. On a
-// snapshot the extent lands in the snapshot's private overlay.
+// Put registers a precomputed extent (used by tests). A Put extent is not
+// necessarily key-sorted, so the sorted-extent invariant is re-established
+// on the next update batch.
 func (st *Store) Put(name string, r *nrel.Relation) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.parent != nil {
-		if st.overlay == nil {
-			st.overlay = map[string]*nrel.Relation{}
-		}
-		st.overlay[name] = r
-		return
-	}
 	nv := st.cur.clone()
 	nv.rels[name] = r
 	delete(nv.zoneSeeds, name)
@@ -690,15 +672,6 @@ func (st *Store) Put(name string, r *nrel.Relation) {
 
 // Has reports whether the store already holds the named extent.
 func (st *Store) Has(name string) bool {
-	if st.parent != nil {
-		if _, ok := st.snap.rels[name]; ok {
-			return true
-		}
-		st.mu.RLock()
-		_, ok := st.overlay[name]
-		st.mu.RUnlock()
-		return ok
-	}
 	st.mu.RLock()
 	_, ok := st.cur.rels[name]
 	st.mu.RUnlock()

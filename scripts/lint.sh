@@ -8,9 +8,8 @@
 #   XVLINT_SARIF=out.sarif scripts/lint.sh   also write xvlint findings as SARIF
 #
 # xvlint (cmd/xvlint) is the in-repo invariant checker — determinism,
-# lock discipline, cancellation polls, persist-path errors, shared-extent
-# mutation, snapshot discipline, metric/stats surfaces and format-version
-# gates; see docs/lint.md. It builds with the standard library alone and
+# cancellation polls, persist-path errors, shared-extent mutation and
+# metric label/name discipline; see docs/lint.md. It builds with the standard library alone and
 # must be run from inside the module (its loader type-checks from source).
 #
 # staticcheck and govulncheck are version-pinned below. They are not

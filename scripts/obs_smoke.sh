@@ -32,9 +32,7 @@ go build -o "$tmp/bin" ./cmd/xvgen ./cmd/xvstore ./cmd/xvserve
 "$tmp/bin/xvstore" build -doc "$tmp/doc.xml" -out "$tmp/store" \
     -v 'VNAME=site(//item[id](/name[v]))' >/dev/null
 
-# -maxrewritings 2 keeps the cold-query search short: the smoke test
-# exercises the observability surfaces, not the rewriting enumerator.
-"$tmp/bin/xvserve" -dir "$tmp/store" -addr 127.0.0.1:0 -maxrewritings 2 \
+"$tmp/bin/xvserve" -dir "$tmp/store" -addr 127.0.0.1:0 \
     -debugaddr 127.0.0.1:0 -slowquery 1ns -log "$tmp/slow.log" \
     >"$tmp/serve.log" &
 pid=$!

@@ -151,14 +151,15 @@ func NewStore(doc *Document, views []*View) *Store { return view.NewStore(doc, v
 // Materialize evaluates one view over a document (nested form, Figure 1(c)).
 func Materialize(v *View, doc *Document) *Relation { return view.Materialize(v, doc) }
 
-// Execute runs a rewriting plan against materialized views.
-func Execute(p *Plan, st *Store) (*Result, error) { return algebra.Execute(p, st) }
+// Execute runs a rewriting plan against materialized views: a *Store, or
+// one epoch of it pinned with Store.Snapshot.
+func Execute(p *Plan, st algebra.Reader) (*Result, error) { return algebra.Execute(p, st) }
 
 // ExecOptions tunes plan execution (join strategy, worker count).
 type ExecOptions = algebra.Options
 
 // ExecuteWith runs a rewriting plan with explicit execution options.
-func ExecuteWith(p *Plan, st *Store, opts ExecOptions) (*Result, error) {
+func ExecuteWith(p *Plan, st algebra.Reader, opts ExecOptions) (*Result, error) {
 	return algebra.ExecuteWith(p, st, opts)
 }
 
