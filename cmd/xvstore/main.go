@@ -189,6 +189,24 @@ func runInfo(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "summary hash: %s\n", cat.SummaryHash)
 	fmt.Fprintf(stdout, "epoch: %d\n", cat.Epoch)
+	if cat.DocSegment != "" {
+		// What a restart reads back: the checkpoint, then the log's records
+		// for the epochs after it (the catalog epoch is the durable one).
+		fmt.Fprintf(stdout, "document checkpoint: %s (epoch %d)\n", cat.DocSegment, cat.DocEpoch)
+		recs, valid, tail, err := store.ReadUpdateLog(*dir)
+		switch {
+		case err != nil:
+			fmt.Fprintf(stdout, "update log: unreadable (%v)\n", err)
+		case cat.Epoch == cat.DocEpoch:
+			fmt.Fprintf(stdout, "update log: %d record(s), %d byte(s), nothing to replay\n", len(recs), valid)
+		default:
+			fmt.Fprintf(stdout, "update log: %d record(s), %d byte(s), replayed for epochs %d..%d\n",
+				len(recs), valid, cat.DocEpoch+1, cat.Epoch)
+		}
+		if tail != nil {
+			fmt.Fprintf(stdout, "  followed by an unacknowledged tail the next update drops: %v\n", tail)
+		}
+	}
 	// info is a diagnostic tool: an unparseable summary (suspect or
 	// newer-format store) must not hide the rest of the catalog.
 	switch sum, err := summary.Parse(cat.Summary); {

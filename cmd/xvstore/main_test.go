@@ -77,19 +77,35 @@ func TestRunApplyCompactInfo(t *testing.T) {
 		t.Fatalf("apply -f output wrong:\n%s", applyOut.String())
 	}
 
+	// Each apply reopens the directory: the document it validates against
+	// is the checkpoint plus a replay of the log the earlier applies
+	// appended. Retexting the name of the item epoch 1 inserted (1.5.1
+	// exists nowhere else) only resolves if that replay ran.
+	applyOut.Reset()
+	if err := run([]string{"apply", "-dir", out, "-u", `{"op":"settext","target":"1.5.1","value":"bone dry"}`}, &applyOut); err != nil {
+		t.Fatalf("apply on a logged node: %v\n%s", err, applyOut.String())
+	}
+	if err := run([]string{"apply", "-dir", out, "-u", `{"op":"delete","target":"1.7"}`}, &applyOut); err == nil {
+		t.Fatal("apply on a node no epoch created succeeded")
+	}
+
 	var infoOut strings.Builder
 	if err := run([]string{"info", "-dir", out}, &infoOut); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(infoOut.String(), "epoch: 2") || !strings.Contains(infoOut.String(), "delta seg-0000.d0001.xvs") {
+	if !strings.Contains(infoOut.String(), "epoch: 3") || !strings.Contains(infoOut.String(), "delta seg-0000.d0001.xvs") {
 		t.Fatalf("info output wrong:\n%s", infoOut.String())
+	}
+	if !strings.Contains(infoOut.String(), "document checkpoint: document.xvt (epoch 0)") ||
+		!strings.Contains(infoOut.String(), "update log: 3 record(s)") || !strings.Contains(infoOut.String(), "replayed for epochs 1..3") {
+		t.Fatalf("info does not show the checkpoint and the log:\n%s", infoOut.String())
 	}
 
 	var compactOut strings.Builder
 	if err := run([]string{"compact", "-dir", out}, &compactOut); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(compactOut.String(), "folded 2 delta segment(s)") ||
+	if !strings.Contains(compactOut.String(), "folded 3 delta segment(s)") ||
 		!strings.Contains(compactOut.String(), "reclaimed") {
 		t.Fatalf("compact output wrong:\n%s", compactOut.String())
 	}
@@ -100,7 +116,7 @@ func TestRunApplyCompactInfo(t *testing.T) {
 	if strings.Contains(infoOut.String(), "delta ") {
 		t.Fatalf("delta chain survived compaction:\n%s", infoOut.String())
 	}
-	if !strings.Contains(infoOut.String(), "epoch: 2") {
+	if !strings.Contains(infoOut.String(), "epoch: 3") {
 		t.Fatalf("compaction changed the epoch:\n%s", infoOut.String())
 	}
 }

@@ -4,10 +4,11 @@ package serve
 // under a handler-held lock. They enqueue into a commit queue and a
 // single committer goroutine drains it, merging every queued request into
 // one epoch — one summary clone, one diff/splice pass over the
-// concatenated update list, one staged persist + fsync — then acks each
-// waiting request individually. While one group fsyncs, the next group
-// accumulates, so update throughput scales with concurrent writers
-// instead of being 1/latency.
+// concatenated update list, one staged persist (delta files, one
+// update-log record, the catalog) — then acks each waiting request
+// individually. While one group fsyncs, the next group accumulates, so
+// update throughput scales with concurrent writers instead of being
+// 1/latency.
 //
 // Per-request semantics are preserved by validating each request with a
 // dry-run apply (maintain.DryRun) in queue order before the group seals:
@@ -21,8 +22,9 @@ package serve
 // The committer is also the only code that can reach the store directory,
 // the catalog object, the live store and the document: they are fields of
 // the committer value, which New hands to `go c.run()` and does not keep.
-// Commit and online compaction therefore cannot interleave — not because
-// both take a lock, but because one goroutine runs them in turn.
+// Commit, online compaction and the document checkpoint therefore cannot
+// interleave — not because they take a lock, but because one goroutine
+// runs them in turn.
 
 import (
 	"context"
@@ -81,9 +83,11 @@ type committer struct {
 }
 
 // run is the committer goroutine: one group at a time, each followed by a
-// compaction when the policy trips. A store opened with already-long
-// chains (e.g. a daemon that crashed before compacting) is folded before
-// the first update commits.
+// compaction when the policy trips and a document checkpoint when the
+// update log is long enough. A store opened with already-long chains
+// (e.g. a daemon that crashed before compacting) is folded before the
+// first update commits; an already-long log is checkpointed after it (the
+// document is only attached then).
 func (c *committer) run() {
 	defer close(c.srv.done)
 	if c.refreshChains() {
@@ -155,6 +159,36 @@ func (c *committer) refreshChains() bool {
 		maxBytes = defaultCompactMaxBytes
 	}
 	return !s.cfg.CompactDisabled && (longest >= maxChain || total >= maxBytes)
+}
+
+// refreshLog republishes the durability gauges from the catalog and the
+// update log's length.
+func (c *committer) refreshLog() {
+	m := c.srv.met
+	m.durableEpoch.SetInt(c.cat.Epoch)
+	m.docEpoch.SetInt(c.cat.DocEpoch)
+	m.logRecords.SetInt(c.cat.Epoch - c.cat.DocEpoch)
+	m.logBytes.SetInt(store.UpdateLogSize(c.srv.cfg.Dir))
+}
+
+// checkpoint folds the update log into a fresh document checkpoint;
+// callers have seen view.CheckpointDue. Like compaction it changes no
+// epoch and nothing readers see, and updates queue for its duration. A
+// failure leaves catalog and directory as they were (the log just keeps
+// growing), so it is counted and retried after the next group rather than
+// degrading the server.
+func (c *committer) checkpoint() {
+	s := c.srv
+	start := time.Now()
+	err := view.CheckpointDocument(s.cfg.Dir, c.cat, c.st.Document())
+	s.met.checkpointSeconds.ObserveDuration(time.Since(start))
+	if err != nil {
+		s.met.checkpointErrors.Inc()
+		s.log.Error("document checkpoint failed; retrying after the next update group", slog.String("error", err.Error()))
+	} else {
+		s.met.checkpoints.Inc()
+	}
+	c.refreshLog()
 }
 
 // compact folds the delta chains; callers have seen refreshChains report
@@ -339,9 +373,11 @@ func (c *committer) commitGroup(group []*commitReq) {
 		}
 		return
 	}
-	// The group persisted: the catalog now carries the new row counts, so
-	// refresh the cost estimator published eagerly in the visibility hook
-	// (same summary, fresher cardinalities).
+	// The group is durable: its catalog rename completed.
+	c.refreshLog()
+	// The catalog now carries the new row counts, so refresh the cost
+	// estimator published eagerly in the visibility hook (same summary,
+	// fresher cardinalities).
 	est := cost.NewEstimator(cost.FromCatalog(c.cat, res.Summary))
 	s.mu.Lock()
 	s.cur.est = est
@@ -366,6 +402,9 @@ func (c *committer) commitGroup(group []*commitReq) {
 	}
 	if over {
 		c.compact()
+	}
+	if view.CheckpointDue(c.cat) {
+		c.checkpoint()
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -234,5 +236,158 @@ func TestHandlersCannotReachLiveStore(t *testing.T) {
 	walk(reflect.TypeOf(committer{}), "committer", map[reflect.Type]bool{}, &hits)
 	if len(hits) != 2 {
 		t.Fatalf("walker found %v in committer, want its cat and st fields", hits)
+	}
+}
+
+// TestCheckpointIsACommitterStep: the committer logs each group and leaves
+// the document file alone until the log holds view.CheckpointEvery epochs;
+// the checkpoint then runs after that group's acks — exactly once, exact
+// after a barrier — and the durability gauges say so throughout.
+func TestCheckpointIsACommitterStep(t *testing.T) {
+	ts, dir := newUpdatableServer(t, Config{})
+	var st Stats
+	getJSON(t, ts.URL+"/stats", &st)
+	if st.Epoch != 0 || st.DurableEpoch != 0 || st.DocEpoch != 0 || st.UpdateLogRecords != 0 || st.UpdateLogBytes != 0 {
+		t.Fatalf("fresh store: %+v", st)
+	}
+	for k := int64(1); k <= view.CheckpointEvery+2; k++ {
+		var up UpdateResponse
+		body := fmt.Sprintf(`[{"op":"settext","target":"1.1.1","value":"n%d"}]`, k)
+		if code := postUpdate(t, ts, body, &up); code != http.StatusOK || up.Epoch != k {
+			t.Fatalf("update %d: status %d, epoch %d", k, code, up.Epoch)
+		}
+		barrier(t, ts)
+		getJSON(t, ts.URL+"/stats", &st)
+		wantDoc := k / view.CheckpointEvery * view.CheckpointEvery
+		if st.Epoch != k || st.DurableEpoch != k || st.DocEpoch != wantDoc || st.UpdateLogRecords != k-wantDoc {
+			t.Fatalf("after update %d: epoch %d durable %d doc_epoch %d log records %d; want %d %d %d %d",
+				k, st.Epoch, st.DurableEpoch, st.DocEpoch, st.UpdateLogRecords, k, k, wantDoc, k-wantDoc)
+		}
+		if st.UpdateLogBytes != store.UpdateLogSize(dir) || (st.UpdateLogBytes == 0) != (k == wantDoc) {
+			t.Fatalf("after update %d: update_log_bytes %d, file has %d", k, st.UpdateLogBytes, store.UpdateLogSize(dir))
+		}
+		cat, err := store.OpenCatalog(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSeg := view.DocSegmentName
+		if wantDoc > 0 {
+			wantSeg = fmt.Sprintf("document.c%04d.xvt", wantDoc)
+		}
+		if cat.Epoch != k || cat.DocEpoch != wantDoc || cat.DocSegment != wantSeg {
+			t.Fatalf("after update %d: catalog epoch %d doc %s@%d, want %s@%d", k, cat.Epoch, cat.DocSegment, cat.DocEpoch, wantSeg, wantDoc)
+		}
+		if _, err := store.ReadDocumentFile(filepath.Join(dir, cat.DocSegment)); err != nil {
+			t.Fatalf("after update %d: doc_segment unreadable: %v", k, err)
+		}
+	}
+	for name, want := range map[string]float64{
+		"xvserve_doc_checkpoints_total":        1,
+		"xvserve_doc_checkpoint_errors_total":  0,
+		"xvserve_doc_checkpoint_seconds_count": 1,
+		"xvserve_durable_epoch":                view.CheckpointEvery + 2,
+		"xvserve_doc_epoch":                    view.CheckpointEvery,
+		"xvserve_update_log_records":           2,
+	} {
+		if got := metricValue(t, ts, name); got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+}
+
+// TestRestartMidLog: a daemon stopped with records in the update log (no
+// checkpoint yet) restarts on the checkpoint plus a replay of the log — on
+// its first update, since the document is attached lazily — and keeps
+// committing on top, with answers equal to a rebuild of the document.
+func TestRestartMidLog(t *testing.T) {
+	ts, dir := newUpdatableServer(t, Config{})
+	for k, body := range []string{
+		`[{"op":"insert","parent":"1","subtree":"item(name \"dry\" price \"1\")"}]`,
+		`[{"op":"settext","target":"1.1.1","value":"quill"}]`,
+		`[{"op":"delete","target":"1.3"}]`,
+	} {
+		var up UpdateResponse
+		if code := postUpdate(t, ts, body, &up); code != http.StatusOK || up.Epoch != int64(k+1) {
+			t.Fatalf("update %d: status %d, epoch %d", k+1, code, up.Epoch)
+		}
+	}
+	ts.Close()
+	if recs, _, tail, err := store.ReadUpdateLog(dir); err != nil || tail != nil || len(recs) != 3 {
+		t.Fatalf("log at shutdown: %d record(s), tail %v, err %v", len(recs), tail, err)
+	}
+
+	srv, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	ts2 := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts2.Close)
+	var st Stats
+	getJSON(t, ts2.URL+"/stats", &st)
+	if st.Epoch != 3 || st.DurableEpoch != 3 || st.DocEpoch != 0 || st.UpdateLogRecords != 3 {
+		t.Fatalf("restarted daemon: epoch %d durable %d doc_epoch %d log records %d", st.Epoch, st.DurableEpoch, st.DocEpoch, st.UpdateLogRecords)
+	}
+	// Addressing a node the log inserted proves the replay ran: 1.5 exists
+	// only in the replayed document.
+	var up UpdateResponse
+	if code := postUpdate(t, ts2, `[{"op":"settext","target":"1.5.1","value":"bone dry"}]`, &up); code != http.StatusOK || up.Epoch != 4 {
+		t.Fatalf("update after restart: status %d, epoch %d", code, up.Epoch)
+	}
+	cat, st2, err := view.OpenUpdatableStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st2.Document().Root.String(); cat.Epoch != 4 || got != `site(item(name "quill" price "3") item(name "bone dry" price "1"))` {
+		t.Fatalf("directory at epoch %d holds %s", cat.Epoch, got)
+	}
+	views, err := view.ViewsFromCatalog(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range views {
+		if got, want := st2.Relation(v), view.MaterializeFlat(v, st2.Document()); !got.EqualAsSet(want) {
+			t.Fatalf("extent of %s\n%swant rebuild\n%s", v.Name, got.Sorted(), want.Sorted())
+		}
+	}
+}
+
+// TestFailedCheckpointIsRetried: a checkpoint that cannot be written is
+// counted, leaves the server healthy and the catalog naming the old,
+// existing checkpoint, and is retried after the next group.
+func TestFailedCheckpointIsRetried(t *testing.T) {
+	ts, dir := newUpdatableServer(t, Config{})
+	// A non-empty directory squats on the name the first checkpoint wants.
+	squat := filepath.Join(dir, fmt.Sprintf("document.c%04d.xvt", view.CheckpointEvery))
+	if err := os.MkdirAll(filepath.Join(squat, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(1); k <= view.CheckpointEvery+1; k++ {
+		var up UpdateResponse
+		body := fmt.Sprintf(`[{"op":"settext","target":"1.1.1","value":"n%d"}]`, k)
+		if code := postUpdate(t, ts, body, &up); code != http.StatusOK || up.Epoch != k {
+			t.Fatalf("update %d: status %d, epoch %d", k, code, up.Epoch)
+		}
+		if k < view.CheckpointEvery {
+			continue
+		}
+		barrier(t, ts)
+		var st Stats
+		getJSON(t, ts.URL+"/stats", &st)
+		failed, wantDoc := 1.0, int64(0)
+		if k > view.CheckpointEvery {
+			wantDoc = k // the retry, under the next epoch's name
+		}
+		if got := metricValue(t, ts, "xvserve_doc_checkpoint_errors_total"); got != failed || st.Degraded || st.DocEpoch != wantDoc {
+			t.Fatalf("after update %d: %v checkpoint error(s), degraded %v, doc_epoch %d; want %v, false, %d",
+				k, got, st.Degraded, st.DocEpoch, failed, wantDoc)
+		}
+		cat, err := store.OpenCatalog(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.ReadDocumentFile(filepath.Join(dir, cat.DocSegment)); err != nil || cat.DocEpoch != wantDoc {
+			t.Fatalf("after update %d: catalog doc %s@%d: %v", k, cat.DocSegment, cat.DocEpoch, err)
+		}
 	}
 }

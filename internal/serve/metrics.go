@@ -50,6 +50,12 @@ type metricsSet struct {
 	compactReclaimed *obs.Counter
 	compactErrors    *obs.Counter
 
+	// Document-checkpoint counters: checkpoints that folded the update log
+	// into a fresh document segment, and attempts that failed (retried
+	// after the next group).
+	checkpoints      *obs.Counter
+	checkpointErrors *obs.Counter
+
 	// Per-phase latency histograms, in seconds. rewriteSeconds observes
 	// only requests that ran or directly hit a search (singleflight
 	// followers are excluded, mirroring the /stats rewrite time); the
@@ -64,6 +70,9 @@ type metricsSet struct {
 	applySeconds    *obs.Histogram
 	persistSeconds  *obs.Histogram
 	compactSeconds  *obs.Histogram
+	// checkpointSeconds observes document checkpoints: like compaction a
+	// committer step after a group's acks, so updates queue behind it.
+	checkpointSeconds *obs.Histogram
 	// Group-commit instruments: how many requests each committed group
 	// merged (a size distribution, not a latency), and how long requests
 	// waited in the commit queue before their group sealed.
@@ -73,6 +82,17 @@ type metricsSet struct {
 	// Delta-chain gauges, refreshed after every update and compaction.
 	maxChain   *obs.Gauge
 	deltaBytes *obs.Gauge
+
+	// Durability gauges, written by the committer. durableEpoch is the last
+	// epoch whose catalog rename completed: xvserve_epoch runs ahead of it
+	// for the length of one persist (visibility before durability).
+	// docEpoch is the epoch of the document checkpoint; the update log
+	// carries the logRecords epochs between it and durableEpoch in logBytes
+	// bytes.
+	durableEpoch *obs.Gauge
+	docEpoch     *obs.Gauge
+	logRecords   *obs.Gauge
+	logBytes     *obs.Gauge
 }
 
 func newMetricsSet(r *obs.Registry) *metricsSet {
@@ -107,6 +127,9 @@ func newMetricsSet(r *obs.Registry) *metricsSet {
 		compactReclaimed: r.Counter("xvserve_compact_reclaimed_bytes_total", "Bytes of superseded segment files deleted by compaction."),
 		compactErrors:    r.Counter("xvserve_compact_errors_total", "Failed online compaction attempts."),
 
+		checkpoints:      r.Counter("xvserve_doc_checkpoints_total", "Document checkpoints written (update log folded into a fresh document segment)."),
+		checkpointErrors: r.Counter("xvserve_doc_checkpoint_errors_total", "Failed document checkpoint attempts."),
+
 		rewriteSeconds:  r.Histogram("xvserve_rewrite_seconds", "Rewrite phase latency: plan-cache lookup plus search when one ran.", nil),
 		costSeconds:     r.Histogram("xvserve_cost_seconds", "Cost estimation latency: picking the cheapest of the enumerated rewritings.", nil),
 		snapshotSeconds: r.Histogram("xvserve_snapshot_seconds", "Epoch snapshot latency: freezing summary, caches and extents.", nil),
@@ -114,14 +137,21 @@ func newMetricsSet(r *obs.Registry) *metricsSet {
 		encodeSeconds:   r.Histogram("xvserve_encode_seconds", "Response encoding latency: sorting, windowing and rendering result rows.", nil),
 		maintainSeconds: r.Histogram("xvserve_maintain_seconds", "End-to-end update batch latency: apply, persist and cache swap.", nil),
 		applySeconds:    r.Histogram("xvserve_maintain_apply_seconds", "In-memory maintenance latency of update batches (diff + splice).", nil),
-		persistSeconds:  r.Histogram("xvserve_maintain_persist_seconds", "Disk persistence latency of update batches (delta and document writes).", nil),
+		persistSeconds:  r.Histogram("xvserve_maintain_persist_seconds", "Disk persistence latency of update batches (delta files, update-log record, catalog).", nil),
 		compactSeconds:  r.Histogram("xvserve_compact_seconds", "Online compaction latency (a committer step; updates queue behind it).", nil),
+		checkpointSeconds: r.Histogram("xvserve_doc_checkpoint_seconds",
+			"Document checkpoint latency (a committer step; updates queue behind it).", nil),
 		groupSize: r.Histogram("xvserve_commit_group_size", "Requests merged per committed group.",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128}),
 		queueWait: r.Histogram("xvserve_commit_queue_wait_seconds", "Time update requests waited in the commit queue before their group sealed.", nil),
 
 		maxChain:   r.Gauge("xvserve_max_delta_chain", "Longest per-view delta chain, in segments."),
 		deltaBytes: r.Gauge("xvserve_delta_bytes", "Total size of all delta segments, in bytes."),
+
+		durableEpoch: r.Gauge("xvserve_durable_epoch", "Last epoch whose catalog write completed; xvserve_epoch is ahead of it while a persist is in flight."),
+		docEpoch:     r.Gauge("xvserve_doc_epoch", "Epoch of the document checkpoint the catalog names."),
+		logRecords:   r.Gauge("xvserve_update_log_records", "Epochs the update log carries past the document checkpoint."),
+		logBytes:     r.Gauge("xvserve_update_log_bytes", "Size of the update log, in bytes."),
 	}
 }
 

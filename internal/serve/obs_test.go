@@ -224,6 +224,9 @@ var statsFields = []string{
 	"maintain_ms_total", "max_delta_chain", "delta_bytes",
 	"compactions_run", "delta_segments_folded", "compact_bytes_reclaimed",
 	"compact_errors",
+	// The durability contract (docs/concurrency.md): how far the disk is
+	// behind memory and how much log a restart replays.
+	"durable_epoch", "doc_epoch", "update_log_records", "update_log_bytes",
 }
 
 func TestServeStatsFieldIdentity(t *testing.T) {

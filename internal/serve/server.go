@@ -15,10 +15,10 @@
 //
 // The daemon also accepts typed document updates on POST /update. A batch
 // is maintained through the incremental engine (internal/maintain),
-// persisted as append-only delta segments, and bumps the store epoch; the
-// plan and summary-implication caches are dropped with the old epoch, so a
-// plan (or a cached negative verdict) computed against a stale summary can
-// never answer a later query.
+// persisted as append-only delta segments plus one update-log record, and
+// bumps the store epoch; the plan and summary-implication caches are
+// dropped with the old epoch, so a plan (or a cached negative verdict)
+// computed against a stale summary can never answer a later query.
 package serve
 
 import (
@@ -205,6 +205,7 @@ func New(cfg Config) (*Server, error) {
 	c := &committer{srv: s, cat: cat, st: st, q: q}
 	c.publish(sum)
 	c.refreshChains()
+	c.refreshLog()
 	if cfg.ReadOnly {
 		close(s.done)
 	} else {
@@ -813,6 +814,14 @@ type Stats struct {
 	DeltaSegmentsFolded   int64 `json:"delta_segments_folded"`
 	CompactBytesReclaimed int64 `json:"compact_bytes_reclaimed"`
 	CompactErrors         int64 `json:"compact_errors"`
+	// Durability state: DurableEpoch is the last epoch whose catalog write
+	// completed (Epoch is ahead of it while a persist is in flight);
+	// DocEpoch is the document checkpoint's epoch, and the update log
+	// carries the UpdateLogRecords epochs between the two.
+	DurableEpoch     int64 `json:"durable_epoch"`
+	DocEpoch         int64 `json:"doc_epoch"`
+	UpdateLogRecords int64 `json:"update_log_records"`
+	UpdateLogBytes   int64 `json:"update_log_bytes"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -851,6 +860,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		DeltaSegmentsFolded:   s.met.compactFolded.Value(),
 		CompactBytesReclaimed: s.met.compactReclaimed.Value(),
 		CompactErrors:         s.met.compactErrors.Value(),
+		DurableEpoch:          int64(s.met.durableEpoch.Value()),
+		DocEpoch:              int64(s.met.docEpoch.Value()),
+		UpdateLogRecords:      int64(s.met.logRecords.Value()),
+		UpdateLogBytes:        int64(s.met.logBytes.Value()),
 	})
 }
 

@@ -23,7 +23,15 @@ const ManifestName = "catalog.json"
 // accepts text with and without the statistics suffix unconditionally,
 // so v2 and v3 manifests go through the same path (testdata/ holds one
 // of each; TestGoldenCatalogs opens both).
-const CatalogVersion = 3
+//
+// Version 4 stopped rewriting the document on every commit: the document
+// segment is a checkpoint as of DocEpoch and the update log
+// (UpdateLogName) carries the epochs after it, which older readers would
+// silently ignore. In a version-2 or -3 directory the document is current
+// at the catalog epoch and there is no log, so OpenCatalog reads those as
+// DocEpoch = Epoch; the first commit writes the directory back as
+// version 4.
+const CatalogVersion = 4
 
 // MinCatalogVersion is the oldest manifest version this code still reads:
 // version-2 stores (plain summary text, no statistics) open fine — the
@@ -85,8 +93,14 @@ type Catalog struct {
 	// plans to it so a stale plan can never outlive an update.
 	Epoch int64 `json:"epoch,omitempty"`
 	// DocSegment names the persisted source document segment (see
-	// EncodeDocument). A store without one cannot apply updates.
+	// EncodeDocument), a checkpoint of the document as of DocEpoch; it
+	// always names a file that exists. A store without one cannot apply
+	// updates.
 	DocSegment string `json:"doc_segment,omitempty"`
+	// DocEpoch is the epoch DocSegment was written at. The update log holds
+	// one record for each epoch in (DocEpoch, Epoch]; replaying them over
+	// the checkpoint yields the document at Epoch.
+	DocEpoch int64 `json:"doc_epoch,omitempty"`
 }
 
 // Entry returns the catalog entry for the named view, or nil.
@@ -134,6 +148,12 @@ func OpenCatalog(dir string) (*Catalog, error) {
 	}
 	if c.Epoch < 0 {
 		return nil, fmt.Errorf("store: negative catalog epoch %d", c.Epoch)
+	}
+	if c.FormatVersion < 4 {
+		c.DocEpoch = c.Epoch
+	}
+	if c.DocEpoch < 0 || c.DocEpoch > c.Epoch {
+		return nil, fmt.Errorf("store: catalog document epoch %d outside [0, %d]", c.DocEpoch, c.Epoch)
 	}
 	seen := map[string]bool{}
 	for _, e := range c.Views {

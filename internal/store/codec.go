@@ -12,6 +12,12 @@
 // preorder against a local label/value dictionary, and nested tables
 // recurse into the same relation encoding. See docs/format.md for the byte
 // layout.
+//
+// Beside segments the directory holds the source document as a checkpoint
+// segment and an append-only, CRC-framed update log of the epochs
+// committed since (updatelog.go). Every write to the directory goes
+// through one small file-system seam (fsys.go), which the crash-point
+// tests replace to cut the power after each operation.
 package store
 
 import (

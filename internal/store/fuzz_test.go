@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 
 	"xmlviews/internal/nodeid"
@@ -80,6 +82,50 @@ func FuzzDeltaRead(f *testing.F) {
 		}
 		if _, _, err := DecodeDelta(EncodeDelta(adds, dels)); err != nil {
 			t.Fatalf("re-encode of accepted delta does not decode: %v", err)
+		}
+	})
+}
+
+// FuzzUpdateLogRead asserts the update-log reader never panics on
+// arbitrary bytes, returns only a checksummed prefix of them — the
+// records re-encode to exactly data[:valid] — and never reports the rest
+// as clean: whatever follows the prefix is a torn tail or corruption, and
+// no record is decoded out of it.
+func FuzzUpdateLogRead(f *testing.F) {
+	one := appendLogRecord(nil, 1, []byte(`{"updates":[{"op":"delete","target":"1.3"}]}`))
+	two := appendLogRecord(append([]byte(nil), one...), 2, nil)
+	f.Add([]byte{})
+	f.Add(one)
+	f.Add(two)
+	f.Add(two[:len(two)-3])                                 // torn header
+	f.Add(append(append([]byte(nil), two...), one[:20]...)) // torn payload
+	f.Add(append(append([]byte(nil), one...), make([]byte, 40)...))
+	flipped := append([]byte(nil), two...)
+	flipped[logHeaderLen+2] ^= 0x40 // bad CRC mid-log
+	f.Add(flipped)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<20 {
+			return
+		}
+		recs, valid, tail := DecodeUpdateLog(data) // must not panic
+		if valid < 0 || valid > int64(len(data)) {
+			t.Fatalf("valid prefix %d outside [0, %d]", valid, len(data))
+		}
+		if (tail == nil) != (valid == int64(len(data))) {
+			t.Fatalf("tail %v with %d of %d bytes valid", tail, valid, len(data))
+		}
+		if tail != nil && !errors.Is(tail, ErrLogTorn) && !errors.Is(tail, ErrLogCorrupt) {
+			t.Fatalf("unclassified tail error: %v", tail)
+		}
+		var again []byte
+		for _, r := range recs {
+			if r.Offset != int64(len(again)) {
+				t.Fatalf("record of epoch %d at offset %d, want %d", r.Epoch, r.Offset, len(again))
+			}
+			again = appendLogRecord(again, r.Epoch, r.Payload)
+		}
+		if !bytes.Equal(again, data[:valid]) {
+			t.Fatal("decoded records do not re-encode to the valid prefix")
 		}
 	})
 }

@@ -117,13 +117,19 @@ func TestGoldenCatalogs(t *testing.T) {
 		return OpenCatalog(dir)
 	}
 	var current []byte
+	// Before version 4 the document segment was rewritten by every commit:
+	// those manifests read back with the document current at the catalog
+	// epoch. Version 4 records the checkpoint's own epoch.
 	for _, tc := range []struct {
-		file    string
-		ver     int
-		summary string
+		file     string
+		ver      int
+		summary  string
+		docSeg   string
+		docEpoch int64
 	}{
-		{"catalog-v2.json", 2, "site(!item(=name))"},
-		{"catalog-v3.json", 3, "site:1:0(!item:3:0(=name:3:7))"},
+		{"catalog-v2.json", 2, "site(!item(=name))", "document.xvt", 2},
+		{"catalog-v3.json", 3, "site:1:0(!item:3:0(=name:3:7))", "document.xvt", 2},
+		{"catalog-v4.json", 4, "site:1:0(!item:3:0(=name:3:7))", "document.c0001.xvt", 1},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			data, err := os.ReadFile(filepath.Join("testdata", tc.file))
@@ -143,7 +149,8 @@ func TestGoldenCatalogs(t *testing.T) {
 				Summary:       tc.summary,
 				SummaryHash:   SummaryHash(tc.summary),
 				Epoch:         2,
-				DocSegment:    "document.xvt",
+				DocSegment:    tc.docSeg,
+				DocEpoch:      tc.docEpoch,
 				Views: []Entry{{
 					Name:    "V1",
 					Pattern: "site(//item[id](/name[v]))",

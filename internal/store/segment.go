@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 
 	"xmlviews/internal/nrel"
 )
@@ -25,48 +24,36 @@ func WriteFile(path string, r *nrel.Relation) (int64, error) {
 // the catalog is written last and references segments by name, so every
 // segment must be durable before its name can appear in a catalog.
 func writeFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".xvtmp-*")
+	dir := filepath.Dir(path)
+	tmp, err := fsys.createTemp(dir, ".xvtmp-*")
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		// The write error is the root cause; Close on a broken temp file
-		// adds nothing and the deferred Remove discards it anyway.
-		tmp.Close() //xvlint:errok primary error wins; the temp file is removed
+	if err := writeSyncClose(tmp, data); err != nil {
+		_ = fsys.remove(tmp.Name()) // best effort: an orphan temp file is only garbage
 		return err
 	}
-	// Flush file contents before the rename: rename is atomic with respect
-	// to the name, not the data.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close() //xvlint:errok primary error wins; the temp file is removed
+	if err := fsys.rename(tmp.Name(), path); err != nil {
+		_ = fsys.remove(tmp.Name()) // as above
 		return err
 	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return syncDir(filepath.Dir(path))
+	return fsys.syncDir(dir)
 }
 
-// syncDir flushes the directory entry created by a rename. Without it a
-// crash can lose the file's NAME even though its contents were synced.
-// Windows does not support (or need) opening directories for sync.
-func syncDir(dir string) error {
-	if runtime.GOOS == "windows" {
-		return nil
-	}
-	d, err := os.Open(dir)
-	if err != nil {
+// writeSyncClose writes data to f, flushes it to stable storage and closes
+// f, on every path. Contents must be flushed before a rename publishes
+// them (rename is atomic with respect to the name, not the data) and
+// before a catalog that depends on them is written.
+func writeSyncClose(f file, data []byte) error {
+	if _, err := f.Write(data); err != nil {
+		f.Close() //xvlint:errok primary error wins; the caller discards or truncates the file
 		return err
 	}
-	if err := d.Sync(); err != nil {
-		d.Close() //xvlint:errok primary error wins; the directory handle is read-only
+	if err := f.Sync(); err != nil {
+		f.Close() //xvlint:errok primary error wins; the caller discards or truncates the file
 		return err
 	}
-	return d.Close()
+	return f.Close()
 }
 
 // ReadFile loads a segment file into memory, verifying every block

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"xmlviews/internal/algebra"
@@ -12,6 +13,7 @@ import (
 	"xmlviews/internal/datagen"
 	"xmlviews/internal/nodeid"
 	"xmlviews/internal/pattern"
+	"xmlviews/internal/store"
 	"xmlviews/internal/summary"
 	"xmlviews/internal/view"
 	"xmlviews/internal/xmltree"
@@ -398,4 +400,69 @@ func TestMaintenanceOracleDisk(t *testing.T) {
 		}
 	}
 	checkQueriesMatchRebuild(t, st2, views, latest, sum, -2)
+}
+
+// docFingerprint renders a document node for node — IDs, labels, values —
+// so two documents compare structurally (PathIDs are derived state and
+// excluded).
+func docFingerprint(doc *xmltree.Document) string {
+	var b strings.Builder
+	doc.Root.Walk(func(n *xmltree.Node) bool {
+		fmt.Fprintf(&b, "%s %s %q\n", n.ID, n.Label, n.Value)
+		return true
+	})
+	return b.String()
+}
+
+// TestMaintenanceOracleReplay is the differential for the update log: a
+// store kept open across wild batches (arbitrary labels anywhere) commits
+// each through ApplyAndPersistStaged, and after every epoch a fresh
+// OpenUpdatableStore of the directory — checkpoint plus log replay — must
+// yield a document structurally equal to the live one and extents equal to
+// a rebuild over it. Checkpoints and a compaction fall mid-sequence, so
+// replay starts from a non-zero doc_epoch and over folded chains too.
+func TestMaintenanceOracleReplay(t *testing.T) {
+	dir := t.TempDir()
+	r := rand.New(rand.NewSource(1907))
+	views := oracleViews()
+	if _, err := view.BuildStore(dir, datagen.XMark(1, 11), views); err != nil {
+		t.Fatal(err)
+	}
+	cat, st, err := view.OpenUpdatableStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := &updateGen{r: r}
+	const batches = 24
+	for round := 1; round <= batches; round++ {
+		ups := gen.batch(st.Document())
+		if _, err := view.ApplyAndPersistStaged(context.Background(), dir, cat, st, ups, nil); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		switch round {
+		case 7, 19:
+			if err := view.CheckpointDocument(dir, cat, st.Document()); err != nil {
+				t.Fatalf("round %d: checkpoint: %v", round, err)
+			}
+			if cat.DocEpoch != int64(round) || store.UpdateLogSize(dir) != 0 {
+				t.Fatalf("round %d: checkpoint left doc_epoch %d and %d log byte(s)", round, cat.DocEpoch, store.UpdateLogSize(dir))
+			}
+		case 13:
+			if _, err := view.CompactCatalog(dir, cat); err != nil {
+				t.Fatalf("round %d: compact: %v", round, err)
+			}
+		}
+		cat2, st2, err := view.OpenUpdatableStore(dir)
+		if err != nil {
+			t.Fatalf("round %d: reopen: %v", round, err)
+		}
+		if cat2.Epoch != int64(round) || cat2.DocEpoch != cat.DocEpoch || cat2.DocSegment != cat.DocSegment {
+			t.Fatalf("round %d: reopened at epoch %d, doc %s@%d; live catalog has %d, %s@%d",
+				round, cat2.Epoch, cat2.DocSegment, cat2.DocEpoch, cat.Epoch, cat.DocSegment, cat.DocEpoch)
+		}
+		if got, want := docFingerprint(st2.Document()), docFingerprint(st.Document()); got != want {
+			t.Fatalf("round %d: replayed document differs from the live one\nreplayed:\n%s\nlive:\n%s", round, got, want)
+		}
+		checkExtentsMatchRebuild(t, st2, views, st2.Document(), round)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"xmlviews/internal/nodeid"
@@ -181,12 +182,27 @@ func (p *parenParser) parseNode(parent *Node) (*Node, error) {
 	}
 	p.skipSpace()
 	if p.pos < len(p.src) && p.src[p.pos] == '"' {
-		end := strings.IndexByte(p.src[p.pos+1:], '"')
-		if end < 0 {
+		// The closing quote is the first one not preceded by a backslash
+		// escape. Values are Go string literals, which is what Node.String
+		// writes (%q), so String and ParseParen round-trip every value;
+		// text that is not a valid literal (a raw newline, a stray
+		// backslash) is taken verbatim.
+		end := p.pos + 1
+		for end < len(p.src) && p.src[end] != '"' {
+			if p.src[end] == '\\' {
+				end++
+			}
+			end++
+		}
+		if end >= len(p.src) {
 			return nil, fmt.Errorf("xmltree: unterminated value at %d in %q", p.pos, p.src)
 		}
-		n.Value = p.src[p.pos+1 : p.pos+1+end]
-		p.pos += end + 2
+		v, err := strconv.Unquote(p.src[p.pos : end+1])
+		if err != nil {
+			v = p.src[p.pos+1 : end]
+		}
+		n.Value = v
+		p.pos = end + 1
 		p.skipSpace()
 	}
 	if p.pos < len(p.src) && p.src[p.pos] == '(' {

@@ -115,6 +115,47 @@ func TestParseParen(t *testing.T) {
 	}
 }
 
+// TestParenValuesRoundTrip: String writes values as Go string literals and
+// ParseParen reads them back exactly — the update log replays inserted
+// subtrees through this pair, so a lossy value would fork the replayed
+// document from the committed one.
+func TestParenValuesRoundTrip(t *testing.T) {
+	for _, v := range []string{
+		"plain", `say "hi"`, `back\\slash`, "tab\there", "line\nbreak", "é ∑ 日本",
+		"\x00\xff invalid utf-8", `ends with \\`, `\d not an escape`, `)(`,
+	} {
+		d := NewDocument("a")
+		d.Root.AddChild("b", v).AddChild("c", v+v)
+		back, err := ParseParen(d.Root.String())
+		if err != nil {
+			t.Fatalf("reparse %s: %v", d.Root.String(), err)
+		}
+		b := back.Root.Children[0]
+		if b.Value != v || b.Children[0].Value != v+v {
+			t.Errorf("value %q came back as %q / %q via %s", v, b.Value, b.Children[0].Value, d.Root.String())
+		}
+	}
+	// Hand-written text that is not a valid literal is taken verbatim, and
+	// from there on round-trips like any other value.
+	for src, want := range map[string]string{
+		"a \"x\ny\"":    "x\ny",
+		`a "x\qy"`:      `x\qy`,
+		`a "tab\there"`: "tab\there",
+		`a "q\"uote\d"`: `q\"uote\d`,
+	} {
+		doc, err := ParseParen(src)
+		if err != nil {
+			t.Fatalf("ParseParen(%q): %v", src, err)
+		}
+		if doc.Root.Value != want {
+			t.Errorf("ParseParen(%q) value %q, want %q", src, doc.Root.Value, want)
+		}
+		if back, err := ParseParen(doc.Root.String()); err != nil || back.Root.Value != want {
+			t.Errorf("%q does not round-trip: %v", src, err)
+		}
+	}
+}
+
 func TestFindByID(t *testing.T) {
 	doc := MustParseParen(`a(b(c d) e)`)
 	for _, n := range doc.Nodes() {
