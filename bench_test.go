@@ -149,43 +149,6 @@ func BenchmarkFig15Rewriting(b *testing.B) {
 	}
 }
 
-// BenchmarkRewriteParallel compares the sequential rewriting search with
-// the worker-pool engine on the Figure 15 workload (exhaustive mode, so
-// the DP levels are wide enough to fan out). Both modes produce identical
-// RewriteResults; the benchmark measures the wall-clock difference.
-func BenchmarkRewriteParallel(b *testing.B) {
-	s := experiments.XMarkSummary()
-	views := experiments.Fig15Views(s, 5, 77)
-	base := core.DefaultRewriteOptions()
-	base.MaxScansPerPlan = 3
-	base.MaxNavDepth = 2
-	base.MaxExplored = 1000
-	base.MaxResults = 4
-	poolSize := runtime.GOMAXPROCS(0)
-	if poolSize < 4 {
-		poolSize = 4 // still exercises the parallel engine on small machines
-	}
-	for _, mode := range []struct {
-		name    string
-		workers int
-	}{
-		{"workers=1", 1},
-		{fmt.Sprintf("workers=%d", poolSize), poolSize},
-	} {
-		opts := base
-		opts.Workers = mode.workers
-		b.Run(mode.name, func(b *testing.B) {
-			for n := 0; n < b.N; n++ {
-				for _, i := range []int{1, 5} {
-					if _, err := core.Rewrite(xmark.Query(i), views, s, opts); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkJoinParallel compares the sequential ID hash join with the
 // partitioned build / chunked probe path on a large self-join of the
 // XMark item view. Both produce identical relations (row order included).

@@ -9,9 +9,7 @@
 //	xvbench -exp ablation          Enhanced vs plain summary rewriting
 //	xvbench -exp all               Everything (default)
 //
-// Flags -scale and -views trade runtime for fidelity; -workers runs the
-// fig15 rewriting search on a worker pool (identical results, different
-// timings).
+// Flags -scale and -views trade runtime for fidelity.
 package main
 
 import (
@@ -38,7 +36,6 @@ func run(args []string, stdout io.Writer) error {
 	scale := fs.Int("scale", 1, "document scale multiplier for table1")
 	views := fs.Int("views", 100, "random views for fig15 (paper: 100)")
 	perSize := fs.Int("persize", 12, "synthetic patterns per (n,r) point (paper: 40)")
-	workers := fs.Int("workers", 1, "rewriting search workers for fig15 (1 = sequential, <0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -48,7 +45,7 @@ func run(args []string, stdout io.Writer) error {
 		"fig13a":   fig13a,
 		"fig13b":   func(w io.Writer) error { return fig13b(w, *perSize) },
 		"fig14":    func(w io.Writer) error { return fig14(w, *perSize) },
-		"fig15":    func(w io.Writer) error { return fig15(w, *views, *workers) },
+		"fig15":    func(w io.Writer) error { return fig15(w, *views) },
 		"ablation": ablation,
 	}
 	if *exp != "all" {
@@ -161,9 +158,9 @@ func printSynthetic(w io.Writer, rows []experiments.SyntheticRow) {
 	}
 }
 
-func fig15(w io.Writer, views, workers int) error {
+func fig15(w io.Writer, views int) error {
 	s := experiments.XMarkSummary()
-	rows, err := experiments.Fig15(s, views, workers)
+	rows, err := experiments.Fig15(s, views)
 	if err != nil {
 		return err
 	}

@@ -103,17 +103,3 @@ func TestRewriteCancelled(t *testing.T) {
 		t.Fatalf("live context must not disturb the search: %v, %d rewritings", err, len(res.Rewritings))
 	}
 }
-
-func TestRewriteCancelledParallel(t *testing.T) {
-	doc := summary.MustParse(`site(item(name))`)
-	views := []*View{view("V1", `site(/item[id](/name[v]))`)}
-	q := pattern.MustParse(`site(/item[id](/name[v]))`)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	opts := DefaultRewriteOptions()
-	opts.Ctx = ctx
-	opts.Workers = 4
-	if _, err := Rewrite(q, views, doc, opts); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled parallel rewrite returned %v, want context.Canceled", err)
-	}
-}

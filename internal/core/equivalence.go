@@ -12,24 +12,16 @@ import (
 // per-tree decision by canonical key: equal keys mean isomorphic
 // decorated trees with corresponding slots and erased subtrees, so the
 // covered/uncovered outcome transfers. (The embeddings themselves do not
-// transfer — node indexes are instance-specific.) Both caches may be nil;
-// both are safe to share across goroutines.
-func planContainedInQueryCached(planModel []*Tree, q *pattern.Pattern, memo *coverMemo, sub *SubsumeCache) bool {
+// transfer — node indexes are instance-specific.) sub may be nil.
+func planContainedInQueryCached(planModel []*Tree, q *pattern.Pattern, memo map[string]bool, sub *SubsumeCache) bool {
 	for _, te := range planModel {
 		if len(te.Slots) != q.Arity() {
 			return false
 		}
-		if memo != nil {
-			if covered, ok := memo.get(te.Key()); ok {
-				if !covered {
-					return false
-				}
-				continue
-			}
-		}
-		covered := queryCoversTree(te, q, sub)
-		if memo != nil {
-			memo.put(te.Key(), covered)
+		covered, ok := memo[te.Key()]
+		if !ok {
+			covered = queryCoversTree(te, q, sub)
+			memo[te.Key()] = covered
 		}
 		if !covered {
 			return false

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"time"
 
@@ -40,12 +39,8 @@ type RewriteOptions struct {
 	// MaxExplored bounds the number of join merges attempted; the search
 	// stops (reporting what it found) once exhausted.
 	MaxExplored int
-	// Workers sets the number of goroutines exploring join candidates:
-	// 0 or 1 runs the search sequentially, n > 1 fans each DP level of the
-	// left-deep development out across n workers, and any negative value
-	// uses runtime.GOMAXPROCS(0). Parallel and sequential modes produce
-	// identical RewriteResults (rewritings, counters and exploration
-	// statistics); only the timing fields differ.
+	// Deprecated: ignored. The search runs on the calling goroutine; the
+	// field remains only for source compatibility.
 	Workers int
 	// Subsume optionally shares a summary-implication cache across calls
 	// (useful when rewriting many queries over one summary). When nil, a
@@ -70,17 +65,6 @@ func DefaultRewriteOptions() RewriteOptions {
 		MaxResults:      64,
 		MaxExplored:     200000,
 	}
-}
-
-// effectiveWorkers resolves the Workers knob to a concrete worker count.
-func (o RewriteOptions) effectiveWorkers() int {
-	switch {
-	case o.Workers < 0:
-		return runtime.GOMAXPROCS(0)
-	case o.Workers == 0:
-		return 1
-	}
-	return o.Workers
 }
 
 // RewriteResult reports the rewritings found and the timing/pruning
@@ -132,8 +116,7 @@ func newEntry(plan *Plan, model []*Tree) entry {
 func Rewrite(q *pattern.Pattern, views []*View, s *summary.Summary, opts RewriteOptions) (*RewriteResult, error) {
 	if opts.MaxScansPerPlan <= 0 {
 		// Legacy zero-value handling: fill in the unset search bounds,
-		// keeping every field the caller did set (flags and engine knobs
-		// included).
+		// keeping every field the caller did set (flags included).
 		def := DefaultRewriteOptions()
 		opts.MaxScansPerPlan = def.MaxScansPerPlan
 		if opts.MaxPlans <= 0 {
@@ -196,22 +179,10 @@ func Rewrite(q *pattern.Pattern, views []*View, s *summary.Summary, opts Rewrite
 	rw := &rewriter{
 		q: q, qModel: qModel, qPaths: qPaths, s: s, opts: opts,
 		seen: map[string]bool{}, adaptedSeen: map[string]bool{},
-		resultKeys: map[string]bool{}, cover: newCoverMemo(), subsume: subsume,
+		resultKeys: map[string]bool{}, cover: map[string]bool{}, subsume: subsume,
 		res: res, start: start,
 	}
-	// Memoize the shared trees' canonical keys up front, so worker
-	// goroutines only ever read them.
-	for _, t := range qModel {
-		t.Key()
-	}
-
-	work := append([]entry(nil), m0...)
-	if workers := opts.effectiveWorkers(); workers > 1 {
-		rw.verdicts = newVerdictMemo()
-		rw.searchParallel(work, m0, workers)
-	} else {
-		rw.searchSequential(work, m0)
-	}
+	rw.search(m0)
 
 	// Union phase (Algorithm 1, lines 13-14).
 	rw.unionPhase()
@@ -224,10 +195,14 @@ func Rewrite(q *pattern.Pattern, views []*View, s *summary.Summary, opts Rewrite
 	return res, nil
 }
 
-// searchSequential seeds the working set with the single-view plans and
-// runs the left-deep join development (Algorithm 1, lines 2-11) on one
-// goroutine.
-func (rw *rewriter) searchSequential(work []entry, m0 []entry) {
+// search seeds the working set with the single-view plans m0 and runs the
+// left-deep join development (Algorithm 1, lines 2-11): work[i] is joined
+// against every seed plan, and surviving candidates join the working set.
+// Iteration order makes the result canonical (discovery order,
+// first-representative dedup), and the search stops the moment FirstOnly
+// or MaxResults is satisfied, so no candidate is generated past that point.
+func (rw *rewriter) search(m0 []entry) {
+	work := append([]entry(nil), m0...)
 	for _, e := range m0 {
 		rw.seenAdd(e.key)
 		rw.consider(e)
@@ -246,16 +221,16 @@ func (rw *rewriter) searchSequential(work []entry, m0 []entry) {
 		for _, lj := range m0 {
 			cands, attempts := rw.genJoinCandidates(li, lj, rw.budgetLeft())
 			rw.res.PlansExplored += attempts
-			for _, tc := range cands {
-				if !rw.seenAdd(tc.e.key) {
+			for _, e := range cands {
+				if !rw.seenAdd(e.key) {
 					continue
 				}
-				rw.consider(tc.e)
+				rw.consider(e)
 				if rw.done() {
 					return
 				}
 				if len(work) < rw.opts.MaxPlans {
-					work = append(work, tc.e)
+					work = append(work, e)
 				}
 			}
 		}
@@ -326,23 +301,17 @@ type rewriter struct {
 	s      *summary.Summary
 	opts   RewriteOptions
 
-	// seen is the canonical-model dedup set. It is only touched by the
-	// sequential phases of either engine (the parallel admit step runs on
-	// one goroutine), so a plain map suffices.
+	// seen is the canonical-model dedup set.
 	seen        map[string]bool
 	adaptedSeen map[string]bool
 	resultKeys  map[string]bool
-	// cover memoizes plan-tree cover verdicts; subsume memoizes
-	// summary-implication decisions. Both are concurrency-safe and shared
-	// by all workers.
-	cover   *coverMemo
+	// cover memoizes plan-tree cover verdicts by canonical tree key; it is
+	// this search's own. subsume memoizes summary-implication decisions and
+	// may be shared with concurrent searches over the same summary.
+	cover   map[string]bool
 	subsume *SubsumeCache
-	// verdicts memoizes both containment directions per adaptation key so
-	// parallel workers don't redo work the sequential path would skip via
-	// adaptedSeen. Allocated only in parallel mode.
-	verdicts *verdictMemo
-	res      *RewriteResult
-	start    time.Time
+	res     *RewriteResult
+	start   time.Time
 
 	// partials are adapted plans contained in q but not equivalent,
 	// kept for the union phase.
@@ -395,22 +364,14 @@ func (rw *rewriter) budgetLeft() int {
 	return left
 }
 
-// taggedCand is one join candidate tagged with the attempt index at which
-// it was produced, so a bounded exploration budget can be replayed exactly
-// when candidates are generated ahead of time by a worker.
-type taggedCand struct {
-	e       entry
-	attempt int
-}
-
 // genJoinCandidates develops all joins of li (left) with lj (right), using
 // the cached slot path sets as a cheap compatibility pre-check. Every
 // nested/outer variant costs one attempt whether or not it yields a
 // candidate; generation stops once limit attempts were made (limit < 0 =
 // unlimited). Candidates that merely re-derive one child (Proposition 3.5)
 // are dropped here.
-func (rw *rewriter) genJoinCandidates(li, lj entry, limit int) ([]taggedCand, int) {
-	var out []taggedCand
+func (rw *rewriter) genJoinCandidates(li, lj entry, limit int) ([]entry, int) {
+	var out []entry
 	attempts := 0
 	ls, rs := li.plan.OutSlots(), lj.plan.OutSlots()
 	for lslot, lps := range ls {
@@ -429,7 +390,6 @@ func (rw *rewriter) genJoinCandidates(li, lj entry, limit int) ([]taggedCand, in
 					if limit >= 0 && attempts >= limit {
 						return out, attempts
 					}
-					attempt := attempts
 					attempts++
 					plan := NewJoin(kind, variant.nested, li.plan, lslot, lj.plan, rslot)
 					plan.Outer = variant.outer
@@ -443,7 +403,7 @@ func (rw *rewriter) genJoinCandidates(li, lj entry, limit int) ([]taggedCand, in
 					if e.reduced == li.reduced || e.reduced == lj.reduced {
 						continue
 					}
-					out = append(out, taggedCand{e: e, attempt: attempt})
+					out = append(out, e)
 				}
 			}
 		}
@@ -495,69 +455,11 @@ func joinVariants(kind JoinKind, right *Plan) []struct{ nested, outer bool } {
 	return variants
 }
 
-// adaptedVerdict is one adaptation of a candidate plan together with its
-// two containment verdicts (eqQ is only meaningful when inQ holds). The
-// verdicts are pure functions of the adaptation, so they can be computed
-// by a worker ahead of the deterministic merge.
-type adaptedVerdict struct {
-	a   entry
-	inQ bool
-	eqQ bool
-}
-
-// precomputeConsider runs the slot selection of Proposition 3.7 and the
-// Section 4.6 adaptations for one plan–model pair and decides both
-// containment directions per adaptation. Read-only on the rewriter except
-// for the concurrency-safe memo structures; safe to call from workers.
-func (rw *rewriter) precomputeConsider(e entry) []adaptedVerdict {
-	adapted := rw.adaptToQuery(e)
-	out := make([]adaptedVerdict, 0, len(adapted))
-	for _, a := range adapted {
-		if rw.cancelled() {
-			// The caller is gone; the sequential replay polls done() (which
-			// covers cancellation) before using anything returned here.
-			return out
-		}
-		av := adaptedVerdict{a: a}
-		if v, ok := rw.verdicts.get(a.key); ok {
-			av.inQ, av.eqQ = v.inQ, v.eqQ
-			out = append(out, av)
-			continue
-		}
-		av.inQ = planContainedInQueryCached(a.model, rw.q, rw.cover, rw.subsume)
-		if av.inQ {
-			av.eqQ = queryContainedInPlan(rw.qModel, a.model, rw.subsume)
-		}
-		rw.verdicts.put(a.key, verdict{av.inQ, av.eqQ})
-		out = append(out, av)
-	}
-	return out
-}
-
-// replayConsider applies precomputed verdicts in deterministic order:
-// dedup by adaptation key, then emit equivalents and collect partials.
-func (rw *rewriter) replayConsider(pre []adaptedVerdict) {
-	for _, av := range pre {
-		if rw.adaptedSeen[av.a.key] {
-			continue
-		}
-		rw.adaptedSeen[av.a.key] = true
-		if !av.inQ {
-			continue
-		}
-		if av.eqQ {
-			rw.emit(av.a)
-			if rw.done() {
-				return
-			}
-		} else {
-			rw.partials = append(rw.partials, av.a)
-		}
-	}
-}
-
-// consider tests one plan–model pair against the query (sequential path:
-// the adaptedSeen check short-circuits before the containment tests).
+// consider runs the slot selection of Proposition 3.7 and the Section 4.6
+// adaptations for one plan–model pair and tests each new adaptation
+// against the query: equivalent ones are emitted, contained ones kept as
+// union-phase partials. An adaptation already judged (same canonical key)
+// is skipped before any containment test.
 func (rw *rewriter) consider(e entry) {
 	adapted := rw.adaptToQuery(e)
 	for _, a := range adapted {

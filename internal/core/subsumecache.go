@@ -2,6 +2,7 @@ package core
 
 import (
 	"container/list"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 
@@ -19,8 +20,11 @@ import (
 // replaces an earlier package-global map keyed by *summary.Summary, which
 // pinned every summary ever used in memory and serialized all lookups
 // behind a single mutex. A SubsumeCache is bounded (LRU eviction) and
-// sharded, so the parallel rewriting search can share one instance across
-// its worker pool without contention or unbounded growth.
+// striped — a key hashes to one of stripeShards shards, each with its own
+// mutex — so concurrent searches (the daemon's HTTP requests share one
+// per epoch) can share an instance without contention or unbounded
+// growth. Every cached value is a pure function of its key, so a hit and
+// a recomputation agree.
 //
 // The scoping is enforced: the cache binds to the first summary it is
 // used with, and lookups under any other summary bypass it (keys are
@@ -28,6 +32,14 @@ import (
 type SubsumeCache struct {
 	owner  atomic.Pointer[summary.Summary]
 	shards [stripeShards]subsumeShard
+}
+
+const stripeShards = 32
+
+var stripeSeed = maphash.MakeSeed()
+
+func stripeOf(key string) int {
+	return int(maphash.String(stripeSeed, key) % stripeShards)
 }
 
 // bind reports whether the cache may serve decisions for s, claiming the

@@ -281,19 +281,16 @@ func randomThreeNodeView(s *summary.Summary, r *rand.Rand, i int) *core.View {
 	}
 }
 
-// Fig15 rewrites the 20 XMark query patterns against the view set.
-// workers tunes the parallel search (0 or 1 = sequential, n > 1 = that
-// many workers, negative = GOMAXPROCS); the results are identical across
-// worker counts, only the timings change. One summary-implication cache
-// is shared across all 20 queries (they run over the same summary).
-func Fig15(s *summary.Summary, randomViews, workers int) ([]Fig15Row, error) {
+// Fig15 rewrites the 20 XMark query patterns against the view set. One
+// summary-implication cache is shared across all 20 queries (they run
+// over the same summary).
+func Fig15(s *summary.Summary, randomViews int) ([]Fig15Row, error) {
 	views := Fig15Views(s, randomViews, 77)
 	opts := core.DefaultRewriteOptions()
 	opts.MaxScansPerPlan = 3
 	opts.MaxResults = 4
 	opts.MaxExplored = 30000
 	opts.MaxNavDepth = 3
-	opts.Workers = workers
 	opts.Subsume = core.NewSubsumeCache(0)
 	rows := make([]Fig15Row, 0, xmark.Count)
 	for i := 1; i <= xmark.Count; i++ {

@@ -118,44 +118,3 @@ func TestAblation(t *testing.T) {
 		t.Error("plain summary must not find a rewriting")
 	}
 }
-
-// TestXMarkParallelRewriteMatchesSequential runs representative XMark
-// queries against the Figure 15 view set in both engine modes and asserts
-// identical rewritings (plans and order) and statistics.
-func TestXMarkParallelRewriteMatchesSequential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("rewriting workload")
-	}
-	s := XMarkSummary()
-	views := Fig15Views(s, 5, 77)
-	base := core.DefaultRewriteOptions()
-	base.MaxScansPerPlan = 3
-	base.MaxResults = 4
-	base.MaxExplored = 1000
-	base.MaxNavDepth = 2
-	for _, qi := range []int{1, 5} {
-		seqOpts := base
-		res, err := core.Rewrite(xmark.Query(qi), views, s, seqOpts)
-		if err != nil {
-			t.Fatalf("Q%d sequential: %v", qi, err)
-		}
-		parOpts := base
-		parOpts.Workers = 8
-		par, err := core.Rewrite(xmark.Query(qi), views, s, parOpts)
-		if err != nil {
-			t.Fatalf("Q%d parallel: %v", qi, err)
-		}
-		if res.PlansExplored != par.PlansExplored || res.ViewsKept != par.ViewsKept ||
-			len(res.Rewritings) != len(par.Rewritings) {
-			t.Fatalf("Q%d stats diverged: sequential explored=%d kept=%d n=%d, parallel explored=%d kept=%d n=%d",
-				qi, res.PlansExplored, res.ViewsKept, len(res.Rewritings),
-				par.PlansExplored, par.ViewsKept, len(par.Rewritings))
-		}
-		for i := range res.Rewritings {
-			if res.Rewritings[i].String() != par.Rewritings[i].String() {
-				t.Fatalf("Q%d plan %d diverged:\n%s\nvs\n%s",
-					qi, i, res.Rewritings[i], par.Rewritings[i])
-			}
-		}
-	}
-}

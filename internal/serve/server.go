@@ -51,8 +51,9 @@ import (
 type Config struct {
 	// Dir is the store directory (catalog.json + segments) to serve.
 	Dir string
-	// Workers is handed to both the rewriting search and the algebra
-	// executor; <= 0 means use all CPUs.
+	// Workers sets the algebra executor's hash-join build/probe
+	// goroutines per query; <= 0 means use all CPUs. The rewriting search
+	// always runs on the request's goroutine.
 	Workers int
 	// PlanCacheSize bounds the LRU plan cache (<= 0: default 256).
 	PlanCacheSize int
@@ -730,7 +731,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 func (s *Server) rewriteBest(ctx context.Context, q *pattern.Pattern, es epochState) (cachedPlan, error) {
 	s.met.rewritesRun.Inc()
 	opts := core.DefaultRewriteOptions()
-	opts.Workers = s.workers()
 	opts.Subsume = es.subsume
 	opts.Ctx = ctx
 	opts.MaxResults = s.cfg.MaxRewritings
@@ -759,7 +759,7 @@ func (s *Server) rewriteBest(ctx context.Context, q *pattern.Pattern, es epochSt
 
 func (s *Server) workers() int {
 	if s.cfg.Workers <= 0 {
-		return -1 // resolved to GOMAXPROCS by both core and algebra
+		return -1 // resolved to GOMAXPROCS by algebra
 	}
 	return s.cfg.Workers
 }
