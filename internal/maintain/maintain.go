@@ -484,6 +484,8 @@ func FoldDelta(base, adds, dels *nrel.Relation) *nrel.Relation {
 	return out
 }
 
+// rowKey's \x00 order intentionally differs from the " | " /query order
+// (nrel.Relation.RenderSorted): it is a storage invariant, not the API's.
 func rowKey(row nrel.Tuple) string {
 	var b strings.Builder
 	for _, v := range row {

@@ -239,13 +239,38 @@ func (r *Relation) render(compact bool) string {
 	return b.String()
 }
 
-// Sorted returns the rows sorted by their rendered form; useful for
-// deterministic test output.
+// RenderedRow is a row with its values rendered: Parts[i] is
+// Row[i].Render() and Key is the parts joined with " | ".
+type RenderedRow struct {
+	Key   string
+	Parts []string
+	Row   Tuple
+}
+
+// RenderSorted renders each row once and returns the rows in the /query
+// response order: ascending by Key, compared byte-wise. Rows whose keys
+// tie render identically, so the order among them is unobservable.
+func (r *Relation) RenderSorted() []RenderedRow {
+	out := make([]RenderedRow, len(r.Rows))
+	parts := make([]string, 0, len(r.Rows)*len(r.Cols))
+	for i, row := range r.Rows {
+		start := len(parts)
+		for _, v := range row {
+			parts = append(parts, v.Render())
+		}
+		p := parts[start:len(parts):len(parts)]
+		out[i] = RenderedRow{Key: strings.Join(p, " | "), Parts: p, Row: row}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return out
+}
+
+// Sorted returns the rows in the /query response order of RenderSorted.
 func (r *Relation) Sorted() *Relation {
 	out := NewRelation(r.Cols...)
-	out.Rows = append(out.Rows, r.Rows...)
-	sort.Slice(out.Rows, func(i, j int) bool {
-		return renderRow(out.Rows[i]) < renderRow(out.Rows[j])
-	})
+	out.Rows = make([]Tuple, r.Len())
+	for i, rr := range r.RenderSorted() {
+		out.Rows[i] = rr.Row
+	}
 	return out
 }

@@ -1,6 +1,10 @@
 package nrel
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"xmlviews/internal/nodeid"
@@ -78,6 +82,71 @@ func TestProjectDistinctSorted(t *testing.T) {
 		}
 	}()
 	r.Project("zz")
+}
+
+// TestSortedOrderContract pins the /query order: Sorted must equal a sort
+// that renders both rows on every comparison, on relations mixing every
+// value kind with the renderings most likely to expose a different key
+// (⊥ against the string "⊥", caret IDs, separators inside values).
+func TestSortedOrderContract(t *testing.T) {
+	inner := NewRelation("x")
+	inner.Append(Tuple{String("b | c")})
+	inner.Append(Tuple{Null()})
+	pool := []Value{
+		Null(), String("⊥"), String(""), String("a"), String("a b"), String("x"), String("y"),
+		String("a | x"), String(" | "), String("a\x00"), String("\t"), String("\x1fz"),
+		ID(nodeid.New(1, 2, 3)), ID(nodeid.New(1, 10)), ID(nodeid.New(1, 9)), ID(nodeid.New(1)), ID(nil),
+		Content(nil), Content(xmltree.MustParseParen(`a(b "1 | 2")`)), Content(xmltree.MustParseParen(`a`)),
+		Table(nil), Table(NewRelation("x")), Table(inner),
+	}
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 300; iter++ {
+		r := NewRelation(make([]string, 1+rng.Intn(3))...)
+		for n := rng.Intn(40); n > 0; n-- {
+			row := make(Tuple, len(r.Cols))
+			for i := range row {
+				row[i] = pool[rng.Intn(len(pool))]
+			}
+			r.Append(row)
+			if rng.Intn(4) == 0 {
+				r.Append(row) // duplicate row
+			}
+		}
+		want := NewRelation(r.Cols...)
+		want.Rows = append(want.Rows, r.Rows...)
+		sort.SliceStable(want.Rows, func(i, j int) bool {
+			return renderRow(want.Rows[i]) < renderRow(want.Rows[j])
+		})
+		if got := r.Sorted().String(); got != want.String() {
+			t.Fatalf("iteration %d: Sorted\n%swant\n%s", iter, got, want)
+		}
+		for _, rr := range r.RenderSorted() {
+			if rr.Key != renderRow(rr.Row) || rr.Key != strings.Join(rr.Parts, " | ") {
+				t.Fatalf("iteration %d: key %q, parts %q for row %q", iter, rr.Key, rr.Parts, renderRow(rr.Row))
+			}
+		}
+	}
+	// The order compares joined text, not column by column.
+	r := NewRelation("k", "v")
+	r.Append(Tuple{String("a"), String("x")})
+	r.Append(Tuple{String("a b"), String("y")})
+	if got := r.Sorted().Rows[0][0].Str; got != "a b" {
+		t.Fatalf("first row starts %q, want \"a b\"", got)
+	}
+}
+
+// TestSortedAllocsPerRow bounds Sorted's allocations: each row is rendered
+// once, not on every comparison.
+func TestSortedAllocsPerRow(t *testing.T) {
+	const n = 1000
+	r := NewRelation("id", "v")
+	for i := 0; i < n; i++ {
+		r.Append(Tuple{ID(nodeid.New(1, 3, uint32(2*((i*7919)%n)+1))), String(fmt.Sprintf("name %d", i%97))})
+	}
+	perRow := testing.AllocsPerRun(5, func() { r.Sorted() }) / n
+	if perRow > 16 {
+		t.Fatalf("Sorted allocates %.1f times per row, want <= 16", perRow)
+	}
 }
 
 func TestAppendArityPanic(t *testing.T) {

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -126,22 +128,37 @@ func TestServeExecPath(t *testing.T) {
 	}
 }
 
-// TestServeLimitWindow pins the limit parameter's semantics, in
-// particular that an explicit limit=0 is a count-only probe: the row
-// window stays empty while TotalRows still reports the full cardinality.
+// TestServeLimitWindow pins the limit parameter's semantics: rows come in
+// the order of their rendered text, every window is the matching slice of
+// the unwindowed answer, and an explicit limit=0 is a count-only probe —
+// the row window stays empty while TotalRows still reports the full
+// cardinality.
 func TestServeLimitWindow(t *testing.T) {
 	ts := newTestServer(t)
 	q := url.QueryEscape(`site(/item[id](/name[v]))`)
+	var all QueryResponse
+	if code := getJSON(t, ts.URL+"/query?q="+q, &all); code != http.StatusOK {
+		t.Fatalf("status %d: %+v", code, all)
+	}
+	if len(all.Rows) != 3 {
+		t.Fatalf("rows = %d, want 3: %+v", len(all.Rows), all.Rows)
+	}
+	for i := 1; i < len(all.Rows); i++ {
+		if strings.Join(all.Rows[i-1], " | ") > strings.Join(all.Rows[i], " | ") {
+			t.Fatalf("rows out of rendered order: %q", all.Rows)
+		}
+	}
 	cases := []struct {
 		name     string
 		params   string
-		wantRows int
+		from, to int // the window as a slice of the unwindowed rows
 	}{
-		{"absent limit serves everything", "", 3},
-		{"explicit limit=0 is a count-only probe", "&limit=0", 0},
-		{"small limit windows the result", "&limit=2", 2},
-		{"limit past the cap clamps, not errors", "&limit=999999", 3},
-		{"offset pages within the window", "&limit=2&offset=2", 1},
+		{"absent limit serves everything", "", 0, 3},
+		{"explicit limit=0 is a count-only probe", "&limit=0", 0, 0},
+		{"small limit windows the result", "&limit=2", 0, 2},
+		{"limit past the cap clamps, not errors", "&limit=999999", 0, 3},
+		{"offset pages within the window", "&limit=2&offset=2", 2, 3},
+		{"offset past the end serves nothing", "&limit=2&offset=7", 3, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -149,11 +166,11 @@ func TestServeLimitWindow(t *testing.T) {
 			if code := getJSON(t, ts.URL+"/query?q="+q+tc.params, &resp); code != http.StatusOK {
 				t.Fatalf("status %d: %+v", code, resp)
 			}
-			if len(resp.Rows) != tc.wantRows {
-				t.Fatalf("rows = %d, want %d: %+v", len(resp.Rows), tc.wantRows, resp.Rows)
+			if want := all.Rows[tc.from:tc.to]; !reflect.DeepEqual(resp.Rows, want) {
+				t.Fatalf("rows = %q, want %q", resp.Rows, want)
 			}
-			if resp.TotalRows != 3 {
-				t.Fatalf("total_rows = %d, want 3", resp.TotalRows)
+			if resp.TotalRows != 3 || resp.Offset != tc.from {
+				t.Fatalf("total_rows, offset = %d, %d, want 3, %d", resp.TotalRows, resp.Offset, tc.from)
 			}
 		})
 	}

@@ -318,7 +318,9 @@ type QueryResponse struct {
 	PlanCached bool `json:"plan_cached"`
 	// Epoch is the store epoch the answer reflects.
 	Epoch int64 `json:"epoch"`
-	// Columns and Rows are the result: one rendered string per value.
+	// Columns and Rows are the result: one rendered string per value, rows
+	// in nrel.Relation.RenderSorted order (by their values joined with
+	// " | ", compared byte-wise).
 	// Rows is the window selected by the limit/offset parameters (capped
 	// at the server's maximum response size); TotalRows is the full result
 	// cardinality and Offset the window's first row index. An explicit
@@ -566,28 +568,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	es.plans.recordExecPath(key, execPath)
 	encodeStart := time.Now()
 	rel := out.Rel
-	if limit > 0 {
-		rel = rel.Sorted()
-	}
 	total := rel.Len()
 	if offset > total {
 		offset = total
 	}
-	// An explicit limit=0 is a count-only probe: the window stays empty,
-	// TotalRows still reports the full cardinality, and the result is
-	// never sorted or rendered.
 	end := offset + limit
 	if end > total || end < offset { // overflow-safe
 		end = total
 	}
-	window := rel.Rows[offset:end]
-	rows := make([][]string, 0, len(window))
-	for _, row := range window {
-		rendered := make([]string, len(row))
-		for i, v := range row {
-			rendered[i] = v.Render()
+	// An explicit limit=0 is a count-only probe: the window stays empty,
+	// TotalRows still reports the full cardinality, and the result is
+	// never sorted or rendered.
+	rows := make([][]string, 0, end-offset)
+	if limit > 0 {
+		for _, rr := range rel.RenderSorted()[offset:end] {
+			rows = append(rows, rr.Parts)
 		}
-		rows = append(rows, rendered)
 	}
 	s.met.rowsServed.Add(int64(len(rows)))
 	encodeDur := time.Since(encodeStart)
