@@ -6,11 +6,9 @@ package xmlviews_test
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"xmlviews"
-	"xmlviews/internal/algebra"
 	"xmlviews/internal/core"
 	"xmlviews/internal/datagen"
 	"xmlviews/internal/experiments"
@@ -149,40 +147,6 @@ func BenchmarkFig15Rewriting(b *testing.B) {
 	}
 }
 
-// BenchmarkJoinParallel compares the sequential ID hash join with the
-// partitioned build / chunked probe path on a large self-join of the
-// XMark item view. Both produce identical relations (row order included).
-func BenchmarkJoinParallel(b *testing.B) {
-	doc := datagen.XMark(128, 6)
-	va := xmlviews.NewView("va", xmlviews.MustParsePattern(`site(//item[id])`))
-	vb := xmlviews.NewView("vb", xmlviews.MustParsePattern(`site(//item[id,v])`))
-	st := view.NewStore(doc, []*core.View{va, vb})
-	plan := core.NewJoin(core.JoinID, false, core.Scan(va), 0, core.Scan(vb), 0)
-	poolSize := runtime.GOMAXPROCS(0)
-	if poolSize < 4 {
-		poolSize = 4 // still exercises the parallel join on small machines
-	}
-	for _, mode := range []struct {
-		name string
-		opts algebra.Options
-	}{
-		{"workers=1", algebra.Options{}},
-		{fmt.Sprintf("workers=%d", poolSize), algebra.Options{Workers: poolSize}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := algebra.ExecuteWith(plan, st, mode.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Rel.Len() == 0 {
-					b.Fatal("empty join result")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationEnhancedSummary measures the strong-edge rewriting
 // enabler (DESIGN.md E7).
 func BenchmarkAblationEnhancedSummary(b *testing.B) {
@@ -194,35 +158,6 @@ func BenchmarkAblationEnhancedSummary(b *testing.B) {
 		if row.EnhancedRewritings == 0 || row.PlainRewritings != 0 {
 			b.Fatalf("ablation wrong: %+v", row)
 		}
-	}
-}
-
-// BenchmarkStructuralJoin compares the stack-based structural join with
-// the nested-loop baseline (DESIGN.md E8).
-func BenchmarkStructuralJoin(b *testing.B) {
-	doc := datagen.XMark(16, 5)
-	va := xmlviews.NewView("va", xmlviews.MustParsePattern(`site(//item[id])`))
-	vb := xmlviews.NewView("vb", xmlviews.MustParsePattern(`site(//keyword[id,v])`))
-	st := view.NewStore(doc, []*core.View{va, vb})
-	plan := core.NewJoin(core.JoinAncestor, false, core.Scan(va), 0, core.Scan(vb), 0)
-	for _, mode := range []struct {
-		name string
-		opts algebra.Options
-	}{
-		{"stack", algebra.Options{}},
-		{"nestedloop", algebra.Options{NestedLoopJoins: true}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := algebra.ExecuteWith(plan, st, mode.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Rel.Len() == 0 {
-					b.Fatal("empty join result")
-				}
-			}
-		})
 	}
 }
 

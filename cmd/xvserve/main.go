@@ -49,7 +49,7 @@ func run(args []string, stdout io.Writer) error {
 	fs.SetOutput(stdout)
 	dir := fs.String("dir", "", "store directory built by xvstore")
 	addr := fs.String("addr", ":8080", "listen address")
-	workers := fs.Int("workers", 0, "hash-join build/probe worker goroutines per query (0: all CPUs); the rewriting search is single-threaded")
+	fs.Int("workers", 0, "ignored; accepted for compatibility (queries execute on the request's goroutine)")
 	planCache := fs.Int("plancache", 0, "plan cache capacity (0: default 256)")
 	readOnly := fs.Bool("readonly", false, "disable POST /update")
 	maxUpdate := fs.Int64("maxupdate", 0, "maximum /update body bytes (0: default 8 MiB)")
@@ -79,7 +79,7 @@ func run(args []string, stdout io.Writer) error {
 	if logClose != nil {
 		defer logClose.Close()
 	}
-	srv, err := serve.New(serve.Config{Dir: *dir, Workers: *workers, PlanCacheSize: *planCache,
+	srv, err := serve.New(serve.Config{Dir: *dir, PlanCacheSize: *planCache,
 		ReadOnly: *readOnly, MaxUpdateBytes: *maxUpdate, MaxResponseRows: *maxRows,
 		MaxRewritings:   *maxRewritings,
 		CompactMaxChain: *maxChain, CompactMaxBytes: *maxChainBytes, CompactDisabled: *noCompact,

@@ -25,7 +25,7 @@ func statsDaemon(t *testing.T) *httptest.Server {
 	if _, err := view.BuildStore(dir, doc, views); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.New(serve.Config{Dir: dir, Workers: 2})
+	srv, err := serve.New(serve.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Package algebra executes the logical plans produced by the rewriting
 // algorithm over materialized views (Section 3.2 operators plus the
-// Section 4.6 extensions): view scans, ID joins, structural joins (both
-// stack-based and nested-loop), selections, projections, unions, and the
-// derived-view primitives (content navigation, virtual ID computation).
+// Section 4.6 extensions): view scans, ID joins, stack-based structural
+// joins, selections, projections, unions, and the derived-view primitives
+// (content navigation, virtual ID computation).
 //
 // Execution is flat: every plan slot contributes one column block
 // (s<k>.id, s<k>.l, s<k>.v, s<k>.c); nesting sequences are carried as
@@ -12,7 +12,6 @@ package algebra
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -33,13 +32,8 @@ type Result struct {
 
 // Options tunes execution.
 type Options struct {
-	// NestedLoopJoins forces nested-loop structural joins instead of the
-	// stack-based merge (used by the join ablation benchmark).
-	NestedLoopJoins bool
-	// Workers sets the number of goroutines for the hash-join build and
-	// probe phases: 0 or 1 runs sequentially, n > 1 uses n workers, and
-	// any negative value uses runtime.GOMAXPROCS(0). Parallel and
-	// sequential execution produce identical results (row order included).
+	// Deprecated: ignored. Joins run on the calling goroutine; the field
+	// remains only for source compatibility.
 	Workers int
 	// Ctx optionally cancels execution: it is checked at every operator
 	// boundary and periodically inside scan and join loops (build and
@@ -47,26 +41,10 @@ type Options struct {
 	// mid-plan; an in-progress sort still completes before the next
 	// poll. A nil context never cancels.
 	Ctx context.Context
-	// NoVectorize disables the vectorized kernels (selection on dictionary
-	// codes, zone-map block skipping), forcing row-at-a-time execution
-	// everywhere. Used by the equivalence tests and the before/after
-	// benchmarks; both paths produce byte-identical results.
-	NoVectorize bool
 	// Stats, when non-nil, accumulates vectorized-path counters for this
 	// execution (see ExecStats). The executor writes it single-threadedly;
 	// callers must not share one ExecStats across concurrent executions.
 	Stats *ExecStats
-}
-
-// effectiveWorkers resolves the Workers knob to a concrete worker count.
-func (o Options) effectiveWorkers() int {
-	switch {
-	case o.Workers < 0:
-		return runtime.GOMAXPROCS(0)
-	case o.Workers == 0:
-		return 1
-	}
-	return o.Workers
 }
 
 // Reader is the read side of a view store — all the executor needs to run
@@ -365,16 +343,9 @@ func (ex *executor) join(p *core.Plan) (*Result, error) {
 		stop = nil
 	}
 	var rows []joinedRow
-	switch {
-	case p.Kind == core.JoinID:
-		if w := ex.opts.effectiveWorkers(); w > 1 {
-			rows = parallelHashJoin(left.Rel, lid, right.Rel, rid, w, stop)
-		} else {
-			rows = hashJoin(left.Rel, lid, right.Rel, rid, stop)
-		}
-	case ex.opts.NestedLoopJoins:
-		rows = nestedLoopStructuralJoin(left.Rel, lid, right.Rel, rid, p.Kind == core.JoinParent, stop)
-	default:
+	if p.Kind == core.JoinID {
+		rows = hashJoin(left.Rel, lid, right.Rel, rid, stop)
+	} else {
 		rows = stackStructuralJoin(left.Rel, lid, right.Rel, rid, p.Kind == core.JoinParent, stop)
 	}
 	if p.Outer {
@@ -490,35 +461,6 @@ func hashJoin(l *nrel.Relation, lid int, r *nrel.Relation, rid int, stop func() 
 	return out
 }
 
-// nestedLoopStructuralJoin is the quadratic baseline for the ablation.
-func nestedLoopStructuralJoin(l *nrel.Relation, lid int, r *nrel.Relation, rid int, parentOnly bool, stop func() bool) []joinedRow {
-	var out []joinedRow
-	for _, lrow := range l.Rows {
-		// Each outer iteration scans all of r; poll every time.
-		if stop != nil && stop() {
-			return out
-		}
-		a := lrow[lid]
-		if a.IsNull() {
-			continue
-		}
-		for _, rrow := range r.Rows {
-			d := rrow[rid]
-			if d.IsNull() {
-				continue
-			}
-			if parentOnly {
-				if a.ID.IsParentOf(d.ID) {
-					out = append(out, joinedRow{lrow, rrow})
-				}
-			} else if a.ID.IsAncestorOf(d.ID) {
-				out = append(out, joinedRow{lrow, rrow})
-			}
-		}
-	}
-	return out
-}
-
 // stackStructuralJoin implements the Stack-Tree-Desc structural join of
 // Al-Khalifa et al. [reference 1 of the paper]: both inputs sorted in
 // document order, a stack of pending ancestors, each pair emitted exactly
@@ -613,10 +555,10 @@ func (ex *executor) union(p *core.Plan) (*Result, error) {
 			return nil, err
 		}
 		if out == nil {
-			out = r
-			continue
-		}
-		if len(r.Rel.Cols) != len(out.Rel.Cols) {
+			// A part's relation may be the store's shared extent (a bare
+			// view scan): collect into a fresh relation, never append to it.
+			out = &Result{Rel: nrel.NewRelation(r.Rel.Cols...), Slots: r.Slots}
+		} else if len(r.Rel.Cols) != len(out.Rel.Cols) {
 			return nil, fmt.Errorf("algebra: union schema mismatch")
 		}
 		out.Rel.Rows = append(out.Rel.Rows, r.Rel.Rows...)

@@ -1,9 +1,14 @@
 package algebra
 
 import (
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"xmlviews/internal/core"
+	"xmlviews/internal/datagen"
+	"xmlviews/internal/nrel"
 	"xmlviews/internal/pattern"
 	"xmlviews/internal/summary"
 	"xmlviews/internal/view"
@@ -201,47 +206,122 @@ func TestEndToEndNestedOutput(t *testing.T) {
 	}
 }
 
+// nestedLoopStructuralJoin is the quadratic reference the stack-based
+// join is checked and benchmarked against: every left row against every
+// right row.
+func nestedLoopStructuralJoin(l *nrel.Relation, lid int, r *nrel.Relation, rid int, parentOnly bool) []joinedRow {
+	var out []joinedRow
+	for _, lrow := range l.Rows {
+		a := lrow[lid]
+		if a.IsNull() {
+			continue
+		}
+		for _, rrow := range r.Rows {
+			d := rrow[rid]
+			if d.IsNull() {
+				continue
+			}
+			if parentOnly {
+				if a.ID.IsParentOf(d.ID) {
+					out = append(out, joinedRow{lrow, rrow})
+				}
+			} else if a.ID.IsAncestorOf(d.ID) {
+				out = append(out, joinedRow{lrow, rrow})
+			}
+		}
+	}
+	return out
+}
+
+// structuralJoinAgrees executes kind-join of the two scans and returns the
+// number of distinct output rows, failing unless they are exactly the
+// pairs the nested-loop reference finds over the same extents.
+func structuralJoinAgrees(t *testing.T, st *view.Store, va, vb *core.View, kind core.JoinKind) int {
+	t.Helper()
+	res, err := Execute(core.NewJoin(kind, false, core.Scan(va), 0, core.Scan(vb), 0), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, r := st.Relation(va), st.Relation(vb)
+	want := map[string]bool{}
+	for _, jr := range nestedLoopStructuralJoin(l, l.ColIndex(view.SlotCol(0, "id")),
+		r, r.ColIndex(view.SlotCol(0, "id")), kind == core.JoinParent) {
+		want[renderKey(jr.left)+renderKey(jr.right)] = true
+	}
+	for _, row := range res.Rel.Rows {
+		if !want[renderKey(row)] {
+			t.Fatalf("kind %d: stack join row %v not in the nested-loop result", kind, row)
+		}
+	}
+	if res.Rel.Len() != len(want) {
+		t.Fatalf("kind %d: stack join has %d rows, nested loop %d", kind, res.Rel.Len(), len(want))
+	}
+	return len(want)
+}
+
 func TestStructuralJoinAlgorithmsAgree(t *testing.T) {
+	va, vb := v("va", `r(//a[id])`), v("vb", `r(//b[id,v])`)
 	doc := xmltree.MustParseParen(
 		`r(a(b "1" a(b "2" b "3") b "4") a(b "5") b "6")`)
-	st := view.NewStore(doc, []*core.View{
-		v("va", `r(//a[id])`),
-		v("vb", `r(//b[id,v])`),
-	})
-	plan := core.NewJoin(core.JoinAncestor, false,
-		core.Scan(v("va", `r(//a[id])`)), 0,
-		core.Scan(v("vb", `r(//b[id,v])`)), 0)
-	stack, err := ExecuteWith(plan, st, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loop, err := ExecuteWith(plan, st, Options{NestedLoopJoins: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stack.Rel.EqualAsSet(loop.Rel) {
-		t.Fatalf("join algorithms disagree:\n%s\nvs\n%s", stack.Rel.Sorted(), loop.Rel.Sorted())
-	}
-	if stack.Rel.Len() == 0 {
+	st := view.NewStore(doc, []*core.View{va, vb})
+	anc := structuralJoinAgrees(t, st, va, vb, core.JoinAncestor)
+	if anc == 0 {
 		t.Fatal("expected join results")
 	}
-	// Parent join variant.
-	pplan := core.NewJoin(core.JoinParent, false,
-		core.Scan(v("va", `r(//a[id])`)), 0,
-		core.Scan(v("vb", `r(//b[id,v])`)), 0)
-	pstack, err := ExecuteWith(pplan, st, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ploop, err := ExecuteWith(pplan, st, Options{NestedLoopJoins: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pstack.Rel.EqualAsSet(ploop.Rel) {
-		t.Fatalf("parent join algorithms disagree")
-	}
-	if pstack.Rel.Len() >= stack.Rel.Len() {
+	if structuralJoinAgrees(t, st, va, vb, core.JoinParent) >= anc {
 		t.Fatal("parent join should be a strict subset of ancestor join here")
+	}
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 20; trial++ {
+		st := view.NewStore(randomVecDoc(rng), []*core.View{va, vb})
+		structuralJoinAgrees(t, st, va, vb, core.JoinAncestor)
+		structuralJoinAgrees(t, st, va, vb, core.JoinParent)
+	}
+}
+
+// TestSortTuplesStable checks that document-order sorting keeps the input
+// order of duplicate IDs (the stack structural join groups them).
+func TestSortTuplesStable(t *testing.T) {
+	rel := nrel.NewRelation(view.SlotCol(0, "id"), view.SlotCol(0, "v"))
+	ids := [][]uint32{{1, 2}, {1, 1}, {1, 2}, {1}, {1, 1}, {1, 3}}
+	for i, id := range ids {
+		rel.Append(nrel.Tuple{nrel.ID(id), nrel.String(fmt.Sprintf("r%d", i))})
+	}
+	rows := append([]nrel.Tuple(nil), rel.Rows...)
+	sortTuples(rows, 0)
+	var got []string
+	for _, row := range rows {
+		got = append(got, row[1].Str)
+	}
+	want := []string{"r3", "r1", "r4", "r0", "r2", "r5"}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+}
+
+// BenchmarkStructuralJoin compares the stack-based structural join with
+// the nested-loop baseline (DESIGN.md E8), kernel against kernel over the
+// same XMark extents.
+func BenchmarkStructuralJoin(b *testing.B) {
+	doc := datagen.XMark(16, 5)
+	va, vb := v("va", `site(//item[id])`), v("vb", `site(//keyword[id,v])`)
+	st := view.NewStore(doc, []*core.View{va, vb})
+	l, r := st.Relation(va), st.Relation(vb)
+	lid, rid := l.ColIndex(view.SlotCol(0, "id")), r.ColIndex(view.SlotCol(0, "id"))
+	for _, kernel := range []struct {
+		name string
+		join func() []joinedRow
+	}{
+		{"stack", func() []joinedRow { return stackStructuralJoin(l, lid, r, rid, false, nil) }},
+		{"nestedloop", func() []joinedRow { return nestedLoopStructuralJoin(l, lid, r, rid, false) }},
+	} {
+		b.Run(kernel.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if len(kernel.join()) == 0 {
+					b.Fatal("empty join result")
+				}
+			}
+		})
 	}
 }
 

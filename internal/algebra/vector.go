@@ -48,9 +48,6 @@ func (s *ExecStats) Vectorized() bool {
 // row-at-a-time execution (which also reports the precise error for
 // malformed plans — this function never invents new failure modes).
 func (ex *executor) vectorSelect(p *core.Plan) (*Result, bool, error) {
-	if ex.opts.NoVectorize {
-		return nil, false, nil
-	}
 	var sels []*core.Plan
 	cur := p
 	for cur.Op == core.OpSelectLabel || cur.Op == core.OpSelectValue {
@@ -222,7 +219,7 @@ func (ex *executor) joinRight(p *core.Plan, left *Result) (*Result, error) {
 	// Views with virtual slots are excluded: the pruned scan emits the
 	// stored columns only, but their row-path scan appends derived ID
 	// columns the join output must carry.
-	if !ex.opts.NoVectorize && p.Kind != core.JoinID && p.Right.Op == core.OpScan &&
+	if p.Kind != core.JoinID && p.Right.Op == core.OpScan &&
 		p.Right.View != nil && len(p.Right.View.VirtualSlots) == 0 {
 		if blocks := ex.st.Blocks(p.Right.View); blocks != nil {
 			if res, ok, err := ex.prunedScan(p, left, blocks); ok || err != nil {

@@ -9,6 +9,7 @@ import (
 	"xmlviews/internal/nodeid"
 	"xmlviews/internal/pattern"
 	"xmlviews/internal/predicate"
+	"xmlviews/internal/store"
 	"xmlviews/internal/summary"
 	"xmlviews/internal/view"
 	"xmlviews/internal/xmltree"
@@ -32,6 +33,13 @@ func randomVecDoc(rng *rand.Rand) *xmltree.Document {
 	grow(d.Root, 3)
 	return d
 }
+
+// rowPath hides the store's columnar block handles, so every operator
+// takes the row-at-a-time fallback — the one navigation views, which have
+// no block handle, always take.
+type rowPath struct{ Reader }
+
+func (rowPath) Blocks(*core.View) *store.Blocks { return nil }
 
 // assertByteIdentical fails unless the two results agree exactly: same
 // columns, same row order, same rendered value per cell. This is stronger
@@ -85,7 +93,7 @@ func TestVectorizedSelectMatchesRowPath(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d vectorized: %v", trial, err)
 		}
-		row, err := ExecuteWith(plan, st, Options{NoVectorize: true})
+		row, err := Execute(plan, rowPath{st})
 		if err != nil {
 			t.Fatalf("trial %d row path: %v", trial, err)
 		}
@@ -116,7 +124,7 @@ func TestVectorizedJoinMatchesRowPath(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d vectorized: %v", trial, err)
 			}
-			row, err := ExecuteWith(plan, st, Options{NoVectorize: true})
+			row, err := Execute(plan, rowPath{st})
 			if err != nil {
 				t.Fatalf("trial %d row path: %v", trial, err)
 			}
@@ -160,7 +168,7 @@ func TestVectorizedMatchesRowPathPreparedViews(t *testing.T) {
 			if err != nil {
 				t.Fatalf("vectorized %s: %v", plan, err)
 			}
-			row, err := ExecuteWith(plan, st, Options{NoVectorize: true})
+			row, err := Execute(plan, rowPath{st})
 			if err != nil {
 				t.Fatalf("row path %s: %v", plan, err)
 			}
@@ -223,20 +231,20 @@ func BenchmarkVecSelect(b *testing.B) {
 	st := view.NewStore(benchDoc(n, n/2, n/2+300), []*core.View{all})
 	plan := &core.Plan{Op: core.OpSelectLabel, Input: core.Scan(all), Slot: 0, Label: "rare"}
 	// Build the store's columnar handle outside the timed loops.
-	if _, err := ExecuteWith(plan, st, Options{}); err != nil {
+	if _, err := Execute(plan, st); err != nil {
 		b.Fatal(err)
 	}
 	for _, path := range []struct {
 		name string
-		opts Options
+		st   Reader
 	}{
-		{"row", Options{NoVectorize: true}},
-		{"vectorized", Options{}},
+		{"row", rowPath{st}},
+		{"vectorized", st},
 	} {
 		b.Run(path.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := ExecuteWith(plan, st, path.opts)
+				res, err := Execute(plan, path.st)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -275,20 +283,20 @@ func BenchmarkVecJoin(b *testing.B) {
 	st, va, vb := benchJoinStore(128, 1024)
 	plan := core.NewJoin(core.JoinAncestor, false, core.Scan(va), 0, core.Scan(vb), 0)
 	// Build the store's columnar handle outside the timed loops.
-	if _, err := ExecuteWith(plan, st, Options{}); err != nil {
+	if _, err := Execute(plan, st); err != nil {
 		b.Fatal(err)
 	}
 	for _, path := range []struct {
 		name string
-		opts Options
+		st   Reader
 	}{
-		{"row", Options{NoVectorize: true}},
-		{"vectorized", Options{}},
+		{"row", rowPath{st}},
+		{"vectorized", st},
 	} {
 		b.Run(path.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := ExecuteWith(plan, st, path.opts)
+				res, err := Execute(plan, path.st)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -31,7 +31,7 @@ func BenchmarkGroupCommit(b *testing.B) {
 			if _, err := view.BuildStore(dir, doc, views); err != nil {
 				b.Fatal(err)
 			}
-			srv, err := New(Config{Dir: dir, Workers: 2, PlanCacheSize: 16})
+			srv, err := New(Config{Dir: dir, PlanCacheSize: 16})
 			if err != nil {
 				b.Fatal(err)
 			}

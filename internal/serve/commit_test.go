@@ -188,7 +188,7 @@ func TestServeSoakGroupCommit(t *testing.T) {
 	if _, err := view.BuildStore(dir, doc, views); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Dir: dir, Workers: 2, PlanCacheSize: 16,
+	srv, err := New(Config{Dir: dir, PlanCacheSize: 16,
 		GroupWait: time.Millisecond, MaxVersions: maxVersions})
 	if err != nil {
 		t.Fatal(err)

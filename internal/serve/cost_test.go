@@ -42,7 +42,7 @@ func newCostServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 }
 
 func TestServeExplain(t *testing.T) {
-	_, ts := newCostServer(t, Config{Workers: 2})
+	_, ts := newCostServer(t, Config{})
 	q := url.QueryEscape(`site(/item[id](/name[v]))`)
 
 	resp, err := http.Get(ts.URL + "/query?q=" + q + "&explain=1")
@@ -87,7 +87,7 @@ func TestServeExplain(t *testing.T) {
 }
 
 func TestServeLimitOffset(t *testing.T) {
-	_, ts := newCostServer(t, Config{Workers: 2})
+	_, ts := newCostServer(t, Config{})
 	q := url.QueryEscape(`site(/item[id](/name[v]))`)
 
 	var full QueryResponse
@@ -129,7 +129,7 @@ func TestServeLimitOffset(t *testing.T) {
 }
 
 func TestServeDefaultResponseCap(t *testing.T) {
-	_, ts := newCostServer(t, Config{Workers: 2, MaxResponseRows: 2})
+	_, ts := newCostServer(t, Config{MaxResponseRows: 2})
 	q := url.QueryEscape(`site(/item[id](/name[v]))`)
 	var qr QueryResponse
 	if code := getJSON(t, ts.URL+"/query?q="+q, &qr); code != http.StatusOK {
@@ -151,7 +151,7 @@ func TestServeDefaultResponseCap(t *testing.T) {
 // TestServeSingleflight fires many concurrent requests for one cold query
 // and checks that only a single rewriting search ran.
 func TestServeSingleflight(t *testing.T) {
-	srv, ts := newCostServer(t, Config{Workers: 2})
+	srv, ts := newCostServer(t, Config{})
 	q := url.QueryEscape(`site(/item[id](/name[v] /price[v]))`)
 
 	const clients = 16
@@ -197,7 +197,7 @@ func TestServeSingleflight(t *testing.T) {
 // TestServeClientGone exercises the 499 path: a request whose context is
 // already cancelled must not produce a plan, burn the search, or be cached.
 func TestServeClientGone(t *testing.T) {
-	srv, _ := newCostServer(t, Config{Workers: 2})
+	srv, _ := newCostServer(t, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	req := httptest.NewRequest(http.MethodGet, "/query?q="+url.QueryEscape(`site(/item[id](/name[v]))`), nil).WithContext(ctx)

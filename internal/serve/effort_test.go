@@ -14,7 +14,7 @@ import (
 )
 
 // TestColdQueryAllocCeiling bounds the work one cold /query does in the
-// daemon's configuration (Workers 2) over the benchmark's catalog. The
+// daemon's default configuration over the benchmark's catalog. The
 // rewriting search is almost all of it, and it used to be the speculative
 // level-parallel engine's: ~95 MB for this query, against ~24 MB for the
 // one left-deep search that remains.
@@ -35,7 +35,7 @@ func TestColdQueryAllocCeiling(t *testing.T) {
 	if _, err := view.BuildStore(dir, datagen.XMark(50, 1), views); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Dir: dir, Workers: 2})
+	srv, err := New(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

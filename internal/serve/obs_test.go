@@ -112,7 +112,7 @@ func expositionSamples(t *testing.T, body string) map[string]float64 {
 }
 
 func TestServeMetricsExposition(t *testing.T) {
-	ts, _ := newUpdatableServer(t, Config{Workers: 2, PlanCacheSize: 8})
+	ts, _ := newUpdatableServer(t, Config{PlanCacheSize: 8})
 	runWorkload(t, ts)
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -230,7 +230,7 @@ var statsFields = []string{
 }
 
 func TestServeStatsFieldIdentity(t *testing.T) {
-	ts, _ := newUpdatableServer(t, Config{Workers: 2, PlanCacheSize: 8})
+	ts, _ := newUpdatableServer(t, Config{PlanCacheSize: 8})
 	runWorkload(t, ts)
 
 	var stats map[string]any
@@ -286,7 +286,7 @@ func TestServeStatsFieldIdentity(t *testing.T) {
 }
 
 func TestServeRequestID(t *testing.T) {
-	ts, _ := newUpdatableServer(t, Config{Workers: 2})
+	ts, _ := newUpdatableServer(t, Config{})
 	q := url.QueryEscape(`site(/item[id](/name[v]))`)
 
 	// Absent header: the server generates an id and returns it.
@@ -339,7 +339,7 @@ func TestServeRequestID(t *testing.T) {
 }
 
 func TestServeTraceInResponse(t *testing.T) {
-	ts, _ := newUpdatableServer(t, Config{Workers: 2})
+	ts, _ := newUpdatableServer(t, Config{})
 	q := url.QueryEscape(`site(/item[id](/name[v]))`)
 
 	var plain QueryResponse
@@ -431,7 +431,6 @@ func (s *syncBuffer) String() string {
 func TestServeSlowQueryLog(t *testing.T) {
 	buf := &syncBuffer{}
 	ts, _ := newUpdatableServer(t, Config{
-		Workers:   2,
 		SlowQuery: time.Nanosecond, // everything is slow
 		Logger:    slog.New(slog.NewJSONHandler(buf, nil)),
 	})
@@ -486,8 +485,8 @@ func TestServeSlowQueryLog(t *testing.T) {
 }
 
 func TestDebugHandlerRoutes(t *testing.T) {
-	_, storeDir := newUpdatableServer(t, Config{Workers: 2})
-	srv, err := New(Config{Dir: storeDir, Workers: 2})
+	_, storeDir := newUpdatableServer(t, Config{})
+	srv, err := New(Config{Dir: storeDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,7 +519,7 @@ func TestDebugHandlerRoutes(t *testing.T) {
 // TestServeMetricsConcurrent hammers /metrics while queries and updates
 // run, so the race detector sees scrapes concurrent with observations.
 func TestServeMetricsConcurrent(t *testing.T) {
-	ts, _ := newUpdatableServer(t, Config{Workers: 2, SlowQuery: time.Nanosecond,
+	ts, _ := newUpdatableServer(t, Config{SlowQuery: time.Nanosecond,
 		Logger: slog.New(slog.NewJSONHandler(io.Discard, nil))})
 	q := url.QueryEscape(`site(/item[id](/name[v]))`)
 	var wg sync.WaitGroup

@@ -32,7 +32,7 @@ func newTestServer(t *testing.T) *httptest.Server {
 	if _, err := view.BuildStore(dir, doc, views); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Dir: dir, Workers: 2, PlanCacheSize: 8})
+	srv, err := New(Config{Dir: dir, PlanCacheSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,10 +51,6 @@ import (
 type Config struct {
 	// Dir is the store directory (catalog.json + segments) to serve.
 	Dir string
-	// Workers sets the algebra executor's hash-join build/probe
-	// goroutines per query; <= 0 means use all CPUs. The rewriting search
-	// always runs on the request's goroutine.
-	Workers int
 	// PlanCacheSize bounds the LRU plan cache (<= 0: default 256).
 	PlanCacheSize int
 	// ReadOnly disables POST /update.
@@ -538,7 +534,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	execStart := time.Now()
 	var xs algebra.ExecStats
-	out, err := algebra.ExecuteWith(plan, es.st, algebra.Options{Workers: s.workers(), Ctx: ctx, Stats: &xs})
+	out, err := algebra.ExecuteWith(plan, es.st, algebra.Options{Ctx: ctx, Stats: &xs})
 	execDur := time.Since(execStart)
 	tr.AddSpan("execute", execStart, execDur)
 	if err != nil {
@@ -751,13 +747,6 @@ func (s *Server) rewriteBest(ctx context.Context, q *pattern.Pattern, es epochSt
 		planCost = -1 // no estimate possible; also keeps the JSON encodable
 	}
 	return cachedPlan{plan: plan, cost: planCost, alternatives: alts}, nil
-}
-
-func (s *Server) workers() int {
-	if s.cfg.Workers <= 0 {
-		return -1 // resolved to GOMAXPROCS by algebra
-	}
-	return s.cfg.Workers
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -84,7 +84,7 @@ func TestServeSoakAutoCompaction(t *testing.T) {
 	}
 	// Tracing and slow-request logging run at full throttle during the
 	// soak: observability must not perturb the pipeline under race.
-	srv, err := New(Config{Dir: dir, Workers: 2, PlanCacheSize: 16, CompactMaxChain: threshold,
+	srv, err := New(Config{Dir: dir, PlanCacheSize: 16, CompactMaxChain: threshold,
 		SlowQuery: time.Nanosecond, Logger: slog.New(slog.NewJSONHandler(io.Discard, nil))})
 	if err != nil {
 		t.Fatal(err)

@@ -64,7 +64,7 @@ func postUpdate(t *testing.T, ts *httptest.Server, body string, out any) int {
 }
 
 func TestServeUpdateEndToEnd(t *testing.T) {
-	ts, _ := newUpdatableServer(t, Config{Workers: 2, PlanCacheSize: 8})
+	ts, _ := newUpdatableServer(t, Config{PlanCacheSize: 8})
 	q := url.QueryEscape(`site(/item[id](/name[v]))`)
 
 	var before QueryResponse
@@ -136,7 +136,7 @@ func TestServeUpdateEndToEnd(t *testing.T) {
 // plan caching: a cached "unsatisfiable under the summary" verdict must
 // not outlive an update that makes the query satisfiable.
 func TestServeStaleVerdictInvalidated(t *testing.T) {
-	ts, _ := newUpdatableServer(t, Config{Workers: 1, PlanCacheSize: 8})
+	ts, _ := newUpdatableServer(t, Config{PlanCacheSize: 8})
 	q := url.QueryEscape(`site(/item[id](/mail[v]))`)
 
 	var e errorResponse
@@ -209,7 +209,7 @@ func TestServeUpdateTooLarge(t *testing.T) {
 // readers and a writer (run with -race): every answer must be internally
 // consistent (all rows from one epoch's extents).
 func TestServeConcurrentQueriesAndUpdates(t *testing.T) {
-	ts, _ := newUpdatableServer(t, Config{Workers: 2, PlanCacheSize: 8})
+	ts, _ := newUpdatableServer(t, Config{PlanCacheSize: 8})
 	q := url.QueryEscape(`site(/item[id](/name[v]))`)
 
 	var wg sync.WaitGroup

@@ -155,7 +155,8 @@ func Materialize(v *View, doc *Document) *Relation { return view.Materialize(v, 
 // one epoch of it pinned with Store.Snapshot.
 func Execute(p *Plan, st algebra.Reader) (*Result, error) { return algebra.Execute(p, st) }
 
-// ExecOptions tunes plan execution (join strategy, worker count).
+// ExecOptions tunes plan execution: a cancellation context and an
+// optional sink for vectorized-path counters.
 type ExecOptions = algebra.Options
 
 // ExecuteWith runs a rewriting plan with explicit execution options.
