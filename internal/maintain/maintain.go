@@ -455,29 +455,86 @@ func diffRelations(old, new *nrel.Relation) (adds, dels *nrel.Relation) {
 	return adds, dels
 }
 
-// FoldDelta applies a delta to an extent: rows in dels leave, rows in adds
-// enter (ignored when already present), preserving storage order. It is
-// the replay primitive for delta segments.
+// FoldChain replays a delta chain over an extent, oldest delta first;
+// adds[i] and dels[i] are delta i's halves. Each delta's deleted keys
+// leave (every row carrying one), then its added rows enter, each ignored
+// when its key is already present. The result is row for row what
+// applying the deltas one at a time yields — surviving base rows in base
+// order, then each delta's surviving adds in chain order — at
+// O(base + chain) cost: every row's key is rendered once, and membership
+// is tracked only for the keys the chain touches. It is the replay
+// primitive for delta segments.
 //
 //xvlint:nopoll replay primitive for store open and compaction; a partial fold is a corrupt extent
-func FoldDelta(base, adds, dels *nrel.Relation) *nrel.Relation {
-	out := nrel.NewRelation(base.Cols...)
-	delKeys := make(map[string]bool, dels.Len())
-	for _, row := range dels.Rows {
-		delKeys[rowKey(row)] = true
+func FoldChain(base *nrel.Relation, adds, dels []*nrel.Relation) *nrel.Relation {
+	if len(adds) != len(dels) {
+		panic("maintain: FoldChain needs one adds and one dels relation per delta")
 	}
-	have := make(map[string]bool, base.Len())
-	for _, row := range base.Rows {
+	// keyState replays the chain's effect on one touched key: whether some
+	// delta deletes it (then no base row carrying it survives), whether it
+	// is in the extent after the deltas replayed so far, and which add row
+	// (an index into addRows) put it there, -1 for none.
+	type keyState struct {
+		deleted, present bool
+		live             int
+	}
+	var states []keyState
+	index := map[string]int{}
+	touch := func(row nrel.Tuple) int {
 		k := rowKey(row)
-		if delKeys[k] {
-			continue
+		s, ok := index[k]
+		if !ok {
+			s = len(states)
+			index[k] = s
+			states = append(states, keyState{live: -1})
 		}
-		have[k] = true
+		return s
+	}
+	var addRows []nrel.Tuple
+	var addKeys []int
+	delKeys := make([][]int, len(dels))
+	for i := range dels {
+		for _, row := range dels[i].Rows {
+			s := touch(row)
+			states[s].deleted = true
+			delKeys[i] = append(delKeys[i], s)
+		}
+		for _, row := range adds[i].Rows {
+			addRows = append(addRows, row)
+			addKeys = append(addKeys, touch(row))
+		}
+	}
+
+	out := nrel.NewRelation(base.Cols...)
+	out.Rows = make([]nrel.Tuple, 0, base.Len()+len(addRows))
+	for _, row := range base.Rows {
+		if s, ok := index[rowKey(row)]; ok {
+			states[s].present = true
+			if states[s].deleted {
+				continue
+			}
+		}
 		out.Rows = append(out.Rows, row)
 	}
-	for _, row := range adds.Rows {
-		if k := rowKey(row); !have[k] {
-			have[k] = true
+	keep := make([]bool, len(addRows))
+	next := 0
+	for i := range dels {
+		for _, s := range delKeys[i] {
+			if l := states[s].live; l >= 0 {
+				keep[l] = false
+			}
+			states[s].present, states[s].live = false, -1
+		}
+		for range adds[i].Rows {
+			if st := &states[addKeys[next]]; !st.present {
+				st.present, st.live = true, next
+				keep[next] = true
+			}
+			next++
+		}
+	}
+	for i, row := range addRows {
+		if keep[i] {
 			out.Rows = append(out.Rows, row)
 		}
 	}

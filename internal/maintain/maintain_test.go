@@ -32,7 +32,7 @@ func compute(t *testing.T, doc *xmltree.Document, views []*core.View, ups ...xml
 		t.Fatalf("ComputeDeltas: %v", err)
 	}
 	for _, d := range batch.Deltas {
-		folded := maintain.FoldDelta(old[d.View.Name], d.Adds, d.Dels)
+		folded := maintain.FoldChain(old[d.View.Name], []*nrel.Relation{d.Adds}, []*nrel.Relation{d.Dels})
 		if !folded.EqualAsSet(d.New) {
 			t.Fatalf("view %s: folded delta diverges from recomputed extent\nfolded:\n%s\nnew:\n%s",
 				d.View.Name, folded.Sorted(), d.New.Sorted())

@@ -197,8 +197,8 @@ func (c *committer) checkpoint() {
 // epoch); updates queue for the duration of the fold. The epoch is
 // preserved, so nothing is republished. A compaction failure leaves the
 // store consistent (the catalog still references the old chains and the
-// fold is idempotent), so it is counted and retried after the next group
-// rather than degrading the server.
+// fold is idempotent), so it is counted, logged like a failed checkpoint
+// and retried after the next group rather than degrading the server.
 func (c *committer) compact() {
 	s := c.srv
 	start := time.Now()
@@ -206,6 +206,9 @@ func (c *committer) compact() {
 	s.met.compactSeconds.ObserveDuration(time.Since(start))
 	if err != nil {
 		s.met.compactErrors.Inc()
+		// refreshChains set the gauge from this catalog just before.
+		s.log.Error("compaction failed; retrying after the next update group",
+			slog.String("error", err.Error()), slog.Int64("longest_chain", int64(s.met.maxChain.Value())))
 		return
 	}
 	s.met.compactions.Inc()

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -72,6 +74,64 @@ func TestCompactionIsACommitterStep(t *testing.T) {
 		if got := longestChain(t, dir); got != k%2 {
 			t.Fatalf("after update %d: longest catalog chain %d, want %d", k, got, k%2)
 		}
+	}
+}
+
+// TestFailedCompactionIsLogged: a compaction that cannot read its chain is
+// counted and logged at ERROR with the error and the longest chain, leaves
+// the server healthy, and updates keep committing.
+func TestFailedCompactionIsLogged(t *testing.T) {
+	buf := &syncBuffer{}
+	ts, dir := newUpdatableServer(t, Config{CompactMaxChain: 2, Logger: slog.New(slog.NewJSONHandler(buf, nil))})
+	var up UpdateResponse
+	if code := postUpdate(t, ts, `[{"op":"settext","target":"1.1.1","value":"n1"}]`, &up); code != http.StatusOK {
+		t.Fatalf("update 1: status %d", code)
+	}
+	cat, err := store.OpenCatalog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := cat.Entry("vname")
+	if len(e.Deltas) != 1 {
+		t.Fatalf("vname chain %+v, want one delta", e.Deltas)
+	}
+	if err := os.Remove(filepath.Join(dir, e.Deltas[0].Segment)); err != nil {
+		t.Fatal(err)
+	}
+	if code := postUpdate(t, ts, `[{"op":"settext","target":"1.1.1","value":"n2"}]`, &up); code != http.StatusOK || up.Epoch != 2 {
+		t.Fatalf("update 2: status %d, epoch %d", code, up.Epoch)
+	}
+	barrier(t, ts) // the chain reached 2: the failed compaction has run
+	if got := metricValue(t, ts, "xvserve_compact_errors_total"); got != 1 {
+		t.Fatalf("xvserve_compact_errors_total = %v, want 1", got)
+	}
+	var errs []map[string]any
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		if line == "" {
+			continue
+		}
+		var entry map[string]any
+		if err := json.Unmarshal([]byte(line), &entry); err != nil {
+			t.Fatalf("log line is not JSON: %v\n%s", err, line)
+		}
+		if entry["level"] == "ERROR" {
+			errs = append(errs, entry)
+		}
+	}
+	if len(errs) != 1 {
+		t.Fatalf("%d ERROR log lines, want 1:\n%s", len(errs), buf.String())
+	}
+	if msg, _ := errs[0]["msg"].(string); !strings.Contains(msg, "compaction failed") ||
+		!strings.Contains(fmt.Sprint(errs[0]["error"]), e.Deltas[0].Segment) || errs[0]["longest_chain"] != 2.0 {
+		t.Fatalf("compaction failure logged as %v", errs[0])
+	}
+	if code := postUpdate(t, ts, `[{"op":"settext","target":"1.3.1","value":"n3"}]`, &up); code != http.StatusOK || up.Epoch != 3 {
+		t.Fatalf("update after the failed compaction: status %d, epoch %d", code, up.Epoch)
+	}
+	var st Stats
+	getJSON(t, ts.URL+"/stats", &st)
+	if st.Degraded || st.DurableEpoch != 3 {
+		t.Fatalf("after the failed compaction: degraded %v, durable_epoch %d", st.Degraded, st.DurableEpoch)
 	}
 }
 

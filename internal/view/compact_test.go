@@ -13,10 +13,10 @@ import (
 	"xmlviews/internal/xmltree"
 )
 
-// TestCompactionReclaimsFiles: compaction must write a fresh base segment,
-// remove the superseded base and delta files after the catalog is durable,
-// and leave a store that reopens with identical extents.
-func TestCompactionReclaimsFiles(t *testing.T) {
+// chainedStore builds a one-view store and commits an insert and a settext
+// to it, leaving a delta chain of two.
+func chainedStore(t *testing.T) (string, []*core.View) {
+	t.Helper()
 	dir := t.TempDir()
 	doc := xmltree.MustParseParen(`site(item(name "pen") item(name "ink"))`)
 	views := []*core.View{
@@ -37,6 +37,48 @@ func TestCompactionReclaimsFiles(t *testing.T) {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 	}
+	return dir, views
+}
+
+// TestCompactionChecksDeltaCounts: a delta whose tuple counts disagree with
+// its catalog DeltaRef is refused by compaction exactly as by open — not
+// folded into a new base with the evidence deleted — even when the folded
+// extent still has the catalog's row count.
+func TestCompactionChecksDeltaCounts(t *testing.T) {
+	dir, views := chainedStore(t)
+	cat, err := store.OpenCatalog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat.Views[0].Deltas[0].Adds++ // Rows stays consistent with the files
+	if err := store.WriteCatalog(dir, cat); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenStore(dir, views); err == nil {
+		t.Fatal("open accepted a delta whose counts disagree with the catalog")
+	}
+	if res, err := CompactStore(dir); err == nil {
+		t.Fatalf("compaction folded a delta whose counts disagree with the catalog: %+v", res)
+	}
+	after, err := store.OpenCatalog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Views[0].Segment != cat.Views[0].Segment || len(after.Views[0].Deltas) != 2 {
+		t.Fatalf("refused compaction changed the catalog: %+v", after.Views[0])
+	}
+	for _, d := range after.Views[0].Deltas {
+		if _, err := os.Stat(filepath.Join(dir, d.Segment)); err != nil {
+			t.Fatalf("refused compaction removed %s: %v", d.Segment, err)
+		}
+	}
+}
+
+// TestCompactionReclaimsFiles: compaction must write a fresh base segment,
+// remove the superseded base and delta files after the catalog is durable,
+// and leave a store that reopens with identical extents.
+func TestCompactionReclaimsFiles(t *testing.T) {
+	dir, views := chainedStore(t)
 	preCat, err := store.OpenCatalog(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -107,24 +107,42 @@ func OpenStoreWithCatalog(dir string, cat *store.Catalog, views []*core.View) (*
 			}
 			st.cur.zoneSeeds[v.Name] = zones
 		}
-		for _, d := range e.Deltas {
-			adds, dels, err := store.ReadDeltaFile(filepath.Join(dir, d.Segment))
-			if err != nil {
-				return nil, err
-			}
-			if adds.Len() != d.Adds || dels.Len() != d.Dels {
-				return nil, fmt.Errorf("view: delta %s has %d/%d tuples, catalog says %d/%d",
-					d.Segment, adds.Len(), dels.Len(), d.Adds, d.Dels)
-			}
-			rel = maintain.FoldDelta(rel, adds, dels)
-		}
-		if rel.Len() != e.Rows {
-			return nil, fmt.Errorf("view: extent %q has %d rows after %d delta(s), catalog says %d",
-				v.Name, rel.Len(), len(e.Deltas), e.Rows)
+		if rel, err = replayChain(dir, e, rel); err != nil {
+			return nil, err
 		}
 		st.cur.rels[v.Name] = rel
 	}
 	return st, nil
+}
+
+// replayChain is the one path from a catalog entry's files to its extent,
+// shared by store open and compaction: it reads the entry's delta files,
+// checks each against its DeltaRef tuple counts, folds the chain over base
+// in one pass (maintain.FoldChain) and checks the result against the
+// entry's row count.
+func replayChain(dir string, e *store.Entry, base *nrel.Relation) (*nrel.Relation, error) {
+	rel := base
+	if len(e.Deltas) > 0 {
+		adds := make([]*nrel.Relation, len(e.Deltas))
+		dels := make([]*nrel.Relation, len(e.Deltas))
+		for i, d := range e.Deltas {
+			a, dl, err := store.ReadDeltaFile(filepath.Join(dir, d.Segment))
+			if err != nil {
+				return nil, err
+			}
+			if a.Len() != d.Adds || dl.Len() != d.Dels {
+				return nil, fmt.Errorf("view: delta %s has %d/%d tuples, catalog says %d/%d",
+					d.Segment, a.Len(), dl.Len(), d.Adds, d.Dels)
+			}
+			adds[i], dels[i] = a, dl
+		}
+		rel = maintain.FoldChain(base, adds, dels)
+	}
+	if rel.Len() != e.Rows {
+		return nil, fmt.Errorf("view: extent %q has %d rows after %d delta(s), catalog says %d",
+			e.Name, rel.Len(), len(e.Deltas), e.Rows)
+	}
+	return rel, nil
 }
 
 // ViewsFromCatalog reconstructs view definitions from a catalog's recorded
