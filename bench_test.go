@@ -1,6 +1,7 @@
 // Benchmarks regenerating the paper's evaluation artifacts (Section 5).
-// One benchmark per table/figure plus the ablations of DESIGN.md; the
-// xvbench command prints the corresponding human-readable tables.
+// One benchmark per table/figure plus the enhanced-summary ablation and
+// the materialization and canonical-model costs; the xvbench command
+// prints the corresponding human-readable tables.
 package xmlviews_test
 
 import (
@@ -148,7 +149,7 @@ func BenchmarkFig15Rewriting(b *testing.B) {
 }
 
 // BenchmarkAblationEnhancedSummary measures the strong-edge rewriting
-// enabler (DESIGN.md E7).
+// enabler on the running example of Section 1.
 func BenchmarkAblationEnhancedSummary(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		row, err := experiments.AblationEnhancedSummary()

@@ -1,13 +1,13 @@
 // Command xvlint runs the project's invariant analyzers (detorder,
-// ctxpoll, errclose, sharemut, metriccheck) over the given packages and
-// exits non-zero when any diagnostic is found.
+// ctxpoll, errclose, metriccheck) over the given packages and exits
+// non-zero when any diagnostic is found.
 //
 // Usage:
 //
 //	go run ./cmd/xvlint ./...                        # what CI runs (scripts/lint.sh)
 //	go run ./cmd/xvlint -json ./...                  # findings as a JSON array
 //	go run ./cmd/xvlint -sarif out.sarif ./...       # also write SARIF 2.1.0 for CI annotation
-//	go run ./cmd/xvlint -only sharemut,ctxpoll ./... # bisect findings by analyzer
+//	go run ./cmd/xvlint -only detorder,ctxpoll ./... # bisect findings by analyzer
 //	go run ./cmd/xvlint help                         # print the invariant catalogue
 //
 // It must be invoked from inside the module: the loader type-checks from

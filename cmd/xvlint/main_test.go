@@ -45,12 +45,12 @@ func TestSelectAnalyzers(t *testing.T) {
 		t.Fatalf("default selection: %v, %d analyzers", err, len(all))
 	}
 
-	only, err := selectAnalyzers("sharemut,ctxpoll", "")
+	only, err := selectAnalyzers("detorder,ctxpoll", "")
 	if err != nil || len(only) != 2 {
 		t.Fatalf("-only selection: %v, got %d analyzers", err, len(only))
 	}
 	for _, a := range only {
-		if a.Name != "sharemut" && a.Name != "ctxpoll" {
+		if a.Name != "detorder" && a.Name != "ctxpoll" {
 			t.Errorf("-only leaked analyzer %s", a.Name)
 		}
 	}
@@ -71,7 +71,7 @@ func TestSelectAnalyzers(t *testing.T) {
 	if _, err := selectAnalyzers("", "nosuch"); err == nil {
 		t.Errorf("unknown -disable analyzer not rejected")
 	}
-	if _, err := selectAnalyzers("sharemut", "sharemut"); err == nil {
+	if _, err := selectAnalyzers("detorder", "detorder"); err == nil {
 		t.Errorf("empty selection not rejected")
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 
 	"xmlviews/internal/core"
 	"xmlviews/internal/nodeid"
@@ -24,7 +23,9 @@ import (
 	"xmlviews/internal/xmltree"
 )
 
-// Result is an executed plan: a flat relation plus per-slot schema.
+// Result is an executed plan: a flat relation plus per-slot schema. Rel is
+// built for the caller, but its tuples may be shared with the store's
+// extents: read them, do not write into them.
 type Result struct {
 	Rel   *nrel.Relation
 	Slots []core.PlanSlot
@@ -49,13 +50,12 @@ type Options struct {
 
 // Reader is the read side of a view store — all the executor needs to run
 // a plan. Both *view.Store (the live extents, materializing lazily from
-// the document) and *view.Snapshot (one pinned epoch) satisfy it. The
-// returned relation and block handle share storage with every concurrent
-// reader: the executor clones before mutating.
+// the document) and *view.Snapshot (one pinned epoch) satisfy it. Both
+// methods return read-only handles on storage every concurrent reader
+// shares, so no operator can write into an extent: each builds its output
+// relation fresh.
 type Reader interface {
-	//xvlint:sharedreturn
-	Relation(v *core.View) *nrel.Relation
-	//xvlint:sharedreturn
+	Relation(v *core.View) nrel.Extent
 	Blocks(v *core.View) *store.Blocks
 }
 
@@ -67,17 +67,23 @@ func Execute(p *core.Plan, st Reader) (*Result, error) {
 // ExecuteWith runs a plan with explicit options.
 func ExecuteWith(p *core.Plan, st Reader, opts Options) (*Result, error) {
 	ex := &executor{st: st, opts: opts}
-	res, err := ex.run(p)
+	t, err := ex.run(p)
 	if err != nil {
 		return nil, err
 	}
-	res.Rel = res.Rel.Distinct()
-	return res, nil
+	return &Result{Rel: t.rel.Distinct(), Slots: t.slots}, nil
 }
 
 type executor struct {
 	st   Reader
 	opts Options
+}
+
+// table is one operator's output: a read-only handle, on a store extent
+// or on a relation an operator built, plus the per-slot schema.
+type table struct {
+	rel   nrel.Extent
+	slots []core.PlanSlot
 }
 
 // cancelCheckEvery bounds how many rows a loop processes between context
@@ -97,7 +103,7 @@ func (ex *executor) cancelled() error {
 	}
 }
 
-func (ex *executor) run(p *core.Plan) (*Result, error) {
+func (ex *executor) run(p *core.Plan) (*table, error) {
 	if err := ex.cancelled(); err != nil {
 		return nil, err
 	}
@@ -116,10 +122,7 @@ func (ex *executor) run(p *core.Plan) (*Result, error) {
 		if res, ok, err := ex.vectorSelect(p); ok || err != nil {
 			return res, err
 		}
-		if p.Op == core.OpSelectLabel {
-			return ex.selectLabel(p)
-		}
-		return ex.selectValue(p)
+		return ex.selectRows(p)
 	case core.OpUnnest, core.OpGroupBy:
 		// Flat execution: nesting is output formatting; tuples unchanged.
 		return ex.run(p.Input)
@@ -127,55 +130,129 @@ func (ex *executor) run(p *core.Plan) (*Result, error) {
 	return nil, fmt.Errorf("algebra: unknown operator %d", p.Op)
 }
 
-// scan materializes a view: base views from the store, navigation views by
-// navigating inside stored content, then virtual ID columns are computed
-// from stored IDs (navfID).
-func (ex *executor) scan(v *core.View) (*Result, error) {
-	var rel *nrel.Relation
+// scan reads a view: base views from the store, navigation views by
+// navigating inside stored content; a view with virtual ID slots then gets
+// its ID columns computed from stored IDs (navfID).
+func (ex *executor) scan(v *core.View) (*table, error) {
+	var rel nrel.Extent
 	if v.Nav != nil {
-		var err error
-		rel, err = ex.scanNav(v)
+		nav, err := ex.scanNav(v)
 		if err != nil {
 			return nil, err
 		}
+		rel = nav.Extent()
 	} else {
 		rel = ex.st.Relation(v)
 	}
-	res := &Result{Rel: rel, Slots: core.Scan(v).OutSlots()}
 	if len(v.VirtualSlots) > 0 {
-		// The store's extent is shared (and may be served to concurrent
-		// executors); derive virtual columns on a private copy. A nav
-		// scan's relation is freshly built above and needs no copy.
-		if v.Nav == nil {
-			cloned, err := ex.cloneForVirtualIDs(rel, len(v.VirtualSlots))
-			if err != nil {
-				return nil, err
-			}
-			res.Rel = cloned
+		derived, err := ex.materialize(rel, v, rel.Len(), func(k int) int { return k })
+		if err != nil {
+			return nil, err
 		}
-		if err := ex.fillVirtualIDs(res, v); err != nil {
+		rel = derived.Extent()
+	}
+	return &table{rel: rel, slots: core.Scan(v).OutSlots()}, nil
+}
+
+// materialize builds the scan rows of view v from n rows of its stored
+// extent, the k-th being row at(k), in one pass. A plain view's rows share
+// the extent's tuples. A view with virtual ID slots gets each row built
+// once: its stored values, then the derived IDs computed from them.
+func (ex *executor) materialize(rel nrel.Extent, v *core.View, n int, at func(int) int) (*nrel.Relation, error) {
+	cols := rel.Cols()
+	var steps []idStep
+	if len(v.VirtualSlots) > 0 {
+		var err error
+		if steps, cols, err = virtualSteps(cols, v); err != nil {
 			return nil, err
 		}
 	}
-	return res, nil
-}
-
-// cloneForVirtualIDs copies the relation's header and tuples (values are
-// shared) with room for the derived ID columns, so fillVirtualIDs never
-// writes into the store's cached extent.
-func (ex *executor) cloneForVirtualIDs(rel *nrel.Relation, extra int) (*nrel.Relation, error) {
-	out := nrel.NewRelation()
-	out.Cols = append(make([]string, 0, len(rel.Cols)+extra), rel.Cols...)
-	out.Rows = make([]nrel.Tuple, len(rel.Rows))
-	for i, row := range rel.Rows {
-		if i%cancelCheckEvery == 0 {
+	out := nrel.NewRelation(cols...)
+	out.Rows = make([]nrel.Tuple, 0, n)
+	for k := 0; k < n; k++ {
+		if k%cancelCheckEvery == 0 {
 			if err := ex.cancelled(); err != nil {
 				return nil, err
 			}
 		}
-		out.Rows[i] = append(make(nrel.Tuple, 0, len(row)+extra), row...)
+		if steps == nil {
+			rel.AppendRow(out, at(k))
+			continue
+		}
+		// Columns past the stored ones start as ⊥, the zero Value.
+		row := rel.AppendValues(make(nrel.Tuple, 0, len(cols)), at(k))[:len(cols)]
+		for _, s := range steps {
+			derived := nrel.Null()
+			if id := row[s.src]; !id.IsNull() {
+				anc := id.ID
+				for up := 0; up < s.up; up++ {
+					anc = anc.Parent()
+				}
+				derived = nrel.ID(anc)
+			}
+			row[s.dst] = derived
+		}
+		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
+}
+
+// idStep derives column dst from column src by up parent steps.
+type idStep struct{ src, dst, up int }
+
+// virtualSteps resolves v's virtual ID slots against the stored columns:
+// it returns the derivation steps in dependency order (a virtual slot may
+// derive from another) and the output header, which appends each derived
+// column the stored ones lack. Each round tries the pending slots in
+// ascending order so inserted columns land at the same positions on every
+// run — the header is rendered verbatim into the /query response, so it
+// must not inherit map iteration order.
+func virtualSteps(cols []string, v *core.View) ([]idStep, []string, error) {
+	slots := make([]int, 0, len(v.VirtualSlots))
+	for k := range v.VirtualSlots {
+		slots = append(slots, k)
+	}
+	sort.Ints(slots)
+	done := make(map[int]bool, len(slots))
+	pending := func(k int) bool {
+		_, virtual := v.VirtualSlots[k]
+		return virtual && !done[k]
+	}
+	colOf := func(k int) int {
+		name := view.SlotCol(k, "id")
+		for i, c := range cols {
+			if c == name {
+				return i
+			}
+		}
+		return -1
+	}
+	var steps []idStep
+	for len(done) < len(slots) {
+		progress := false
+		for _, k := range slots {
+			vid := v.VirtualSlots[k]
+			if done[k] || pending(vid.FromSlot) {
+				continue
+			}
+			src := colOf(vid.FromSlot)
+			if src < 0 {
+				return nil, nil, fmt.Errorf("algebra: virtual slot %d derives from slot %d without id column", k, vid.FromSlot)
+			}
+			dst := colOf(k)
+			if dst < 0 {
+				cols = append(cols, view.SlotCol(k, "id"))
+				dst = len(cols) - 1
+			}
+			steps = append(steps, idStep{src: src, dst: dst, up: vid.Up})
+			done[k] = true
+			progress = true
+		}
+		if !progress {
+			return nil, nil, fmt.Errorf("algebra: cyclic virtual ID derivation")
+		}
+	}
+	return steps, cols, nil
 }
 
 // scanNav evaluates a navigation view: for each base row, navigate the
@@ -197,14 +274,13 @@ func (ex *executor) scanNav(v *core.View) (*nrel.Relation, error) {
 		view.SlotCol(k-1, "id"), view.SlotCol(k-1, "v"),
 	)
 	seen := map[string]bool{}
-	for i, row := range base.Rows {
+	for i := 0; i < base.Len(); i++ {
 		if i%cancelCheckEvery == 0 {
 			if err := ex.cancelled(); err != nil {
 				return nil, err
 			}
 		}
-		anchorID := row[idCol]
-		content := row[cCol]
+		anchorID, content := base.At(i, idCol), base.At(i, cCol)
 		if anchorID.IsNull() || content.IsNull() || content.Content == nil {
 			continue
 		}
@@ -246,82 +322,7 @@ func navigate(root *xmltree.Node, path []string) []*xmltree.Node {
 	return frontier
 }
 
-// fillVirtualIDs computes derived ID columns by parent-ID steps.
-func (ex *executor) fillVirtualIDs(res *Result, v *core.View) error {
-	// Resolve in dependency order: a virtual slot may derive from another
-	// virtual slot; iterate until all are filled. Each round tries the
-	// slots in ascending order so inserted columns land at the same
-	// positions on every run — the column list is rendered verbatim into
-	// the /query response, so it must not inherit map iteration order.
-	pending := map[int]core.VirtualID{}
-	for k, vid := range v.VirtualSlots {
-		pending[k] = vid
-	}
-	slots := make([]int, 0, len(pending))
-	for k := range pending {
-		slots = append(slots, k)
-	}
-	sort.Ints(slots)
-	cols := res.Rel.Cols
-	colOf := func(k int) int { return res.Rel.ColIndex(view.SlotCol(k, "id")) }
-	for len(pending) > 0 {
-		progress := false
-		for _, k := range slots {
-			vid, ok := pending[k]
-			if !ok {
-				continue
-			}
-			if _, stillPending := pending[vid.FromSlot]; stillPending {
-				continue
-			}
-			src := colOf(vid.FromSlot)
-			if src < 0 {
-				return fmt.Errorf("algebra: virtual slot %d derives from slot %d without id column", k, vid.FromSlot)
-			}
-			dst := colOf(k)
-			if dst < 0 {
-				// Insert the derived column.
-				res.Rel.Cols = append(cols[:0:0], cols...)
-				res.Rel.Cols = append(res.Rel.Cols, view.SlotCol(k, "id"))
-				for i, row := range res.Rel.Rows {
-					if i%cancelCheckEvery == 0 {
-						if err := ex.cancelled(); err != nil {
-							return err
-						}
-					}
-					res.Rel.Rows[i] = append(row, nrel.Null())
-				}
-				dst = len(res.Rel.Cols) - 1
-				cols = res.Rel.Cols
-			}
-			for i, row := range res.Rel.Rows {
-				if i%cancelCheckEvery == 0 {
-					if err := ex.cancelled(); err != nil {
-						return err
-					}
-				}
-				id := row[src]
-				if id.IsNull() {
-					row[dst] = nrel.Null()
-					continue
-				}
-				derived := id.ID
-				for up := 0; up < vid.Up; up++ {
-					derived = derived.Parent()
-				}
-				row[dst] = nrel.ID(derived)
-			}
-			delete(pending, k)
-			progress = true
-		}
-		if !progress {
-			return fmt.Errorf("algebra: cyclic virtual ID derivation")
-		}
-	}
-	return nil
-}
-
-func (ex *executor) join(p *core.Plan) (*Result, error) {
+func (ex *executor) join(p *core.Plan) (*table, error) {
 	left, err := ex.run(p.Left)
 	if err != nil {
 		return nil, err
@@ -330,8 +331,8 @@ func (ex *executor) join(p *core.Plan) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	lid := left.Rel.ColIndex(view.SlotCol(p.LeftSlot, "id"))
-	rid := right.Rel.ColIndex(view.SlotCol(p.RightSlot, "id"))
+	lid := left.rel.ColIndex(view.SlotCol(p.LeftSlot, "id"))
+	rid := right.rel.ColIndex(view.SlotCol(p.RightSlot, "id"))
 	if lid < 0 || rid < 0 {
 		return nil, fmt.Errorf("algebra: join slots lack id columns (%d,%d)", p.LeftSlot, p.RightSlot)
 	}
@@ -342,78 +343,71 @@ func (ex *executor) join(p *core.Plan) (*Result, error) {
 	if ex.opts.Ctx == nil {
 		stop = nil
 	}
-	var rows []joinedRow
+	var pairs []joinedRow
 	if p.Kind == core.JoinID {
-		rows = hashJoin(left.Rel, lid, right.Rel, rid, stop)
+		pairs = hashJoin(left.rel, lid, right.rel, rid, stop)
 	} else {
-		rows = stackStructuralJoin(left.Rel, lid, right.Rel, rid, p.Kind == core.JoinParent, stop)
+		pairs = stackStructuralJoin(left.rel, lid, right.rel, rid, p.Kind == core.JoinParent, stop)
 	}
 	if p.Outer {
-		rows = padOuter(rows, left.Rel, len(right.Rel.Cols), stop)
+		pairs = padOuter(pairs, left.rel.Len(), stop)
 	}
 	if err := ex.cancelled(); err != nil {
 		return nil, err
 	}
 	// Build the output schema: left slots then right slots, renamed.
-	slots := append(append([]core.PlanSlot{}, left.Slots...), right.Slots...)
-	out := nrel.NewRelation()
-	out.Cols = append(out.Cols, left.Rel.Cols...)
-	offset := len(left.Slots)
-	for _, c := range right.Rel.Cols {
-		out.Cols = append(out.Cols, shiftSlotCol(c, offset))
+	slots := append(append([]core.PlanSlot{}, left.slots...), right.slots...)
+	cols := left.rel.Cols()
+	offset := len(left.slots)
+	for _, c := range right.rel.Cols() {
+		cols = append(cols, shiftSlotCol(c, offset))
 	}
-	for i, jr := range rows {
+	out := nrel.NewRelation(cols...)
+	out.Rows = make([]nrel.Tuple, 0, len(pairs))
+	for i, jr := range pairs {
 		if i%cancelCheckEvery == 0 {
 			if err := ex.cancelled(); err != nil {
 				return nil, err
 			}
 		}
-		row := make(nrel.Tuple, 0, len(jr.left)+len(jr.right))
-		row = append(row, jr.left...)
-		row = append(row, jr.right...)
-		out.Append(row)
+		row := left.rel.AppendValues(make(nrel.Tuple, 0, len(cols)), jr.left)
+		if jr.right < 0 {
+			row = row[:len(cols)] // padded with ⊥, the zero Value
+		} else {
+			row = right.rel.AppendValues(row, jr.right)
+		}
+		out.Rows = append(out.Rows, row)
 	}
-	return &Result{Rel: out, Slots: slots}, nil
+	return &table{rel: out.Extent(), slots: slots}, nil
 }
 
+// joinedRow pairs a left row index with a right one; right is -1 for a
+// left row an outer join pads with ⊥.
 type joinedRow struct {
-	left, right nrel.Tuple
+	left, right int
 }
 
-// padOuter appends, for every left row without a match, a row padded with
-// ⊥ on the right (left outer join semantics). Like the join kernels it
-// may return partial output when stop fires; the caller's cancellation
+// padOuter appends, for every left row without a match, a pair padded
+// with ⊥ on the right (left outer join semantics). Like the join kernels
+// it may return partial output when stop fires; the caller's cancellation
 // check discards it.
-func padOuter(rows []joinedRow, left *nrel.Relation, rightWidth int, stop func() bool) []joinedRow {
-	seen := map[string]bool{}
-	for i, jr := range rows {
+func padOuter(pairs []joinedRow, leftLen int, stop func() bool) []joinedRow {
+	matched := make([]bool, leftLen)
+	for i, jr := range pairs {
 		if shouldStop(stop, i) {
-			return rows
+			return pairs
 		}
-		seen[renderKey(jr.left)] = true
+		matched[jr.left] = true
 	}
-	nulls := make(nrel.Tuple, rightWidth)
-	for i := range nulls {
-		nulls[i] = nrel.Null()
-	}
-	for i, lrow := range left.Rows {
+	for i, ok := range matched {
 		if shouldStop(stop, i) {
-			return rows
+			return pairs
 		}
-		if !seen[renderKey(lrow)] {
-			rows = append(rows, joinedRow{lrow, nulls})
+		if !ok {
+			pairs = append(pairs, joinedRow{left: i, right: -1})
 		}
 	}
-	return rows
-}
-
-func renderKey(row nrel.Tuple) string {
-	var b strings.Builder
-	for _, v := range row {
-		b.WriteString(v.Render())
-		b.WriteByte(0)
-	}
-	return b.String()
+	return pairs
 }
 
 // shiftSlotCol renames s<k>.<attr> to s<k+offset>.<attr>.
@@ -433,29 +427,28 @@ func shouldStop(stop func() bool, i int) bool {
 	return stop != nil && i%cancelCheckEvery == 0 && stop()
 }
 
-func hashJoin(l *nrel.Relation, lid int, r *nrel.Relation, rid int, stop func() bool) []joinedRow {
-	index := map[string][]nrel.Tuple{}
-	for i, row := range r.Rows {
+func hashJoin(l nrel.Extent, lid int, r nrel.Extent, rid int, stop func() bool) []joinedRow {
+	index := map[string][]int{}
+	for i := 0; i < r.Len(); i++ {
 		if shouldStop(stop, i) {
 			return nil
 		}
-		v := row[rid]
-		if v.IsNull() {
-			continue
+		if v := r.At(i, rid); !v.IsNull() {
+			key := v.ID.String()
+			index[key] = append(index[key], i)
 		}
-		index[v.ID.String()] = append(index[v.ID.String()], row)
 	}
 	var out []joinedRow
-	for i, lrow := range l.Rows {
+	for i := 0; i < l.Len(); i++ {
 		if shouldStop(stop, i) {
 			return out
 		}
-		v := lrow[lid]
+		v := l.At(i, lid)
 		if v.IsNull() {
 			continue
 		}
-		for _, rrow := range index[v.ID.String()] {
-			out = append(out, joinedRow{lrow, rrow})
+		for _, j := range index[v.ID.String()] {
+			out = append(out, joinedRow{left: i, right: j})
 		}
 	}
 	return out
@@ -465,14 +458,14 @@ func hashJoin(l *nrel.Relation, lid int, r *nrel.Relation, rid int, stop func() 
 // Al-Khalifa et al. [reference 1 of the paper]: both inputs sorted in
 // document order, a stack of pending ancestors, each pair emitted exactly
 // once. O(|l| + |r| + |output|).
-func stackStructuralJoin(l *nrel.Relation, lid int, r *nrel.Relation, rid int, parentOnly bool, stop func() bool) []joinedRow {
-	anc := sortedByID(l.Rows, lid, stop)
+func stackStructuralJoin(l nrel.Extent, lid int, r nrel.Extent, rid int, parentOnly bool, stop func() bool) []joinedRow {
+	anc := sortedByID(l, lid, stop)
 	// An in-progress sort always completes, but poll between the two so
 	// an abandoned request pays for at most one of them.
 	if stop != nil && stop() {
 		return nil
 	}
-	desc := sortedByID(r.Rows, rid, stop)
+	desc := sortedByID(r, rid, stop)
 	var out []joinedRow
 	polled := 0
 	// Stack entries group ancestor rows sharing the same ID (duplicates
@@ -480,7 +473,7 @@ func stackStructuralJoin(l *nrel.Relation, lid int, r *nrel.Relation, rid int, p
 	// ancestor chain.
 	type stackEntry struct {
 		id   nodeid.ID
-		rows []nrel.Tuple
+		rows []int
 	}
 	var stack []stackEntry
 	ai := 0
@@ -489,10 +482,10 @@ func stackStructuralJoin(l *nrel.Relation, lid int, r *nrel.Relation, rid int, p
 		if shouldStop(stop, polled) {
 			return out
 		}
-		did := desc[di][rid].ID
-		if ai < len(anc) && anc[ai][lid].ID.Compare(did) <= 0 {
+		did := r.At(desc[di], rid).ID
+		if ai < len(anc) && l.At(anc[ai], lid).ID.Compare(did) <= 0 {
 			// The next ancestor precedes the next descendant: push it.
-			aid := anc[ai][lid].ID
+			aid := l.At(anc[ai], lid).ID
 			for len(stack) > 0 {
 				top := stack[len(stack)-1]
 				if top.id.Equal(aid) || top.id.IsAncestorOf(aid) {
@@ -503,7 +496,7 @@ func stackStructuralJoin(l *nrel.Relation, lid int, r *nrel.Relation, rid int, p
 			if len(stack) > 0 && stack[len(stack)-1].id.Equal(aid) {
 				stack[len(stack)-1].rows = append(stack[len(stack)-1].rows, anc[ai])
 			} else {
-				stack = append(stack, stackEntry{id: aid, rows: []nrel.Tuple{anc[ai]}})
+				stack = append(stack, stackEntry{id: aid, rows: []int{anc[ai]}})
 			}
 			ai++
 			continue
@@ -517,7 +510,7 @@ func stackStructuralJoin(l *nrel.Relation, lid int, r *nrel.Relation, rid int, p
 				continue
 			}
 			for _, arow := range se.rows {
-				out = append(out, joinedRow{arow, desc[di]})
+				out = append(out, joinedRow{left: arow, right: desc[di]})
 			}
 		}
 		di++
@@ -525,51 +518,54 @@ func stackStructuralJoin(l *nrel.Relation, lid int, r *nrel.Relation, rid int, p
 	return out
 }
 
-func sortedByID(rows []nrel.Tuple, col int, stop func() bool) []nrel.Tuple {
-	out := make([]nrel.Tuple, 0, len(rows))
-	for i, r := range rows {
+// sortedByID returns the indexes of the rows with a non-null ID in col, in
+// document order on it, keeping the input order of equal IDs (duplicates
+// arise after prior joins).
+func sortedByID(e nrel.Extent, col int, stop func() bool) []int {
+	out := make([]int, 0, e.Len())
+	for i := 0; i < e.Len(); i++ {
 		if shouldStop(stop, i) {
 			return out
 		}
-		if !r[col].IsNull() {
-			out = append(out, r)
+		if !e.At(i, col).IsNull() {
+			out = append(out, i)
 		}
 	}
-	sortTuples(out, col)
+	sort.SliceStable(out, func(i, j int) bool {
+		return e.At(out[i], col).ID.Compare(e.At(out[j], col).ID) < 0
+	})
 	return out
 }
 
-// sortTuples orders rows by document order on the given ID column, keeping
-// the input order of equal IDs (duplicates arise after prior joins).
-func sortTuples(rows []nrel.Tuple, col int) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		return rows[i][col].ID.Compare(rows[j][col].ID) < 0
-	})
-}
-
-func (ex *executor) union(p *core.Plan) (*Result, error) {
-	var out *Result
+func (ex *executor) union(p *core.Plan) (*table, error) {
+	var out *nrel.Relation
+	var slots []core.PlanSlot
 	for _, part := range p.Parts {
-		r, err := ex.run(part)
+		t, err := ex.run(part)
 		if err != nil {
 			return nil, err
 		}
-		if out == nil {
-			// A part's relation may be the store's shared extent (a bare
-			// view scan): collect into a fresh relation, never append to it.
-			out = &Result{Rel: nrel.NewRelation(r.Rel.Cols...), Slots: r.Slots}
-		} else if len(r.Rel.Cols) != len(out.Rel.Cols) {
+		if cols := t.rel.Cols(); out == nil {
+			out, slots = nrel.NewRelation(cols...), t.slots
+		} else if len(cols) != len(out.Cols) {
 			return nil, fmt.Errorf("algebra: union schema mismatch")
 		}
-		out.Rel.Rows = append(out.Rel.Rows, r.Rel.Rows...)
+		for i := 0; i < t.rel.Len(); i++ {
+			if i%cancelCheckEvery == 0 {
+				if err := ex.cancelled(); err != nil {
+					return nil, err
+				}
+			}
+			t.rel.AppendRow(out, i)
+		}
 	}
 	if out == nil {
 		return nil, fmt.Errorf("algebra: empty union")
 	}
-	return out, nil
+	return &table{rel: out.Extent(), slots: slots}, nil
 }
 
-func (ex *executor) project(p *core.Plan) (*Result, error) {
+func (ex *executor) project(p *core.Plan) (*table, error) {
 	in, err := ex.run(p.Input)
 	if err != nil {
 		return nil, err
@@ -578,15 +574,15 @@ func (ex *executor) project(p *core.Plan) (*Result, error) {
 	var colIdx []int
 	slots := make([]core.PlanSlot, len(p.Keep))
 	for newK, oldK := range p.Keep {
-		slots[newK] = in.Slots[oldK]
+		slots[newK] = in.slots[oldK]
 		for _, attr := range []string{"id", "l", "v", "c"} {
-			if ci := in.Rel.ColIndex(view.SlotCol(oldK, attr)); ci >= 0 {
+			if ci := in.rel.ColIndex(view.SlotCol(oldK, attr)); ci >= 0 {
 				colIdx = append(colIdx, ci)
 				out.Cols = append(out.Cols, view.SlotCol(newK, attr))
 			}
 		}
 	}
-	for i, row := range in.Rel.Rows {
+	for i := 0; i < in.rel.Len(); i++ {
 		if i%cancelCheckEvery == 0 {
 			if err := ex.cancelled(); err != nil {
 				return nil, err
@@ -594,55 +590,41 @@ func (ex *executor) project(p *core.Plan) (*Result, error) {
 		}
 		nr := make(nrel.Tuple, len(colIdx))
 		for j, ci := range colIdx {
-			nr[j] = row[ci]
+			nr[j] = in.rel.At(i, ci)
 		}
 		out.Append(nr)
 	}
-	return &Result{Rel: out, Slots: slots}, nil
+	return &table{rel: out.Extent(), slots: slots}, nil
 }
 
-func (ex *executor) selectLabel(p *core.Plan) (*Result, error) {
+// selectRows runs σL (label equality) or σV (a value predicate)
+// row-at-a-time, keeping the input rows whose slot attribute is a string
+// that passes.
+func (ex *executor) selectRows(p *core.Plan) (*table, error) {
 	in, err := ex.run(p.Input)
 	if err != nil {
 		return nil, err
 	}
-	ci := in.Rel.ColIndex(view.SlotCol(p.Slot, "l"))
-	if ci < 0 {
-		return nil, fmt.Errorf("algebra: σL on slot %d without label column", p.Slot)
+	op, attr, what := "σL", "l", "label"
+	pass := func(s string) bool { return s == p.Label }
+	if p.Op == core.OpSelectValue {
+		op, attr, what = "σV", "v", "value"
+		pass = func(s string) bool { return p.Pred.Eval(predicate.ParseAtom(s)) }
 	}
-	out := nrel.NewRelation(in.Rel.Cols...)
-	for i, row := range in.Rel.Rows {
+	ci := in.rel.ColIndex(view.SlotCol(p.Slot, attr))
+	if ci < 0 {
+		return nil, fmt.Errorf("algebra: %s on slot %d without %s column", op, p.Slot, what)
+	}
+	out := nrel.NewRelation(in.rel.Cols()...)
+	for i := 0; i < in.rel.Len(); i++ {
 		if i%cancelCheckEvery == 0 {
 			if err := ex.cancelled(); err != nil {
 				return nil, err
 			}
 		}
-		if row[ci].Kind == nrel.KindString && row[ci].Str == p.Label {
-			out.Append(row)
+		if v := in.rel.At(i, ci); v.Kind == nrel.KindString && pass(v.Str) {
+			in.rel.AppendRow(out, i)
 		}
 	}
-	return &Result{Rel: out, Slots: in.Slots}, nil
-}
-
-func (ex *executor) selectValue(p *core.Plan) (*Result, error) {
-	in, err := ex.run(p.Input)
-	if err != nil {
-		return nil, err
-	}
-	ci := in.Rel.ColIndex(view.SlotCol(p.Slot, "v"))
-	if ci < 0 {
-		return nil, fmt.Errorf("algebra: σV on slot %d without value column", p.Slot)
-	}
-	out := nrel.NewRelation(in.Rel.Cols...)
-	for i, row := range in.Rel.Rows {
-		if i%cancelCheckEvery == 0 {
-			if err := ex.cancelled(); err != nil {
-				return nil, err
-			}
-		}
-		if row[ci].Kind == nrel.KindString && p.Pred.Eval(predicate.ParseAtom(row[ci].Str)) {
-			out.Append(row)
-		}
-	}
-	return &Result{Rel: out, Slots: in.Slots}, nil
+	return &table{rel: out.Extent(), slots: in.slots}, nil
 }

@@ -13,7 +13,6 @@ package algebra
 import (
 	"xmlviews/internal/core"
 	"xmlviews/internal/nodeid"
-	"xmlviews/internal/nrel"
 	"xmlviews/internal/predicate"
 	"xmlviews/internal/store"
 	"xmlviews/internal/view"
@@ -47,7 +46,7 @@ func (s *ExecStats) Vectorized() bool {
 // store cannot serve the vectorized path; the caller then falls back to
 // row-at-a-time execution (which also reports the precise error for
 // malformed plans — this function never invents new failure modes).
-func (ex *executor) vectorSelect(p *core.Plan) (*Result, bool, error) {
+func (ex *executor) vectorSelect(p *core.Plan) (*table, bool, error) {
 	var sels []*core.Plan
 	cur := p
 	for cur.Op == core.OpSelectLabel || cur.Op == core.OpSelectValue {
@@ -61,7 +60,7 @@ func (ex *executor) vectorSelect(p *core.Plan) (*Result, bool, error) {
 	if blocks == nil {
 		return nil, false, nil
 	}
-	rel := blocks.Rel
+	rel := blocks.Extent()
 
 	// Resolve every selection up front: column, dictionary code (σL) or
 	// per-dictionary-entry verdicts (σV, the predicate parsed and evaluated
@@ -86,14 +85,11 @@ func (ex *executor) vectorSelect(p *core.Plan) (*Result, bool, error) {
 		if ci < 0 {
 			return nil, false, nil
 		}
-		spec := selSpec{col: &blocks.Columns[ci], isLabel: s.Op == core.OpSelectLabel}
+		spec := selSpec{col: blocks.Column(ci), isLabel: s.Op == core.OpSelectLabel}
 		if spec.isLabel {
 			spec.code, spec.codeOK = spec.col.Code(s.Label)
 		} else {
-			spec.pass = make([]bool, len(spec.col.Dict))
-			for k, v := range spec.col.Dict {
-				spec.pass[k] = s.Pred.Eval(predicate.ParseAtom(v))
-			}
+			spec.pass = spec.col.EvalDict(func(v string) bool { return s.Pred.Eval(predicate.ParseAtom(v)) })
 		}
 		specs = append(specs, spec)
 	}
@@ -116,17 +112,11 @@ func (ex *executor) vectorSelect(p *core.Plan) (*Result, bool, error) {
 		if err := ex.cancelled(); err != nil {
 			return nil, true, err
 		}
-		z := first.col.Zones[bi]
-		skip := true
-		if first.isLabel {
+		var skip bool
+		if z := first.col.Zone(bi); first.isLabel {
 			skip = !first.codeOK || !z.HasCode(first.code)
 		} else {
-			for _, code := range z.Codes {
-				if int(code) < len(first.pass) && first.pass[code] {
-					skip = false
-					break
-				}
-			}
+			skip = !z.AnyCode(first.pass)
 		}
 		if skip {
 			if ex.opts.Stats != nil {
@@ -138,11 +128,11 @@ func (ex *executor) vectorSelect(p *core.Plan) (*Result, bool, error) {
 			ex.opts.Stats.BlocksScanned++
 		}
 		lo, hi := bi*store.BlockRows, (bi+1)*store.BlockRows
-		if hi > len(rel.Rows) {
-			hi = len(rel.Rows)
+		if hi > rel.Len() {
+			hi = rel.Len()
 		}
 		for i := lo; i < hi; i++ {
-			if survives(first, first.col.Codes[i]) {
+			if survives(first, first.col.RowCode(i)) {
 				idx = append(idx, i)
 			}
 		}
@@ -156,7 +146,7 @@ func (ex *executor) vectorSelect(p *core.Plan) (*Result, bool, error) {
 					return nil, true, err
 				}
 			}
-			if survives(sp, sp.col.Codes[i]) {
+			if survives(sp, sp.col.RowCode(i)) {
 				kept = append(kept, i)
 			}
 		}
@@ -172,42 +162,16 @@ func (ex *executor) vectorSelect(p *core.Plan) (*Result, bool, error) {
 		}
 	}
 
-	// Late materialization. A view with virtual slots derives its ID
-	// columns per scan; doing it after the filter means only surviving
-	// rows pay the derivation (the row path derives them for every row
-	// before filtering — same values, same column order). Plain views
-	// share the backing relation's tuples, exactly as the row path shares
-	// its input rows.
-	if extra := len(cur.View.VirtualSlots); extra > 0 {
-		out := nrel.NewRelation()
-		out.Cols = append(make([]string, 0, len(rel.Cols)+extra), rel.Cols...)
-		out.Rows = make([]nrel.Tuple, 0, len(idx))
-		for n, i := range idx {
-			if n%cancelCheckEvery == 0 {
-				if err := ex.cancelled(); err != nil {
-					return nil, true, err
-				}
-			}
-			row := rel.Rows[i]
-			out.Rows = append(out.Rows, append(make(nrel.Tuple, 0, len(row)+extra), row...))
-		}
-		res := &Result{Rel: out, Slots: core.Scan(cur.View).OutSlots()}
-		if err := ex.fillVirtualIDs(res, cur.View); err != nil {
-			return nil, true, err
-		}
-		return res, true, nil
+	// Late materialization: only surviving rows reach the output. A plain
+	// view's rows share the extent's tuples, exactly as the row path shares
+	// its input rows. A view with virtual slots derives its ID columns here,
+	// so only survivors pay the derivation (the row path derives them for
+	// every row before filtering — same values, same column order).
+	out, err := ex.materialize(rel, cur.View, len(idx), func(n int) int { return idx[n] })
+	if err != nil {
+		return nil, true, err
 	}
-	out := nrel.NewRelation(rel.Cols...)
-	out.Rows = make([]nrel.Tuple, 0, len(idx))
-	for n, i := range idx {
-		if n%cancelCheckEvery == 0 {
-			if err := ex.cancelled(); err != nil {
-				return nil, true, err
-			}
-		}
-		out.Rows = append(out.Rows, rel.Rows[i])
-	}
-	return &Result{Rel: out, Slots: core.Scan(cur.View).OutSlots()}, true, nil
+	return &table{rel: out.Extent(), slots: core.Scan(cur.View).OutSlots()}, true, nil
 }
 
 // joinRight produces the right input of a join. For structural joins whose
@@ -215,7 +179,7 @@ func (ex *executor) vectorSelect(p *core.Plan) (*Result, bool, error) {
 // skip blocks wholly outside the left side's ancestor ID range — a pruned
 // row cannot be a descendant (or child) of any left row, so the join
 // output is unchanged, order included.
-func (ex *executor) joinRight(p *core.Plan, left *Result) (*Result, error) {
+func (ex *executor) joinRight(p *core.Plan, left *table) (*table, error) {
 	// Views with virtual slots are excluded: the pruned scan emits the
 	// stored columns only, but their row-path scan appends derived ID
 	// columns the join output must carry.
@@ -234,21 +198,22 @@ func (ex *executor) joinRight(p *core.Plan, left *Result) (*Result, error) {
 // [min ancestor ID, max successor-of-ancestor-ID): every descendant of an
 // ancestor a lies in [a, succ(a)), so the union of those intervals bounds
 // all possible matches.
-func (ex *executor) prunedScan(p *core.Plan, left *Result, blocks *store.Blocks) (*Result, bool, error) {
-	lid := left.Rel.ColIndex(view.SlotCol(p.LeftSlot, "id"))
-	ci := blocks.Rel.ColIndex(view.SlotCol(p.RightSlot, "id"))
+func (ex *executor) prunedScan(p *core.Plan, left *table, blocks *store.Blocks) (*table, bool, error) {
+	rel := blocks.Extent()
+	lid := left.rel.ColIndex(view.SlotCol(p.LeftSlot, "id"))
+	ci := rel.ColIndex(view.SlotCol(p.RightSlot, "id"))
 	if lid < 0 || ci < 0 {
 		return nil, false, nil // the join operator reports the error
 	}
 	var lo, hi nodeid.ID
 	haveRange, hiUnbounded := false, false
-	for i, row := range left.Rel.Rows {
+	for i := 0; i < left.rel.Len(); i++ {
 		if i%cancelCheckEvery == 0 {
 			if err := ex.cancelled(); err != nil {
 				return nil, true, err
 			}
 		}
-		v := row[lid]
+		v := left.rel.At(i, lid)
 		if v.IsNull() {
 			continue
 		}
@@ -266,14 +231,13 @@ func (ex *executor) prunedScan(p *core.Plan, left *Result, blocks *store.Blocks)
 			hi = s
 		}
 	}
-	rel := blocks.Rel
-	zones := blocks.Columns[ci].Zones
-	out := nrel.NewRelation(rel.Cols...)
-	for bi, z := range zones {
+	col := blocks.Column(ci)
+	var idx []int
+	for bi := 0; bi < blocks.NumBlocks(); bi++ {
 		if err := ex.cancelled(); err != nil {
 			return nil, true, err
 		}
-		if !haveRange || !z.OverlapsRange(lo, hi, hiUnbounded) {
+		if !haveRange || !col.Zone(bi).OverlapsRange(lo, hi, hiUnbounded) {
 			if ex.opts.Stats != nil {
 				ex.opts.Stats.BlocksSkipped++
 			}
@@ -283,15 +247,21 @@ func (ex *executor) prunedScan(p *core.Plan, left *Result, blocks *store.Blocks)
 			ex.opts.Stats.BlocksScanned++
 		}
 		blo, bhi := bi*store.BlockRows, (bi+1)*store.BlockRows
-		if bhi > len(rel.Rows) {
-			bhi = len(rel.Rows)
+		if bhi > rel.Len() {
+			bhi = rel.Len()
 		}
-		out.Rows = append(out.Rows, rel.Rows[blo:bhi]...)
+		for i := blo; i < bhi; i++ {
+			idx = append(idx, i)
+		}
 	}
 	if ex.opts.Stats != nil {
 		ex.opts.Stats.VecJoinPrunes++
 	}
-	return &Result{Rel: out, Slots: core.Scan(p.Right.View).OutSlots()}, true, nil
+	out, err := ex.materialize(rel, p.Right.View, len(idx), func(n int) int { return idx[n] })
+	if err != nil {
+		return nil, true, err
+	}
+	return &table{rel: out.Extent(), slots: core.Scan(p.Right.View).OutSlots()}, true, nil
 }
 
 // succID returns the lexicographic successor bound of id's subtree: id

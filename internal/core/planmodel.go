@@ -10,9 +10,9 @@ import (
 )
 
 // PlanModel computes the canonical model of a plan. Plans compose exactly
-// at the canonical-model level (see DESIGN.md): scans contribute their
-// pattern's model, joins merge compatible tree pairs by gluing the join
-// nodes and their forced ancestor chains, unions take set union, and the
+// at the canonical-model level: scans contribute their pattern's model,
+// joins merge compatible tree pairs by gluing the join nodes and their
+// forced ancestor chains, unions take set union, and the
 // remaining operators edit slots, formulas or nesting sequences. The model
 // fully characterizes the plan's result on every conforming document, which
 // is what makes the ≡S test of Algorithm 1 possible without a syntactic

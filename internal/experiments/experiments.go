@@ -309,7 +309,7 @@ func Fig15(s *summary.Summary, randomViews int) ([]Fig15Row, error) {
 }
 
 // AblationRow compares enhanced-summary rewriting against plain summaries
-// on the running example (Section 1 / E7 in DESIGN.md).
+// on the running example (Section 1).
 type AblationRow struct {
 	Name               string
 	EnhancedRewritings int

@@ -12,7 +12,9 @@ import (
 // (cancelCheckEvery in internal/algebra).
 //
 // A "tuple loop" is a range over a slice or array whose element type's
-// name matches tuple|row (nrel.Tuple, joinedRow, ...). A loop is polled
+// name matches tuple|row (nrel.Tuple, joinedRow, ...), or a counted loop
+// over the rows of a relation or read-only extent (i < rel.Len(), the
+// shape every executor loop over an nrel.Extent takes). A loop is polled
 // when its body — or the body of an enclosing loop in the same function,
 // which bounds the unpolled work by one inner pass — contains one of:
 //
@@ -39,7 +41,10 @@ var CtxPoll = &Analyzer{
 	Run: runCtxPoll,
 }
 
-var tupleTypeRE = regexp.MustCompile(`(?i)tuple|row`)
+var (
+	tupleTypeRE = regexp.MustCompile(`(?i)tuple|row`)
+	rowsTypeRE  = regexp.MustCompile(`(?i)extent|relation`)
+)
 
 // pollHelperNames are the project's sanctioned cancellation-poll helpers.
 var pollHelperNames = map[string]bool{
@@ -70,23 +75,25 @@ func runCtxPoll(pass *Pass) {
 // polling of the loop that created it — it may run on another goroutine).
 func ctxPollFunc(pass *Pass, fd *ast.FuncDecl) {
 	var walk func(n ast.Node, enclosingPolled bool)
+	loop := func(s ast.Stmt, body *ast.BlockStmt, overTuples, enclosingPolled bool) {
+		polled := enclosingPolled || bodyPolled(pass, body)
+		if !polled && overTuples && !pass.Pkg.stmtAnnotated(s.Pos(), "nopoll") {
+			pass.Reportf(s.Pos(),
+				"tuple loop without a cancellation poll: check a ctx/stop probe every few thousand rows "+
+					"(see cancelCheckEvery in internal/algebra) or annotate //xvlint:nopoll with the reason")
+		}
+		walkChildren(body, func(c ast.Node) { walk(c, polled) })
+	}
 	walk = func(n ast.Node, enclosingPolled bool) {
 		switch s := n.(type) {
 		case *ast.FuncLit:
 			walkChildren(s.Body, func(c ast.Node) { walk(c, false) })
 			return
 		case *ast.RangeStmt:
-			polled := enclosingPolled || bodyPolled(pass, s.Body)
-			if !polled && isTupleLoop(pass.Pkg.Info, s) && !pass.Pkg.stmtAnnotated(s.Pos(), "nopoll") {
-				pass.Reportf(s.Pos(),
-					"tuple loop without a cancellation poll: check a ctx/stop probe every few thousand rows "+
-						"(see cancelCheckEvery in internal/algebra) or annotate //xvlint:nopoll with the reason")
-			}
-			walkChildren(s.Body, func(c ast.Node) { walk(c, polled) })
+			loop(s, s.Body, isTupleLoop(pass.Pkg.Info, s), enclosingPolled)
 			return
 		case *ast.ForStmt:
-			polled := enclosingPolled || bodyPolled(pass, s.Body)
-			walkChildren(s.Body, func(c ast.Node) { walk(c, polled) })
+			loop(s, s.Body, isRowCountLoop(pass.Pkg.Info, s), enclosingPolled)
 			return
 		}
 		walkChildren(n, func(c ast.Node) { walk(c, enclosingPolled) })
@@ -127,6 +134,29 @@ func isTupleLoop(info *types.Info, rs *ast.RangeStmt) bool {
 	}
 	named := namedType(elem)
 	return named != nil && tupleTypeRE.MatchString(named.Obj().Name())
+}
+
+// isRowCountLoop reports whether a counted loop runs to the Len() of a
+// value whose type's name matches extent|relation.
+func isRowCountLoop(info *types.Info, fs *ast.ForStmt) bool {
+	cond, ok := fs.Cond.(*ast.BinaryExpr)
+	if !ok {
+		return false
+	}
+	call, ok := unparen(cond.Y).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Len" {
+		return false
+	}
+	tv, ok := info.Types[sel.X]
+	if !ok {
+		return false
+	}
+	named := namedType(tv.Type)
+	return named != nil && rowsTypeRE.MatchString(named.Obj().Name())
 }
 
 // bodyPolled reports whether the block polls cancellation directly or

@@ -1,4 +1,4 @@
-// Package lint implements xvlint, the project's invariant checker: five
+// Package lint implements xvlint, the project's invariant checker: four
 // static analyzers that machine-check whole-codebase rules no type
 // boundary can express.
 //
@@ -11,8 +11,6 @@
 //   - errclose: error returns from Close/Sync/WriteFile on the persist path
 //     must not be discarded; a dropped error can silently violate the
 //     write-catalog-last durability protocol.
-//   - sharemut: relations and block handles returned by shared accessors
-//     (//xvlint:sharedreturn) must not be written through.
 //   - metriccheck: metric label values are compile-time bounded and metric
 //     names are constant, xvserve_-prefixed and registered once.
 //
@@ -36,8 +34,8 @@ import (
 )
 
 // Analyzer is one named check. Run reports diagnostics for a single
-// package; analyzers that need program-wide context (sharemut's facts,
-// metriccheck's registration census) read Pass.Prog.
+// package; analyzers that need program-wide context (ctxpoll's facts,
+// metriccheck's call graph and registration census) read Pass.Prog.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and test fixtures.
 	Name string
@@ -55,11 +53,9 @@ type Analyzer struct {
 	Run func(pass *Pass)
 }
 
-// All returns the full xvlint suite in the order diagnostics are grouped:
-// the three intraprocedural analyzers, then the two built on the
-// call-graph/facts layer.
+// All returns the full xvlint suite in the order diagnostics are grouped.
 func All() []*Analyzer {
-	return []*Analyzer{DetOrder, CtxPoll, ErrClose, ShareMut, MetricCheck}
+	return []*Analyzer{DetOrder, CtxPoll, ErrClose, MetricCheck}
 }
 
 // AppliesTo reports whether the analyzer checks the given import path.
@@ -98,8 +94,8 @@ type Package struct {
 }
 
 // Program is everything one xvlint invocation loaded. Analyzers that check
-// cross-package properties (sharemut, metriccheck) consult every package
-// here, not just the one under analysis.
+// cross-package properties (ctxpoll's facts, metriccheck) consult every
+// package here, not just the one under analysis.
 type Program struct {
 	Fset     *token.FileSet
 	Packages []*Package
@@ -168,7 +164,7 @@ func Run(prog *Program, analyzers []*Analyzer, opts RunOptions) []Diagnostic {
 }
 
 // A directive is one //xvlint:<name> annotation (orderindependent, nopoll,
-// errok, sharedreturn, aliasok, boundedlabel), optionally followed by free
+// errok, boundedlabel), optionally followed by free
 // text — the justification lives on the same line as the suppression it
 // explains. Every suppression in the codebase is one of these, so every
 // exception to an invariant is a greppable, reviewed decision.
@@ -212,8 +208,8 @@ func (pkg *Package) stmtAnnotated(pos token.Pos, name string) bool {
 	return false
 }
 
-// docAnnotated reports whether a doc comment (of a function, or of an
-// interface method) carries the named directive.
+// docAnnotated reports whether a function's doc comment carries the named
+// directive.
 func docAnnotated(doc *ast.CommentGroup, name string) bool {
 	if doc == nil {
 		return false

@@ -256,3 +256,37 @@ func checkRegistrations(pass *Pass) {
 		}
 	}
 }
+
+// paramObjects maps the function's receiver (-1) and parameters (0..n-1)
+// to their declared objects. Blank and unnamed parameters are skipped —
+// nothing can flow through a name that does not exist.
+func paramObjects(info *types.Info, fd *ast.FuncDecl) map[types.Object]int {
+	out := map[types.Object]int{}
+	add := func(names []*ast.Ident, idx int) {
+		for _, name := range names {
+			if name.Name == "_" {
+				continue
+			}
+			if obj := info.Defs[name]; obj != nil {
+				out[obj] = idx
+			}
+		}
+	}
+	if fd.Recv != nil && len(fd.Recv.List) == 1 {
+		add(fd.Recv.List[0].Names, -1)
+	}
+	if fd.Type.Params != nil {
+		idx := 0
+		for _, field := range fd.Type.Params.List {
+			if len(field.Names) == 0 {
+				idx++
+				continue
+			}
+			for _, name := range field.Names {
+				add([]*ast.Ident{name}, idx)
+				idx++
+			}
+		}
+	}
+	return out
+}

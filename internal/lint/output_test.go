@@ -9,18 +9,18 @@ import (
 	"xmlviews/internal/lint"
 )
 
-// realBugDiags runs sharemut over its fixture and returns the findings
-// from realbug.go — the functions that reproduce, shape for shape, the
-// pre-fix fillVirtualIDs and plan-cache defects. The output formats are
+// realBugDiags runs detorder over its fixture and returns the findings
+// from realbug.go — the function that reproduces, shape for shape, the
+// pre-fix fillVirtualIDs column-order defect. The output formats are
 // validated against these rather than synthetic diagnostics, so the
-// JSON/SARIF a CI run would have produced for the real bugs is pinned.
+// JSON/SARIF a CI run would have produced for the real bug is pinned.
 func realBugDiags(t *testing.T) []lint.Diagnostic {
 	t.Helper()
-	prog, err := lint.LoadDir("testdata/sharemut", "fixture/sharemut")
+	prog, err := lint.LoadDir("testdata/detorder", "fixture/detorder")
 	if err != nil {
-		t.Fatalf("loading sharemut fixture: %v", err)
+		t.Fatalf("loading detorder fixture: %v", err)
 	}
-	diags := lint.Run(prog, []*lint.Analyzer{lint.ShareMut}, lint.RunOptions{Force: true})
+	diags := lint.Run(prog, []*lint.Analyzer{lint.DetOrder}, lint.RunOptions{Force: true})
 	var out []lint.Diagnostic
 	for _, d := range diags {
 		if strings.HasSuffix(d.Pos.Filename, "realbug.go") {
@@ -28,7 +28,7 @@ func realBugDiags(t *testing.T) []lint.Diagnostic {
 		}
 	}
 	if len(out) == 0 {
-		t.Fatalf("no diagnostics in realbug.go; the pre-fix defect shapes went undetected")
+		t.Fatalf("no diagnostics in realbug.go; the pre-fix defect shape went undetected")
 	}
 	return out
 }
@@ -48,13 +48,13 @@ func TestJSONOutput(t *testing.T) {
 	}
 	found := false
 	for _, f := range findings {
-		if f.Analyzer != "sharemut" {
-			t.Errorf("finding attributed to %q, want sharemut", f.Analyzer)
+		if f.Analyzer != "detorder" {
+			t.Errorf("finding attributed to %q, want detorder", f.Analyzer)
 		}
 		if f.Line <= 0 || f.File == "" {
 			t.Errorf("finding lost its position: %+v", f)
 		}
-		if strings.Contains(f.Message, "shared via") && strings.Contains(f.File, "realbug.go") {
+		if strings.Contains(f.Message, "map iteration order is random") && strings.Contains(f.File, "realbug.go") {
 			found = true
 		}
 	}

@@ -1,6 +1,6 @@
-// Package apppkg is the top of the fact chain: it only ever talks to
-// wrappkg, so every diagnostic here proves a fact crossed two package
-// boundaries.
+// Package apppkg is the top of the three-package chain: it only ever
+// talks to wrappkg, so every edge here into storepkg's facts crossed two
+// package boundaries.
 package apppkg
 
 import (
@@ -8,18 +8,12 @@ import (
 	"fixture/chain/wrappkg"
 )
 
-// MutateSharedBuggy obtains a shared extent through the middle package
-// and mutates it through another middle-package wrapper.
+// MutateSharedBuggy obtains an extent through the middle package and
+// grows it through another middle-package wrapper: two cross-package
+// call edges.
 func MutateSharedBuggy(s *storepkg.Store) {
 	rel := wrappkg.Cached(s, "v")
-	wrappkg.GrowAll(rel) // want `shared via`
-}
-
-// MutateOwnedOK builds its own relation; no shared storage involved.
-func MutateOwnedOK() *storepkg.Rel {
-	rel := &storepkg.Rel{}
 	wrappkg.GrowAll(rel)
-	return rel
 }
 
 // ExtentFn takes the accessor's method value; the call graph records

@@ -1,6 +1,7 @@
-// Package storepkg is the bottom of the three-package fact chain used
-// by the call-graph and facts tests: the facts originate here and must
-// survive the wrappkg wrappers on their way to apppkg.
+// Package storepkg is the bottom of the three-package chain used by the
+// call-graph and facts tests: the callees and the polls-ctx fact
+// originate here and must survive the wrappkg wrappers on their way to
+// apppkg.
 package storepkg
 
 // Rel is a cached extent.
@@ -13,9 +14,7 @@ type Store struct {
 	rels map[string]*Rel
 }
 
-// Extent returns the shared cached extent.
-//
-//xvlint:sharedreturn
+// Extent returns the cached extent.
 func (s *Store) Extent(name string) *Rel {
 	return s.rels[name]
 }

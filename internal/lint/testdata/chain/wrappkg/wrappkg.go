@@ -1,17 +1,15 @@
-// Package wrappkg is the middle of the fact chain: trivial wrappers
-// that must pass the storepkg facts through unchanged.
+// Package wrappkg is the middle of the chain: trivial wrappers whose
+// calls into storepkg must resolve to cross-package edges.
 package wrappkg
 
 import "fixture/chain/storepkg"
 
-// Cached re-exports the shared accessor; sharedreturn propagates
-// through the direct return.
+// Cached re-exports the accessor.
 func Cached(s *storepkg.Store, name string) *storepkg.Rel {
 	return s.Extent(name)
 }
 
-// GrowAll forwards its argument to the mutator; the mutates fact
-// follows the argument flow.
+// GrowAll forwards its argument to the mutator.
 func GrowAll(r *storepkg.Rel) {
 	storepkg.Grow(r)
 }

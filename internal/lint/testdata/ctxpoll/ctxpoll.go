@@ -27,6 +27,42 @@ func pairBad(pairs []rowPair) int {
 	return n
 }
 
+// Extent is a read-only relation handle, read by row index.
+type Extent struct{ rows []Tuple }
+
+func (e Extent) Len() int       { return len(e.rows) }
+func (e Extent) At(i int) Tuple { return e.rows[i] }
+
+// countBad: a counted loop to an extent's Len is a tuple loop too.
+func countBad(e Extent) int {
+	n := 0
+	for i := 0; i < e.Len(); i++ { // want `tuple loop without a cancellation poll`
+		n += e.At(i).id
+	}
+	return n
+}
+
+// countPolled polls every 1024 rows.
+func countPolled(ctx context.Context, e Extent) int {
+	n := 0
+	for i := 0; i < e.Len(); i++ {
+		if i%1024 == 0 && ctx.Err() != nil {
+			return n
+		}
+		n += e.At(i).id
+	}
+	return n
+}
+
+// countInts: a counted loop bounded by anything else is not a row loop.
+func countInts(xs []int) int {
+	n := 0
+	for i := 0; i < len(xs); i++ {
+		n += xs[i]
+	}
+	return n
+}
+
 // sumCtx polls the context directly.
 func sumCtx(ctx context.Context, rows []Tuple) int {
 	n := 0

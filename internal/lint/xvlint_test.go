@@ -26,10 +26,6 @@ func TestErrCloseFixtures(t *testing.T) {
 	linttest.Run(t, "testdata/errclose", lint.ErrClose)
 }
 
-func TestShareMutFixtures(t *testing.T) {
-	linttest.Run(t, "testdata/sharemut", lint.ShareMut)
-}
-
 func TestMetricCheckFixtures(t *testing.T) {
 	linttest.Run(t, "testdata/metriccheck", lint.MetricCheck)
 }

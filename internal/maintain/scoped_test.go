@@ -246,7 +246,7 @@ func TestScopedRandomParity(t *testing.T) {
 			}
 			for _, v := range views {
 				want := view.MaterializeFlat(v, doc)
-				if got := st.Relation(v); !got.EqualAsSet(want) {
+				if got := st.Relation(v).Clone(); !got.EqualAsSet(want) {
 					t.Fatalf("seed %d round %d (%v): %s diverged\nmaintained:\n%s\nrebuild:\n%s",
 						seed, round, u.Kind, v.Name, got.Sorted(), want.Sorted())
 				}

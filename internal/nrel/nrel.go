@@ -162,11 +162,13 @@ func (r *Relation) Project(cols ...string) *Relation {
 	return out
 }
 
-// Distinct returns the relation with duplicate rows removed (set
-// semantics), preserving first-occurrence order.
+// Distinct returns a fresh relation, header included, with duplicate rows
+// removed (set semantics), preserving first-occurrence order. Tuples are
+// shared with r.
 func (r *Relation) Distinct() *Relation {
-	out := NewRelation(r.Cols...)
-	seen := map[string]bool{}
+	out := NewRelation(append([]string(nil), r.Cols...)...)
+	out.Rows = make([]Tuple, 0, len(r.Rows))
+	seen := make(map[string]bool, len(r.Rows))
 	for _, row := range r.Rows {
 		k := renderRow(row)
 		if !seen[k] {

@@ -48,7 +48,7 @@ import (
 const defaultGroupMax = 64
 
 // commitQueueDepth bounds how many parsed requests can wait for the
-// committer before enqueueing itself blocks (backpressure).
+// committer; past it, /update answers 503 with Retry-After (backpressure).
 const commitQueueDepth = 256
 
 // commitReq is one parsed, size-checked /update request waiting for the

@@ -339,7 +339,7 @@ func TestServeSoakGroupCommit(t *testing.T) {
 	final := st2.Document()
 	for _, v := range views {
 		want := view.MaterializeFlat(v, final)
-		if got := st2.Relation(v); !got.EqualAsSet(want) {
+		if got := st2.Relation(v).Clone(); !got.EqualAsSet(want) {
 			t.Fatalf("persisted extent of %s diverges from rebuild\nstore:\n%s\nrebuild:\n%s",
 				v.Name, got.Sorted(), want.Sorted())
 		}

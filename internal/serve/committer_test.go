@@ -251,6 +251,63 @@ func TestCloseRefusesQueueAndLeaksNothing(t *testing.T) {
 	}
 }
 
+// TestFullCommitQueueAnswers503: with the committer parked and the queue
+// holding commitQueueDepth requests, /update is refused at once with 503
+// and Retry-After instead of parking its handler, and the queued requests
+// still commit once the committer moves on.
+func TestFullCommitQueueAnswers503(t *testing.T) {
+	_, dir := newUpdatableServer(t, Config{ReadOnly: true}) // builds the store; starts no goroutine
+	// GroupMax 1: the committer takes the parked request alone, so the
+	// requests queued behind it stay queued.
+	srv, err := New(Config{Dir: dir, GroupMax: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	parse := func(body string) *commitReq {
+		ups, err := maintain.ParseUpdates([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &commitReq{updates: ups, enq: time.Now(), done: make(chan commitAck, 1)}
+	}
+	// Park the committer inside an ack, as in
+	// TestCloseRefusesQueueAndLeaksNothing.
+	parked := parse(barrierUpdate)
+	parked.done = make(chan commitAck)
+	srv.commitQ <- parked
+	for len(srv.commitQ) > 0 {
+		time.Sleep(time.Millisecond) // until the committer has taken it
+	}
+	queued := make([]*commitReq, commitQueueDepth)
+	for i := range queued {
+		queued[i] = parse(fmt.Sprintf(`[{"op":"settext","target":"1.1.1","value":"q%d"}]`, i))
+		srv.commitQ <- queued[i]
+	}
+
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/update",
+		strings.NewReader(`[{"op":"settext","target":"1.1.1","value":"over"}]`)))
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("update on a full queue: status %d, Retry-After %q; want 503 with the header: %s",
+			rec.Code, rec.Header().Get("Retry-After"), rec.Body.String())
+	}
+
+	if ack := <-parked.done; ack.status != http.StatusUnprocessableEntity {
+		t.Fatalf("parked request acked %d, want 422", ack.status)
+	}
+	for i, r := range queued {
+		select {
+		case ack := <-r.done:
+			if ack.resp == nil {
+				t.Fatalf("queued request %d acked %d (%s), want a commit", i, ack.status, ack.errMsg)
+			}
+		case <-time.After(time.Minute):
+			t.Fatalf("queued request %d was never acked", i)
+		}
+	}
+}
+
 // TestHandlersCannotReachLiveStore is the runtime stand-in for "handlers
 // cannot name the live store": nothing reachable from a Server through its
 // own struct types is a *view.Store or a *store.Catalog. Those live in the
@@ -406,7 +463,7 @@ func TestRestartMidLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range views {
-		if got, want := st2.Relation(v), view.MaterializeFlat(v, st2.Document()); !got.EqualAsSet(want) {
+		if got, want := st2.Relation(v).Clone(), view.MaterializeFlat(v, st2.Document()); !got.EqualAsSet(want) {
 			t.Fatalf("extent of %s\n%swant rebuild\n%s", v.Name, got.Sorted(), want.Sorted())
 		}
 	}

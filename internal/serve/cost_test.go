@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -192,6 +195,67 @@ func TestServeSingleflight(t *testing.T) {
 	if got := srv.met.planHits.Value(); got != clients-1 {
 		t.Fatalf("plan-cache hits = %d, want %d", got, clients-1)
 	}
+}
+
+// TestCachedPlanServedIdentically pins the plan cache's sharing contract:
+// every hit on a key shares one plan tree, so no request may change it.
+// Eight concurrent hits must answer with the first response's plan text
+// and cost, and the first explain body, byte for byte (the explain body's
+// rewrite time and trace are per-request and left out).
+func TestCachedPlanServedIdentically(t *testing.T) {
+	_, ts := newCostServer(t, Config{})
+	q := ts.URL + "/query?q=" + url.QueryEscape(`site(/item[id](/name[v] /price[v]))`)
+	fields := func(u string) (map[string]json.RawMessage, error) {
+		resp, err := http.Get(u)
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		var m map[string]json.RawMessage
+		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+			return nil, err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return nil, fmt.Errorf("status %d: %s", resp.StatusCode, m["error"])
+		}
+		delete(m, "rewrite_us")
+		delete(m, "trace")
+		return m, nil
+	}
+	first, err := fields(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstExplain, err := fields(q + "&explain=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := fields(q)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, k := range []string{"plan", "cost"} {
+				if !bytes.Equal(got[k], first[k]) {
+					t.Errorf("%s %s, first response %s", k, got[k], first[k])
+				}
+			}
+			explain, err := fields(q + "&explain=1")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !reflect.DeepEqual(explain, firstExplain) {
+				t.Errorf("explain body %v, first %v", explain, firstExplain)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestServeClientGone exercises the 499 path: a request whose context is

@@ -70,9 +70,7 @@ func newPlanCache(capacity int) *planCache {
 
 // get returns the cached verdict for the key and whether an entry exists.
 // The entry's plan tree is shared with every other hit on the key:
-// callers must not mutate it.
-//
-//xvlint:sharedreturn
+// callers must not mutate it (TestCachedPlanServedIdentically).
 func (c *planCache) get(key string) (cachedPlan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

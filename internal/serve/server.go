@@ -694,6 +694,12 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		// Not queued yet, so nothing commits on this request's behalf.
 		s.clientGone(w, r, "client closed request before the update was queued")
 		return
+	default:
+		// The queue is full: refuse at once rather than park the handler,
+		// so overload reaches the client as a status it can retry on.
+		w.Header().Set("Retry-After", "1")
+		s.fail(w, r, http.StatusServiceUnavailable, "commit queue full (%d requests waiting); retry later", commitQueueDepth)
+		return
 	}
 	select {
 	case ack := <-req.done:

@@ -1,11 +1,11 @@
 // Columnar block access over relations and segments.
 //
 // A Blocks handle exposes a relation column-wise, in fixed-size row blocks,
-// without materializing per-row strings: each column carries a per-row kind
-// vector, a structural-ID vector, and dictionary codes (ints) pointing into
-// a per-column dictionary in first-occurrence order — the same order
-// encodeColumn persists, so codes computed here agree with codes recorded
-// in segment zone maps. Per block and column a Zone records the min/max
+// without materializing per-row strings: each column carries per-row
+// dictionary codes (ints) pointing into a per-column dictionary in
+// first-occurrence order — the same order encodeColumn persists, so codes
+// computed here agree with codes recorded in segment zone maps. Per block
+// and column a Zone records the min/max
 // structural ID and the sorted set of distinct dictionary codes, letting
 // executors skip whole blocks during ID-range probes and dictionary-code
 // filters. Zones are persisted at segment-build time (format version 3)
@@ -27,27 +27,28 @@ import (
 const BlockRows = 1024
 
 // Zone summarizes one block of one column: the lexicographic min/max over
-// the block's structural IDs (HasID false when the block holds none) and
+// the block's structural IDs (hasID false when the block holds none) and
 // the strictly increasing set of distinct dictionary codes its string rows
-// use (empty when the block holds no string rows).
+// use (empty when the block holds no string rows). A zone is read through
+// its methods only: it shares storage with the handle it came from.
 type Zone struct {
-	HasID bool
-	MinID nodeid.ID
-	MaxID nodeid.ID
-	Codes []uint32
+	hasID bool
+	minID nodeid.ID
+	maxID nodeid.ID
+	codes []uint32
 }
 
 // OverlapsRange reports whether the block may hold a structural ID in the
 // half-open lexicographic range [lo, hi). An unbounded upper end is passed
 // as hiUnbounded. Blocks without IDs never overlap.
 func (z Zone) OverlapsRange(lo, hi nodeid.ID, hiUnbounded bool) bool {
-	if !z.HasID {
+	if !z.hasID {
 		return false
 	}
-	if z.MaxID.Compare(lo) < 0 {
+	if z.maxID.Compare(lo) < 0 {
 		return false
 	}
-	if !hiUnbounded && z.MinID.Compare(hi) >= 0 {
+	if !hiUnbounded && z.minID.Compare(hi) >= 0 {
 		return false
 	}
 	return true
@@ -55,8 +56,19 @@ func (z Zone) OverlapsRange(lo, hi nodeid.ID, hiUnbounded bool) bool {
 
 // HasCode reports whether the block's string rows use the dictionary code.
 func (z Zone) HasCode(code uint32) bool {
-	i := sort.Search(len(z.Codes), func(i int) bool { return z.Codes[i] >= code })
-	return i < len(z.Codes) && z.Codes[i] == code
+	i := sort.Search(len(z.codes), func(i int) bool { return z.codes[i] >= code })
+	return i < len(z.codes) && z.codes[i] == code
+}
+
+// AnyCode reports whether the block's string rows use a code whose verdict
+// in pass (indexed by code, as Column.EvalDict returns) is true.
+func (z Zone) AnyCode(pass []bool) bool {
+	for _, code := range z.codes {
+		if int(code) < len(pass) && pass[code] {
+			return true
+		}
+	}
+	return false
 }
 
 // ZoneMap is the persisted zone index of a segment: one Zone per column per
@@ -70,21 +82,15 @@ type ZoneMap struct {
 	Cols [][]Zone
 }
 
-// Column is one column of a Blocks handle: parallel per-row vectors plus
-// the column's dictionary and zones.
+// Column is one column of a Blocks handle: per-row dictionary codes plus
+// the column's dictionary and zones, readable through its methods only.
 type Column struct {
-	Name string
-	// Kinds is the per-row value kind.
-	Kinds []nrel.Kind
-	// IDs holds the structural ID of KindID rows; nil elsewhere.
-	IDs []nodeid.ID
-	// Codes holds the dictionary code of KindString rows; -1 elsewhere.
-	Codes []int32
-	// Dict is the column's string dictionary in first-occurrence order.
-	Dict []string
-	// Zones has one entry per block of BlockRows rows.
-	Zones []Zone
-
+	// codes holds the dictionary code of KindString rows; -1 elsewhere.
+	codes []int32
+	// dict is the column's string dictionary in first-occurrence order.
+	dict []string
+	// zones has one entry per block of BlockRows rows.
+	zones   []Zone
 	dictIdx map[string]int32
 }
 
@@ -95,20 +101,43 @@ func (c *Column) Code(s string) (uint32, bool) {
 	return uint32(i), ok
 }
 
+// RowCode returns row i's dictionary code, or -1 when the row holds no
+// string.
+func (c *Column) RowCode(i int) int32 { return c.codes[i] }
+
+// Zone returns the zone of block bi.
+func (c *Column) Zone(bi int) Zone { return c.zones[bi] }
+
+// EvalDict evaluates pred once per dictionary entry and returns the
+// verdicts indexed by dictionary code.
+func (c *Column) EvalDict(pred func(string) bool) []bool {
+	pass := make([]bool, len(c.dict))
+	for k, v := range c.dict {
+		pass[k] = pred(v)
+	}
+	return pass
+}
+
 // Blocks is a columnar view of a relation, built once and shared by
-// concurrent executors (it is read-only after construction). Rel is the
-// backing relation: surviving rows are late-materialized from it by index,
-// so vectorized and row-at-a-time execution share tuple storage.
+// concurrent executors; no method writes to it after construction.
 type Blocks struct {
-	Rel     *nrel.Relation
-	Columns []Column
+	rel     *nrel.Relation
+	columns []Column
 	// SeededZones records that the zones came from the segment file rather
 	// than a recomputation (observable in tests and diagnostics).
 	SeededZones bool
 }
 
+// Extent returns the backing relation, read-only. Surviving rows are
+// late-materialized from it by index, so vectorized and row-at-a-time
+// execution share tuple storage.
+func (b *Blocks) Extent() nrel.Extent { return b.rel.Extent() }
+
+// Column returns column j, in the backing relation's column order.
+func (b *Blocks) Column(j int) *Column { return &b.columns[j] }
+
 // NumBlocks returns the handle's block count.
-func (b *Blocks) NumBlocks() int { return numBlocks(len(b.Rel.Rows)) }
+func (b *Blocks) NumBlocks() int { return numBlocks(len(b.rel.Rows)) }
 
 func numBlocks(nrows int) int { return (nrows + BlockRows - 1) / BlockRows }
 
@@ -118,7 +147,7 @@ func numBlocks(nrows int) int { return (nrows + BlockRows - 1) / BlockRows }
 // re-sorts invalidate it), the persisted zones are used; otherwise zones
 // are recomputed from the rows.
 func BlocksFromRelation(r *nrel.Relation, seed *ZoneMap) *Blocks {
-	b := &Blocks{Rel: r, Columns: make([]Column, len(r.Cols))}
+	b := &Blocks{rel: r, columns: make([]Column, len(r.Cols))}
 	nb := numBlocks(len(r.Rows))
 	useSeed := seed != nil && seed.BlockRows == BlockRows && len(seed.Cols) == len(r.Cols)
 	if useSeed {
@@ -130,72 +159,65 @@ func BlocksFromRelation(r *nrel.Relation, seed *ZoneMap) *Blocks {
 		}
 	}
 	for j := range r.Cols {
-		c := &b.Columns[j]
-		c.Name = r.Cols[j]
-		c.Kinds = make([]nrel.Kind, len(r.Rows))
-		c.IDs = make([]nodeid.ID, len(r.Rows))
-		c.Codes = make([]int32, len(r.Rows))
+		c := &b.columns[j]
+		c.codes = make([]int32, len(r.Rows))
 		c.dictIdx = map[string]int32{}
 		for i, row := range r.Rows {
-			v := row[j]
-			c.Kinds[i] = v.Kind
-			c.Codes[i] = -1
-			switch v.Kind {
-			case nrel.KindID:
-				c.IDs[i] = v.ID
-			case nrel.KindString:
+			c.codes[i] = -1
+			if v := row[j]; v.Kind == nrel.KindString {
 				code, ok := c.dictIdx[v.Str]
 				if !ok {
-					code = int32(len(c.Dict))
+					code = int32(len(c.dict))
 					c.dictIdx[v.Str] = code
-					c.Dict = append(c.Dict, v.Str)
+					c.dict = append(c.dict, v.Str)
 				}
-				c.Codes[i] = code
+				c.codes[i] = code
 			}
 		}
 		if useSeed {
-			c.Zones = seed.Cols[j]
+			c.zones = seed.Cols[j]
 		} else {
-			c.Zones = computeZones(c.Kinds, c.IDs, c.Codes)
+			c.zones = computeZones(r, j, c.codes)
 		}
 	}
 	b.SeededZones = useSeed && len(r.Cols) > 0
 	return b
 }
 
-// computeZones derives the per-block zones of one column from its vectors.
-func computeZones(kinds []nrel.Kind, ids []nodeid.ID, codes []int32) []Zone {
-	zones := make([]Zone, numBlocks(len(kinds)))
+// computeZones derives the per-block zones of column j from its rows and
+// dictionary codes.
+func computeZones(r *nrel.Relation, j int, codes []int32) []Zone {
+	zones := make([]Zone, numBlocks(len(r.Rows)))
 	for bi := range zones {
 		lo, hi := bi*BlockRows, (bi+1)*BlockRows
-		if hi > len(kinds) {
-			hi = len(kinds)
+		if hi > len(r.Rows) {
+			hi = len(r.Rows)
 		}
 		z := &zones[bi]
 		seen := map[uint32]bool{}
 		for i := lo; i < hi; i++ {
-			switch kinds[i] {
+			switch v := r.Rows[i][j]; v.Kind {
 			case nrel.KindID:
-				if !z.HasID {
-					z.HasID, z.MinID, z.MaxID = true, ids[i], ids[i]
+				if !z.hasID {
+					z.hasID, z.minID, z.maxID = true, v.ID, v.ID
 					continue
 				}
-				if ids[i].Compare(z.MinID) < 0 {
-					z.MinID = ids[i]
+				if v.ID.Compare(z.minID) < 0 {
+					z.minID = v.ID
 				}
-				if ids[i].Compare(z.MaxID) > 0 {
-					z.MaxID = ids[i]
+				if v.ID.Compare(z.maxID) > 0 {
+					z.maxID = v.ID
 				}
 			case nrel.KindString:
 				seen[uint32(codes[i])] = true
 			}
 		}
 		if len(seen) > 0 {
-			z.Codes = make([]uint32, 0, len(seen))
+			z.codes = make([]uint32, 0, len(seen))
 			for code := range seen {
-				z.Codes = append(z.Codes, code)
+				z.codes = append(z.codes, code)
 			}
-			sort.Slice(z.Codes, func(a, b int) bool { return z.Codes[a] < z.Codes[b] })
+			sort.Slice(z.codes, func(a, b int) bool { return z.codes[a] < z.codes[b] })
 		}
 	}
 	return zones
@@ -209,18 +231,18 @@ func encodeZoneMap(r *nrel.Relation) []byte {
 	var b []byte
 	b = binary.AppendUvarint(b, uint64(BlockRows))
 	b = binary.AppendUvarint(b, uint64(numBlocks(len(r.Rows))))
-	for j := range blocks.Columns {
-		for _, z := range blocks.Columns[j].Zones {
-			if !z.HasID {
+	for j := range blocks.columns {
+		for _, z := range blocks.columns[j].zones {
+			if !z.hasID {
 				b = append(b, 0)
 			} else {
 				b = append(b, 1)
-				b = appendID(b, z.MinID)
-				b = appendID(b, z.MaxID)
+				b = appendID(b, z.minID)
+				b = appendID(b, z.maxID)
 			}
-			b = binary.AppendUvarint(b, uint64(len(z.Codes)))
+			b = binary.AppendUvarint(b, uint64(len(z.codes)))
 			prev := uint64(0)
-			for i, code := range z.Codes {
+			for i, code := range z.codes {
 				// Codes are strictly increasing: store the first raw, then
 				// gaps minus one, so corruption cannot smuggle duplicates in.
 				if i == 0 {
@@ -265,10 +287,10 @@ func decodeZoneMap(rd *reader, ncols, nrows int) (*ZoneMap, error) {
 			switch rd.byte() {
 			case 0:
 			case 1:
-				z.HasID = true
-				z.MinID = readID(rd)
-				z.MaxID = readID(rd)
-				if rd.err == nil && z.MinID.Compare(z.MaxID) > 0 {
+				z.hasID = true
+				z.minID = readID(rd)
+				z.maxID = readID(rd)
+				if rd.err == nil && z.minID.Compare(z.maxID) > 0 {
 					return nil, fmt.Errorf("store: zone map min ID after max ID (column %d, block %d)", j, bi)
 				}
 			default:
@@ -278,7 +300,7 @@ func decodeZoneMap(rd *reader, ncols, nrows int) (*ZoneMap, error) {
 			}
 			ncodes := rd.length()
 			if ncodes > 0 {
-				z.Codes = make([]uint32, 0, ncodes)
+				z.codes = make([]uint32, 0, ncodes)
 				prev := uint64(0)
 				for i := 0; i < ncodes; i++ {
 					d := rd.uvarint()
@@ -289,7 +311,7 @@ func decodeZoneMap(rd *reader, ncols, nrows int) (*ZoneMap, error) {
 					if code > uint64(^uint32(0)) {
 						return nil, fmt.Errorf("store: zone map code overflow (column %d, block %d)", j, bi)
 					}
-					z.Codes = append(z.Codes, uint32(code))
+					z.codes = append(z.codes, uint32(code))
 					prev = code
 				}
 			}

@@ -104,8 +104,8 @@ func TestV2SegmentStillReads(t *testing.T) {
 	if b.SeededZones {
 		t.Fatal("fallback handle claims seeded zones")
 	}
-	if len(b.Columns) != len(r.Cols) {
-		t.Fatalf("handle has %d columns, want %d", len(b.Columns), len(r.Cols))
+	if len(b.columns) != len(r.Cols) {
+		t.Fatalf("handle has %d columns, want %d", len(b.columns), len(r.Cols))
 	}
 }
 
@@ -196,7 +196,7 @@ func TestProjectedDecodeSkipsPayloads(t *testing.T) {
 // caret (ORDPATH-style) IDs.
 func TestZoneOverlapsRange(t *testing.T) {
 	id := func(cs ...uint32) nodeid.ID { return nodeid.ID(cs) }
-	z := Zone{HasID: true, MinID: id(1, 4), MaxID: id(1, 8, 2)}
+	z := Zone{hasID: true, minID: id(1, 4), maxID: id(1, 8, 2)}
 	cases := []struct {
 		name        string
 		lo, hi      nodeid.ID
@@ -226,7 +226,7 @@ func TestZoneOverlapsRange(t *testing.T) {
 }
 
 func TestZoneHasCode(t *testing.T) {
-	z := Zone{Codes: []uint32{0, 3, 7, 100}}
+	z := Zone{codes: []uint32{0, 3, 7, 100}}
 	for _, c := range []uint32{0, 3, 7, 100} {
 		if !z.HasCode(c) {
 			t.Errorf("HasCode(%d) = false, want true", c)
@@ -276,10 +276,10 @@ func TestPersistedZonesEqualRecomputed(t *testing.T) {
 		if recomputed.SeededZones {
 			t.Fatalf("trial %d: nil seed marked as seeded", trial)
 		}
-		for j := range seeded.Columns {
-			if !reflect.DeepEqual(seeded.Columns[j].Zones, recomputed.Columns[j].Zones) {
+		for j := range seeded.columns {
+			if !reflect.DeepEqual(seeded.columns[j].zones, recomputed.columns[j].zones) {
 				t.Fatalf("trial %d: column %d persisted zones differ from recomputed\n%v\nvs\n%v",
-					trial, j, seeded.Columns[j].Zones, recomputed.Columns[j].Zones)
+					trial, j, seeded.columns[j].zones, recomputed.columns[j].zones)
 			}
 		}
 	}
@@ -302,7 +302,7 @@ func TestBlocksSeedRejectsShapeMismatch(t *testing.T) {
 	if b.SeededZones {
 		t.Fatal("shape-mismatched seed was accepted")
 	}
-	if got := len(b.Columns[0].Zones); got != 1 {
+	if got := len(b.columns[0].zones); got != 1 {
 		t.Fatalf("recomputed zones = %d blocks, want 1", got)
 	}
 }

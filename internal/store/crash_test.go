@@ -158,7 +158,7 @@ func checkStore(t *testing.T, dir string, docs []string, allowed ...int64) int64
 		t.Fatal(err)
 	}
 	for _, v := range views {
-		if got, want := st.Relation(v), view.MaterializeFlat(v, st.Document()); !got.EqualAsSet(want) {
+		if got, want := st.Relation(v).Clone(), view.MaterializeFlat(v, st.Document()); !got.EqualAsSet(want) {
 			t.Fatalf("epoch %d: extent of %s\n%swant rebuild\n%s", cat.Epoch, v.Name, got.Sorted(), want.Sorted())
 		}
 	}

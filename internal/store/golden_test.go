@@ -86,8 +86,8 @@ func TestGoldenSegments(t *testing.T) {
 			if seeded.SeededZones != tc.zones {
 				t.Fatalf("SeededZones = %v, want %v", seeded.SeededZones, tc.zones)
 			}
-			for j := range fresh.Columns {
-				if !reflect.DeepEqual(seeded.Columns[j].Zones, fresh.Columns[j].Zones) {
+			for j := range fresh.columns {
+				if !reflect.DeepEqual(seeded.columns[j].zones, fresh.columns[j].zones) {
 					t.Fatalf("column %d: persisted zones differ from recomputed ones", j)
 				}
 			}

@@ -95,7 +95,7 @@ func TestCompactionReclaimsFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := preStore.Relation(views[0]).Sorted().String()
+	want := preStore.Relation(views[0]).Clone().Sorted().String()
 
 	res, err := CompactStore(dir)
 	if err != nil {
@@ -123,7 +123,7 @@ func TestCompactionReclaimsFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Relation(views[0]).Sorted().String(); got != want {
+	if got := st.Relation(views[0]).Clone().Sorted().String(); got != want {
 		t.Fatalf("compaction changed the extent:\n%s\nwant:\n%s", got, want)
 	}
 

@@ -181,7 +181,7 @@ func TestSnapshotOutlivesCommitsAndCompaction(t *testing.T) {
 	}
 	commit("2")
 	snap := st.Snapshot()
-	want := snap.Relation(v).Sorted().String()
+	want := snap.Relation(v).Clone().Sorted().String()
 	commit("3")
 	commit("4")
 	if res, err := CompactCatalog(dir, cat); err != nil || res.Folded != 3 {
@@ -190,7 +190,7 @@ func TestSnapshotOutlivesCommitsAndCompaction(t *testing.T) {
 	if snap.Epoch() != 1 || st.Epoch() != 3 {
 		t.Fatalf("epochs: snapshot %d, store %d; want 1, 3", snap.Epoch(), st.Epoch())
 	}
-	if got := snap.Relation(v).Sorted().String(); got != want || snap.Relation(v).Len() != 2 {
+	if got := snap.Relation(v).Clone().Sorted().String(); got != want || snap.Relation(v).Len() != 2 {
 		t.Fatalf("snapshot at epoch 1 now reads\n%s\nwant\n%s", got, want)
 	}
 	if got := st.Relation(v).Len(); got != 4 {

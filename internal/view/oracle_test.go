@@ -207,7 +207,7 @@ func checkExtentsMatchRebuild(t *testing.T, st *view.Store, views []*core.View, 
 	t.Helper()
 	for _, v := range views {
 		want := view.MaterializeFlat(v, doc)
-		got := st.Relation(v)
+		got := st.Relation(v).Clone()
 		if !got.EqualAsSet(want) {
 			t.Fatalf("round %d: maintained extent of %s diverges from rebuild\nmaintained:\n%s\nrebuild:\n%s",
 				round, v.Name, got.Sorted(), want.Sorted())
@@ -368,7 +368,7 @@ func TestMaintenanceOracleDisk(t *testing.T) {
 	checkQueriesMatchRebuild(t, st, views, latest, sum, -1)
 	preCompact := map[string]string{}
 	for _, v := range views {
-		preCompact[v.Name] = st.Relation(v).Sorted().String()
+		preCompact[v.Name] = st.Relation(v).Clone().Sorted().String()
 	}
 
 	// Compact and reopen: identical answers from folded base segments.
@@ -395,7 +395,7 @@ func TestMaintenanceOracleDisk(t *testing.T) {
 		}
 	}
 	for _, v := range views {
-		if got := st2.Relation(v).Sorted().String(); got != preCompact[v.Name] {
+		if got := st2.Relation(v).Clone().Sorted().String(); got != preCompact[v.Name] {
 			t.Fatalf("compacted extent of %s differs:\n%s\nwant:\n%s", v.Name, got, preCompact[v.Name])
 		}
 	}

@@ -71,7 +71,7 @@ func TestStorePutHasConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				st.Put("w", st.Relation(v))
+				st.Put("w", st.relation(v))
 				_ = st.Has("w")
 			}
 		}()

@@ -199,7 +199,7 @@ func TestAttachHandlesLogTails(t *testing.T) {
 			if got := st.Document().Root.String(); cat.Epoch != 3 || got != replayed {
 				t.Fatalf("epoch %d, document %s", cat.Epoch, got)
 			}
-			if got, want := st.Relation(views[0]), MaterializeFlat(views[0], st.Document()); !got.EqualAsSet(want) {
+			if got, want := st.Relation(views[0]).Clone(), MaterializeFlat(views[0], st.Document()); !got.EqualAsSet(want) {
 				t.Fatalf("extent\n%swant\n%s", got.Sorted(), want.Sorted())
 			}
 			// The unacknowledged tail is gone from the file, so the next
@@ -415,7 +415,7 @@ func TestOlderDirectoriesUpgrade(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, v := range views {
-				if got, rebuilt := st.Relation(v), MaterializeFlat(v, st.Document()); !got.EqualAsSet(rebuilt) {
+				if got, rebuilt := st.Relation(v).Clone(), MaterializeFlat(v, st.Document()); !got.EqualAsSet(rebuilt) {
 					t.Fatalf("extent of %s\n%swant\n%s", v.Name, got.Sorted(), rebuilt.Sorted())
 				}
 			}

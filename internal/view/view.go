@@ -175,17 +175,22 @@ func lookupIn(ver *extentVersion, v *core.View) (*nrel.Relation, bool) {
 }
 
 // blockCache caches columnar block handles across extent versions; it is
-// shared by a live store and all its snapshots. Each handle records the
-// exact relation it was built over (Blocks.Rel), so a cached handle is
-// served only to a caller holding that same relation pointer — an entry
-// left behind by a superseded version is just a miss, overwritten by the
-// next build. Nil-safe so zero-value Stores degrade to uncached builds.
+// shared by a live store and all its snapshots. Each entry records the
+// exact relation its handle was built over, so a cached handle is served
+// only to a caller holding that same relation pointer — an entry left
+// behind by a superseded version is just a miss, overwritten by the next
+// build. Nil-safe so zero-value Stores degrade to uncached builds.
 type blockCache struct {
 	mu sync.Mutex
-	m  map[string]*store.Blocks
+	m  map[string]cachedBlocks
 }
 
-func newBlockCache() *blockCache { return &blockCache{m: map[string]*store.Blocks{}} }
+type cachedBlocks struct {
+	rel *nrel.Relation
+	b   *store.Blocks
+}
+
+func newBlockCache() *blockCache { return &blockCache{m: map[string]cachedBlocks{}} }
 
 func (c *blockCache) get(key string, rel *nrel.Relation) *store.Blocks {
 	if c == nil {
@@ -193,18 +198,18 @@ func (c *blockCache) get(key string, rel *nrel.Relation) *store.Blocks {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if b := c.m[key]; b != nil && b.Rel == rel {
-		return b
+	if e := c.m[key]; e.rel == rel {
+		return e.b
 	}
 	return nil
 }
 
-func (c *blockCache) put(key string, b *store.Blocks) {
+func (c *blockCache) put(key string, rel *nrel.Relation, b *store.Blocks) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	c.m[key] = b
+	c.m[key] = cachedBlocks{rel, b}
 	c.mu.Unlock()
 }
 
@@ -515,12 +520,12 @@ func flatCols(v *core.View) []string {
 	return cols
 }
 
-// Relation returns the flat extent of a view, materializing on demand.
-// The returned relation's backing storage is shared with the store's
-// cache and every concurrent reader: callers must clone before mutating.
-//
-//xvlint:sharedreturn
-func (st *Store) Relation(v *core.View) *nrel.Relation {
+// Relation returns a read-only handle on the flat extent of a view,
+// materializing on demand. The extent is shared with the store's cache and
+// every concurrent reader.
+func (st *Store) Relation(v *core.View) nrel.Extent { return st.relation(v).Extent() }
+
+func (st *Store) relation(v *core.View) *nrel.Relation {
 	st.mu.RLock()
 	r, ok := lookupIn(st.cur, v)
 	st.mu.RUnlock()
@@ -554,10 +559,10 @@ func (st *Store) Relation(v *core.View) *nrel.Relation {
 
 // Relation returns the view's extent at the pinned epoch: the pinned
 // version first, then the snapshot's private overlay of lazily derived
-// prepared extents. Shared storage, as for Store.Relation.
-//
-//xvlint:sharedreturn
-func (sn *Snapshot) Relation(v *core.View) *nrel.Relation {
+// prepared extents. Read-only and shared, as for Store.Relation.
+func (sn *Snapshot) Relation(v *core.View) nrel.Extent { return sn.relation(v).Extent() }
+
+func (sn *Snapshot) relation(v *core.View) *nrel.Relation {
 	if r, ok := lookupIn(sn.ver, v); ok {
 		return r
 	}
@@ -585,20 +590,16 @@ func (sn *Snapshot) Relation(v *core.View) *nrel.Relation {
 // immutable and pinned to one extent pointer: after an update replaces the
 // extent, the next call rebuilds. Zone maps persisted in the base segment
 // seed the handle when the extent still has the segment's row order.
-//
-//xvlint:sharedreturn
 func (st *Store) Blocks(v *core.View) *store.Blocks {
 	st.mu.RLock()
 	ver := st.cur
 	st.mu.RUnlock()
-	return blocksOf(st.blocks, ver, v, st.Relation)
+	return blocksOf(st.blocks, ver, v, st.relation)
 }
 
 // Blocks is Store.Blocks over the pinned version.
-//
-//xvlint:sharedreturn
 func (sn *Snapshot) Blocks(v *core.View) *store.Blocks {
-	return blocksOf(sn.parent.blocks, sn.ver, v, sn.Relation)
+	return blocksOf(sn.parent.blocks, sn.ver, v, sn.relation)
 }
 
 // blocksOf serves a block handle for the view's extent in ver from the
@@ -621,7 +622,7 @@ func blocksOf(cache *blockCache, ver *extentVersion, v *core.View, derive func(*
 		return b
 	}
 	built := store.BlocksFromRelation(rel, ver.zoneSeeds[v.Name])
-	cache.put(key, built)
+	cache.put(key, rel, built)
 	return built
 }
 
