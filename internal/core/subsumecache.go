@@ -22,9 +22,9 @@ import (
 // behind a single mutex. A SubsumeCache is bounded (LRU eviction) and
 // striped — a key hashes to one of stripeShards shards, each with its own
 // mutex — so concurrent searches (the daemon's HTTP requests share one
-// per epoch) can share an instance without contention or unbounded
-// growth. Every cached value is a pure function of its key, so a hit and
-// a recomputation agree.
+// while the summary's shape holds) can share an instance without
+// contention or unbounded growth. Every cached value is a pure function
+// of its key, so a hit and a recomputation agree.
 //
 // The scoping is enforced: the cache binds to the first summary it is
 // used with, and lookups under any other summary bypass it (keys are

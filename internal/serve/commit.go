@@ -111,26 +111,38 @@ func (c *committer) run() {
 }
 
 // publish makes the store's current epoch the one handlers read: a fresh
-// pin on the live version, the epoch's summary, empty caches (plans and
-// containment verdicts computed under an older summary must not survive)
-// and an estimator over the catalog's statistics.
+// pin on the live version and an estimator over the catalog's statistics.
+// Rewriting and containment are decided over the summary's shape — labels,
+// tree, strong and one-to-one edges and canonical ids, exactly what its
+// unannotated rendering shows — never over counts. So when sum has the
+// current epoch's shape, the plan and containment caches carry over
+// together with the summary the containment cache is bound to, and hits
+// redo only the cost pick under the new estimator. Otherwise both caches
+// start empty: verdicts computed under another shape must not survive.
 func (c *committer) publish(sum *summary.Summary) {
 	s := c.srv
 	snap := c.st.Snapshot()
 	next := epochState{
-		sum:     sum,
-		subsume: core.NewSubsumeCache(0),
-		plans:   newPlanCache(s.cfg.PlanCacheSize),
-		est:     cost.NewEstimator(cost.FromCatalog(c.cat, sum)),
-		st:      snap,
-		epoch:   snap.Epoch(),
+		est:   cost.NewEstimator(cost.FromCatalog(c.cat, sum)),
+		st:    snap,
+		epoch: snap.Epoch(),
+	}
+	prev := s.cur // only the committer writes cur, so it may read it unlocked
+	if prev.sum != nil && prev.sum.String() == sum.String() {
+		next.sum, next.subsume, next.plans = prev.sum, prev.subsume, prev.plans
+	} else {
+		next.sum = sum
+		next.subsume = core.NewSubsumeCache(0)
+		next.plans = newPlanCache(s.cfg.PlanCacheSize)
+		if prev.sum != nil {
+			s.met.invalidations.Inc()
+		}
 	}
 	s.mu.Lock()
-	old := s.cur.st
 	s.cur = next
 	s.mu.Unlock()
-	if old != nil {
-		old.Release()
+	if prev.st != nil {
+		prev.st.Release()
 	}
 }
 
@@ -329,7 +341,6 @@ func (c *committer) commitGroup(group []*commitReq) {
 			// out the disk persist. If the persist then fails, memory ahead
 			// of disk is the degraded state handled below.
 			c.publish(res.Summary)
-			s.met.invalidations.Inc()
 		})
 	// The pipeline recorded "apply", "persist" and "catalog" spans on the
 	// group trace (plus the engine's diff/splice aggregates under apply);

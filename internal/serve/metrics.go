@@ -119,7 +119,7 @@ func newMetricsSet(r *obs.Registry) *metricsSet {
 		updates:       r.Counter("xvserve_updates_applied_total", "Update batches applied."),
 		tuplesAdded:   r.Counter("xvserve_tuples_added_total", "Tuples added to view extents by updates."),
 		tuplesDeleted: r.Counter("xvserve_tuples_deleted_total", "Tuples deleted from view extents by updates."),
-		invalidations: r.Counter("xvserve_cache_invalidations_total", "Epoch advances that dropped the plan and subsume caches."),
+		invalidations: r.Counter("xvserve_cache_invalidations_total", "Epoch advances that dropped the plan and subsume caches (the summary's shape changed)."),
 		groupCommits:  r.Counter("xvserve_group_commits_total", "Committed update groups (one epoch, one fsync each)."),
 
 		compactions:      r.Counter("xvserve_compactions_total", "Online compaction runs that folded at least one chain."),

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"xmlviews/internal/core"
+	"xmlviews/internal/cost"
 )
 
 // errPlanPanic is what flight waiters observe when the leader's
@@ -40,6 +41,12 @@ type cachedPlan struct {
 	// possible); alternatives is how many rewritings ChooseBest considered.
 	cost         float64
 	alternatives int
+	// res is the search's result and est the estimator plan and cost were
+	// picked under. The cache outlives an epoch whose summary keeps its
+	// shape, but statistics move with every commit: a hit under another
+	// estimator redoes only the pick over res.
+	res *core.RewriteResult
+	est *cost.Estimator
 	// execPath records which execution path the plan's most recent run
 	// took ("vectorized" or "row"); empty until the plan first executes.
 	execPath string
@@ -150,6 +157,17 @@ func (c *planCache) compute(ctx context.Context, key string, fn func() (cachedPl
 	fc.err = errPlanPanic
 	fc.val, fc.err = fn()
 	return fc.val, true, fc.err
+}
+
+// repick stores a verdict re-picked from the cached one's search under a
+// newer estimator. An entry evicted or refilled by another search is left
+// alone.
+func (c *planCache) repick(key string, v cachedPlan) {
+	c.mu.Lock()
+	if el, ok := c.m[key]; ok && el.Value.(*planEntry).val.res == v.res {
+		el.Value.(*planEntry).val = v
+	}
+	c.mu.Unlock()
 }
 
 // recordExecPath notes which execution path the cached plan's latest run

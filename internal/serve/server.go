@@ -16,9 +16,12 @@
 // The daemon also accepts typed document updates on POST /update. A batch
 // is maintained through the incremental engine (internal/maintain),
 // persisted as append-only delta segments plus one update-log record, and
-// bumps the store epoch; the plan and summary-implication caches are
-// dropped with the old epoch, so a plan (or a cached negative verdict)
-// computed against a stale summary can never answer a later query.
+// bumps the store epoch. Rewriting depends on the summary's shape (paths
+// and strong/one-to-one edges), not on extent contents, so the plan and
+// summary-implication caches survive a commit that leaves the shape alone
+// (only the cost pick is redone under the new statistics) and are dropped
+// by one that changes it: a plan (or a cached negative verdict) computed
+// against another shape can never answer a later query.
 package serve
 
 import (
@@ -271,9 +274,12 @@ func (s *Server) Handler() http.Handler {
 }
 
 // epochState is one epoch as the committer publishes it: the summary, the
-// caches keyed to it, and the store's extents pinned at it. The copy
-// snapshot returns carries its own pin on st, which callers must Release
-// so the store can drop superseded MVCC versions.
+// caches keyed to its shape, the cost estimator, and the store's extents
+// pinned at it. sum may be an earlier summary of the same shape, carried
+// with the caches because the subsume cache is bound to it: its statistics
+// can be stale, and only est carries the epoch's. The copy snapshot
+// returns carries its own pin on st, which callers must Release so the
+// store can drop superseded MVCC versions.
 type epochState struct {
 	sum     *summary.Summary
 	subsume *core.SubsumeCache
@@ -495,6 +501,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			s.met.planHits.Inc()
 			hit = true
 		}
+	}
+	if verdict.plan != nil && verdict.est != es.est {
+		// The cache outlived a commit that kept the summary's shape: the
+		// search's rewritings still hold, but the pick was made under older
+		// statistics. Redo only the pick, once per plan per estimator.
+		repicked := s.pick(ctx, verdict.res, es.est)
+		if repicked.plan == verdict.plan {
+			repicked.execPath = verdict.execPath
+		}
+		verdict = repicked
+		es.plans.repick(key, verdict)
 	}
 	rewriteDur := time.Since(rewriteStart)
 	tr.AddSpan("rewrite", rewriteStart, rewriteDur)
@@ -742,17 +759,22 @@ func (s *Server) rewriteBest(ctx context.Context, q *pattern.Pattern, es epochSt
 	if err != nil {
 		return cachedPlan{}, err
 	}
-	// The cost span belongs to the singleflight leader's trace: followers
-	// share the verdict, not the estimation work.
+	return s.pick(ctx, res, es.est), nil
+}
+
+// pick chooses the cheapest of a search's rewritings under est. The cost
+// span goes on the trace of the request that did the work: a miss's
+// singleflight leader, or a hit that re-picks under a newer estimator.
+func (s *Server) pick(ctx context.Context, res *core.RewriteResult, est *cost.Estimator) cachedPlan {
 	costStart := time.Now()
-	plan, planCost, alts := core.ChooseBest(res, es.est.PlanCost)
+	plan, planCost, alts := core.ChooseBest(res, est.PlanCost)
 	costDur := time.Since(costStart)
 	s.met.costSeconds.ObserveDuration(costDur)
 	obs.FromContext(ctx).AddSpan("cost", costStart, costDur)
 	if math.IsInf(planCost, 1) {
 		planCost = -1 // no estimate possible; also keeps the JSON encodable
 	}
-	return cachedPlan{plan: plan, cost: planCost, alternatives: alts}, nil
+	return cachedPlan{plan: plan, cost: planCost, alternatives: alts, res: res, est: est}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -791,7 +813,8 @@ type Stats struct {
 	RewriteMillis float64 `json:"rewrite_ms_total"`
 	ExecMillis    float64 `json:"exec_ms_total"`
 	// Update-path counters. CacheInvalidations counts epoch advances that
-	// dropped the plan and subsume caches.
+	// dropped the plan and subsume caches: those whose commit changed the
+	// summary's shape.
 	UpdatesApplied     int64   `json:"updates_applied"`
 	TuplesAdded        int64   `json:"tuples_added"`
 	TuplesDeleted      int64   `json:"tuples_deleted"`

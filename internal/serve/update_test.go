@@ -118,13 +118,16 @@ func TestServeUpdateEndToEnd(t *testing.T) {
 	if len(after.Rows) != 3 || after.Epoch != 2 {
 		t.Fatalf("after: %d rows at epoch %d, want 3 at 2", len(after.Rows), after.Epoch)
 	}
-	if after.PlanCached {
-		t.Fatal("plan cache survived an epoch change")
+	// Both updates keep the summary's shape (the insert is under existing
+	// paths, with every edge flag unchanged; settext moves no path), so the
+	// plan cache outlived both epochs and nothing was invalidated.
+	if !after.PlanCached || after.Plan != before.Plan {
+		t.Fatalf("plan cache dropped by shape-preserving commits: %+v", after)
 	}
 
 	var st Stats
 	getJSON(t, ts.URL+"/stats", &st)
-	if st.Epoch != 2 || st.UpdatesApplied != 2 || st.CacheInvalidations != 2 {
+	if st.Epoch != 2 || st.UpdatesApplied != 2 || st.CacheInvalidations != 0 {
 		t.Fatalf("stats not epoch-aware: %+v", st)
 	}
 	if st.TuplesAdded < 2 {
