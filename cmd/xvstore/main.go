@@ -160,12 +160,16 @@ func runCompact(args []string, stdout io.Writer) error {
 	if *dir == "" {
 		return fmt.Errorf("compact needs -dir")
 	}
-	res, err := view.CompactStore(*dir)
+	cat, err := store.OpenCatalog(*dir)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "folded %d delta segment(s); removed %d superseded file(s), reclaimed %d byte(s)\n",
-		res.Folded, res.FilesRemoved, res.BytesReclaimed)
+	res, err := view.CompactCatalog(*dir, cat)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "checkpoint at epoch %d: wrote %d file(s), %d byte(s); removed %d superseded file(s), reclaimed %d byte(s)\n",
+		cat.Epoch, res.FilesWritten, res.BytesWritten, res.FilesRemoved, res.BytesReclaimed)
 	return nil
 }
 
@@ -189,9 +193,11 @@ func runInfo(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "summary hash: %s\n", cat.SummaryHash)
 	fmt.Fprintf(stdout, "epoch: %d\n", cat.Epoch)
+	// What a restart reads back: the base segments and the document as of
+	// the base epoch, then the log's records for the epochs after it (the
+	// catalog epoch is the durable one).
+	fmt.Fprintf(stdout, "base epoch: %d\n", cat.DocEpoch)
 	if cat.DocSegment != "" {
-		// What a restart reads back: the checkpoint, then the log's records
-		// for the epochs after it (the catalog epoch is the durable one).
 		fmt.Fprintf(stdout, "document checkpoint: %s (epoch %d)\n", cat.DocSegment, cat.DocEpoch)
 		recs, valid, tail, err := store.ReadUpdateLog(*dir)
 		switch {
@@ -226,12 +232,8 @@ func runInfo(args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout, "statistics: none (store built before statistics; cost model uses uniform estimates)")
 	}
 	for _, e := range cat.Views {
-		fmt.Fprintf(stdout, "%s: %s — %d rows, %d bytes, columns %s\n",
-			e.Name, e.Pattern, e.Rows, e.Bytes, strings.Join(e.Columns, ","))
-		for _, d := range e.Deltas {
-			fmt.Fprintf(stdout, "  delta %s: +%d -%d tuples, %d bytes (epoch %d)\n",
-				d.Segment, d.Adds, d.Dels, d.Bytes, d.Epoch)
-		}
+		fmt.Fprintf(stdout, "%s: %s — %d rows, base %s (%d bytes), columns %s\n",
+			e.Name, e.Pattern, e.Rows, e.Segment, e.Bytes, strings.Join(e.Columns, ","))
 	}
 	return nil
 }
@@ -248,7 +250,7 @@ var statsQuantiles = []struct{ metric, label string }{
 	{"xvserve_maintain_apply_seconds", "maintain/apply"},
 	{"xvserve_maintain_persist_seconds", "maintain/persist"},
 	{"xvserve_commit_queue_wait_seconds", "commit/queue-wait"},
-	{"xvserve_compact_seconds", "compact"},
+	{"xvserve_doc_checkpoint_seconds", "checkpoint"},
 }
 
 // runStats scrapes a live xvserve daemon: the /stats JSON counters plus

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"xmlviews/internal/serve"
 )
 
 func TestRunBuildAndInfo(t *testing.T) {
@@ -93,31 +97,74 @@ func TestRunApplyCompactInfo(t *testing.T) {
 	if err := run([]string{"info", "-dir", out}, &infoOut); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(infoOut.String(), "epoch: 3") || !strings.Contains(infoOut.String(), "delta seg-0000.d0001.xvs") {
-		t.Fatalf("info output wrong:\n%s", infoOut.String())
-	}
-	if !strings.Contains(infoOut.String(), "document checkpoint: document.xvt (epoch 0)") ||
-		!strings.Contains(infoOut.String(), "update log: 3 record(s)") || !strings.Contains(infoOut.String(), "replayed for epochs 1..3") {
-		t.Fatalf("info does not show the checkpoint and the log:\n%s", infoOut.String())
+	for _, want := range []string{"epoch: 3", "base epoch: 0", "document checkpoint: document.xvt (epoch 0)",
+		"update log: 3 record(s)", "replayed for epochs 1..3", "base seg-0000.xvs"} {
+		if !strings.Contains(infoOut.String(), want) {
+			t.Fatalf("info lacks %q:\n%s", want, infoOut.String())
+		}
 	}
 
 	var compactOut strings.Builder
 	if err := run([]string{"compact", "-dir", out}, &compactOut); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(compactOut.String(), "folded 3 delta segment(s)") ||
-		!strings.Contains(compactOut.String(), "reclaimed") {
+	if !strings.Contains(compactOut.String(), "checkpoint at epoch 3: wrote 2 file(s)") ||
+		!strings.Contains(compactOut.String(), "removed 2 superseded file(s)") {
 		t.Fatalf("compact output wrong:\n%s", compactOut.String())
 	}
 	infoOut.Reset()
 	if err := run([]string{"info", "-dir", out}, &infoOut); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(infoOut.String(), "delta ") {
-		t.Fatalf("delta chain survived compaction:\n%s", infoOut.String())
+	for _, want := range []string{"epoch: 3", "base epoch: 3", "document checkpoint: document.c0003.xvt (epoch 3)",
+		"nothing to replay", "base seg-0000.c0003.xvs"} {
+		if !strings.Contains(infoOut.String(), want) {
+			t.Fatalf("info after compaction lacks %q:\n%s", want, infoOut.String())
+		}
 	}
-	if !strings.Contains(infoOut.String(), "epoch: 3") {
-		t.Fatalf("compaction changed the epoch:\n%s", infoOut.String())
+
+	// A daemon's checkpoints show as the stats summary's checkpoint phase:
+	// one over a catalog-version-4 directory checkpoints it at start.
+	v4 := filepath.Join(dir, "v4")
+	if err := os.Mkdir(v4, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	src := filepath.Join("..", "..", "internal", "view", "testdata", "store-v4")
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(v4, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := serve.New(serve.Config{Dir: v4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	// A rejected update is answered by the committer, after its start-up step.
+	ur, err := http.Post(ts.URL+"/update", "application/json", strings.NewReader(`[{"op":"delete","target":"1.99"}]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ur.Body.Close()
+	if ur.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("barrier update status %d", ur.StatusCode)
+	}
+	var statsOut strings.Builder
+	if err := run([]string{"stats", "-addr", ts.URL}, &statsOut); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(statsOut.String(), "  checkpoint        n=1 ") || strings.Contains(statsOut.String(), "compact") {
+		t.Fatalf("stats does not show the checkpoint phase:\n%s", statsOut.String())
 	}
 }
 

@@ -51,18 +51,12 @@ func FromSummary(s *summary.Summary) *Stats {
 
 // FromCatalog builds statistics from a store catalog and its parsed
 // summary: scans of cataloged views are priced at their actual row counts
-// and the byte volume of the base segment plus any unfolded delta chain
-// (the extent an opened store actually replays; the catalog's Bytes field
-// alone covers only the base segment until compaction).
+// and the byte volume of their base segment.
 func FromCatalog(cat *store.Catalog, s *summary.Summary) *Stats {
 	st := FromSummary(s)
 	for _, e := range cat.Views {
 		st.Rows[e.Name] = e.Rows
-		b := e.Bytes
-		for _, d := range e.Deltas {
-			b += d.Bytes
-		}
-		st.Bytes[e.Name] = b
+		st.Bytes[e.Name] = e.Bytes
 	}
 	return st
 }

@@ -12,7 +12,7 @@ import (
 // catalog last, so a crash never leaves the manifest referencing
 // half-written files. That only holds if write-path errors actually
 // surface: a `f.Close()` whose error vanishes can acknowledge a batch
-// whose delta segment never reached the disk. The analyzer flags
+// whose log record never reached the disk. The analyzer flags
 //
 //   - expression statements:  f.Close()
 //   - defers:                 defer f.Close()

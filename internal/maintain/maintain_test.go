@@ -17,8 +17,8 @@ func mkView(name, pat string) *core.View {
 }
 
 // compute runs one batch over a fresh extent snapshot and sanity-checks
-// that folding the deltas over the old extents reproduces the recomputed
-// ones.
+// that the old extents minus the deleted rows plus the added ones are the
+// recomputed extents.
 func compute(t *testing.T, doc *xmltree.Document, views []*core.View, ups ...xmltree.Update) *maintain.Batch {
 	t.Helper()
 	old := map[string]*nrel.Relation{}
@@ -31,8 +31,26 @@ func compute(t *testing.T, doc *xmltree.Document, views []*core.View, ups ...xml
 	if err != nil {
 		t.Fatalf("ComputeDeltas: %v", err)
 	}
+	key := func(row nrel.Tuple) string {
+		var b strings.Builder
+		for _, v := range row {
+			b.WriteString(v.Render())
+			b.WriteByte(0)
+		}
+		return b.String()
+	}
 	for _, d := range batch.Deltas {
-		folded := maintain.FoldChain(old[d.View.Name], []*nrel.Relation{d.Adds}, []*nrel.Relation{d.Dels})
+		gone := map[string]bool{}
+		for _, row := range d.Dels.Rows {
+			gone[key(row)] = true
+		}
+		folded := nrel.NewRelation(d.New.Cols...)
+		for _, row := range old[d.View.Name].Rows {
+			if !gone[key(row)] {
+				folded.Rows = append(folded.Rows, row)
+			}
+		}
+		folded.Rows = append(folded.Rows, d.Adds.Rows...)
 		if !folded.EqualAsSet(d.New) {
 			t.Fatalf("view %s: folded delta diverges from recomputed extent\nfolded:\n%s\nnew:\n%s",
 				d.View.Name, folded.Sorted(), d.New.Sorted())

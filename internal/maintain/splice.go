@@ -160,7 +160,7 @@ func (nd *netDelta) delRow(row nrel.Tuple) {
 func (nd *netDelta) empty() bool { return len(nd.add) == 0 && len(nd.del) == 0 }
 
 // relations renders the accumulated delta as two relations with rows in
-// key order, so persisted delta segments are deterministic.
+// key order, so batch results are deterministic.
 func (nd *netDelta) relations(cols []string) (adds, dels *nrel.Relation) {
 	adds, dels = nrel.NewRelation(cols...), nrel.NewRelation(cols...)
 	for _, m := range []struct {

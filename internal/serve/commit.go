@@ -4,11 +4,10 @@ package serve
 // under a handler-held lock. They enqueue into a commit queue and a
 // single committer goroutine drains it, merging every queued request into
 // one epoch — one summary clone, one diff/splice pass over the
-// concatenated update list, one staged persist (delta files, one
-// update-log record, the catalog) — then acks each waiting request
-// individually. While one group fsyncs, the next group accumulates, so
-// update throughput scales with concurrent writers instead of being
-// 1/latency.
+// concatenated update list, one persist (one update-log record, then the
+// catalog) — then acks each waiting request individually. While one group
+// fsyncs, the next group accumulates, so update throughput scales with
+// concurrent writers instead of being 1/latency.
 //
 // Per-request semantics are preserved by validating each request with a
 // dry-run apply (maintain.DryRun) in queue order before the group seals:
@@ -22,9 +21,8 @@ package serve
 // The committer is also the only code that can reach the store directory,
 // the catalog object, the live store and the document: they are fields of
 // the committer value, which New hands to `go c.run()` and does not keep.
-// Commit, online compaction and the document checkpoint therefore cannot
-// interleave — not because they take a lock, but because one goroutine
-// runs them in turn.
+// Commit and the checkpoint therefore cannot interleave — not because
+// they take a lock, but because one goroutine runs them in turn.
 
 import (
 	"context"
@@ -80,18 +78,21 @@ type committer struct {
 	cat *store.Catalog
 	st  *view.Store
 	q   <-chan *commitReq
+	// attached records that view.AttachDocument ran: the document is
+	// loaded and the log's unacknowledged tail cut.
+	attached bool
 }
 
 // run is the committer goroutine: one group at a time, each followed by a
-// compaction when the policy trips and a document checkpoint when the
-// update log is long enough. A store opened with already-long chains
-// (e.g. a daemon that crashed before compacting) is folded before the
-// first update commits; an already-long log is checkpointed after it (the
-// document is only attached then).
+// checkpoint when the update log is long enough. A directory opened with
+// an already-long log, or in an older catalog layout, is checkpointed
+// before the first group: the older layout must be, or the first commit
+// would stamp the current version on bases that are not current at the
+// checkpoint epoch.
 func (c *committer) run() {
 	defer close(c.srv.done)
-	if c.refreshChains() {
-		c.compact()
+	if view.CheckpointDue(c.cat) {
+		c.checkpoint()
 	}
 	for {
 		// Stop wins over a non-empty queue: once Close is called no new
@@ -146,33 +147,6 @@ func (c *committer) publish(sum *summary.Summary) {
 	}
 }
 
-// refreshChains recomputes the delta-chain gauges from the catalog and
-// reports whether a compaction is due: online compaction is enabled and
-// the policy trips.
-func (c *committer) refreshChains() bool {
-	var longest, total int64
-	for i := range c.cat.Views {
-		e := &c.cat.Views[i]
-		if n := int64(len(e.Deltas)); n > longest {
-			longest = n
-		}
-		for _, d := range e.Deltas {
-			total += d.Bytes
-		}
-	}
-	s := c.srv
-	s.met.maxChain.SetInt(longest)
-	s.met.deltaBytes.SetInt(total)
-	maxChain, maxBytes := int64(s.cfg.CompactMaxChain), s.cfg.CompactMaxBytes
-	if maxChain <= 0 {
-		maxChain = defaultCompactMaxChain
-	}
-	if maxBytes <= 0 {
-		maxBytes = defaultCompactMaxBytes
-	}
-	return !s.cfg.CompactDisabled && (longest >= maxChain || total >= maxBytes)
-}
-
 // refreshLog republishes the durability gauges from the catalog and the
 // update log's length.
 func (c *committer) refreshLog() {
@@ -183,50 +157,41 @@ func (c *committer) refreshLog() {
 	m.logBytes.SetInt(store.UpdateLogSize(c.srv.cfg.Dir))
 }
 
-// checkpoint folds the update log into a fresh document checkpoint;
-// callers have seen view.CheckpointDue. Like compaction it changes no
-// epoch and nothing readers see, and updates queue for its duration. A
-// failure leaves catalog and directory as they were (the log just keeps
-// growing), so it is counted and retried after the next group rather than
-// degrading the server.
+// attach makes the committer the directory's writer on first need
+// (view.AttachDocument): a daemon that only answers queries never reads
+// the document back.
+func (c *committer) attach() error {
+	if c.attached {
+		return nil
+	}
+	if err := view.AttachDocument(c.srv.cfg.Dir, c.cat, c.st); err != nil {
+		return err
+	}
+	c.attached = true
+	return nil
+}
+
+// checkpoint folds the update log into fresh base segments and a fresh
+// document checkpoint (view.Checkpoint); callers have seen
+// view.CheckpointDue. It changes no epoch and nothing readers see, and
+// updates queue for its duration. A failure leaves catalog and directory
+// as they were (the log just keeps growing), so it is counted, logged and
+// retried after the next group rather than degrading the server.
 func (c *committer) checkpoint() {
 	s := c.srv
 	start := time.Now()
-	err := view.CheckpointDocument(s.cfg.Dir, c.cat, c.st.Document())
+	err := c.attach()
+	if err == nil {
+		_, err = view.Checkpoint(s.cfg.Dir, c.cat, c.st)
+	}
 	s.met.checkpointSeconds.ObserveDuration(time.Since(start))
 	if err != nil {
 		s.met.checkpointErrors.Inc()
-		s.log.Error("document checkpoint failed; retrying after the next update group", slog.String("error", err.Error()))
+		s.log.Error("checkpoint failed; retrying after the next update group", slog.String("error", err.Error()))
 	} else {
 		s.met.checkpoints.Inc()
 	}
 	c.refreshLog()
-}
-
-// compact folds the delta chains; callers have seen refreshChains report
-// one due.
-// Queries are untouched (they serve memory extents against their pinned
-// epoch); updates queue for the duration of the fold. The epoch is
-// preserved, so nothing is republished. A compaction failure leaves the
-// store consistent (the catalog still references the old chains and the
-// fold is idempotent), so it is counted, logged like a failed checkpoint
-// and retried after the next group rather than degrading the server.
-func (c *committer) compact() {
-	s := c.srv
-	start := time.Now()
-	res, err := view.CompactCatalog(s.cfg.Dir, c.cat)
-	s.met.compactSeconds.ObserveDuration(time.Since(start))
-	if err != nil {
-		s.met.compactErrors.Inc()
-		// refreshChains set the gauge from this catalog just before.
-		s.log.Error("compaction failed; retrying after the next update group",
-			slog.String("error", err.Error()), slog.Int64("longest_chain", int64(s.met.maxChain.Value())))
-		return
-	}
-	s.met.compactions.Inc()
-	s.met.compactFolded.Add(int64(res.Folded))
-	s.met.compactReclaimed.Add(res.BytesReclaimed)
-	c.refreshChains()
 }
 
 // collectGroup seals one commit group: the first request plus whatever
@@ -295,12 +260,20 @@ func (c *committer) commitGroup(group []*commitReq) {
 		}
 		return
 	}
-	if c.st.Document() == nil {
-		// A daemon that only answers queries never reads the document back;
-		// the first update attaches it.
-		if err := view.AttachDocument(s.cfg.Dir, c.cat, c.st); err != nil {
+	if err := c.attach(); err != nil {
+		for _, r := range group {
+			r.ack(commitAck{status: http.StatusConflict, errMsg: "store is not updatable: " + err.Error()})
+		}
+		return
+	}
+	if c.cat.FormatVersion < store.CatalogVersion {
+		// The start-up checkpoint into the current layout failed. No commit
+		// may land on the older one: retry, and refuse the group meanwhile.
+		c.checkpoint()
+		if c.cat.FormatVersion < store.CatalogVersion {
 			for _, r := range group {
-				r.ack(commitAck{status: http.StatusConflict, errMsg: "store is not updatable: " + err.Error()})
+				r.ack(commitAck{status: http.StatusServiceUnavailable,
+					errMsg: "store is in an older catalog layout and checkpointing it into the current one failed; see the server log"})
 			}
 			return
 		}
@@ -396,9 +369,6 @@ func (c *committer) commitGroup(group []*commitReq) {
 	s.mu.Lock()
 	s.cur.est = est
 	s.mu.Unlock()
-	// The delta chains grew by one segment per changed view: refresh the
-	// gauges before the acks, fold after them when the policy trips.
-	over := c.refreshChains()
 	changed := res.Changed
 	if changed == nil {
 		changed = []view.ChangedView{}
@@ -413,9 +383,6 @@ func (c *committer) commitGroup(group []*commitReq) {
 			MaintainMicros: dur.Microseconds(),
 			GroupSize:      len(live),
 		}})
-	}
-	if over {
-		c.compact()
 	}
 	if view.CheckpointDue(c.cat) {
 		c.checkpoint()

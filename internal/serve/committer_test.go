@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -21,8 +23,8 @@ import (
 
 // barrierUpdate targets a node that does not exist: the committer rejects
 // it at dry-run with 422 and commits nothing. Because one goroutine runs
-// commits and compactions in turn, its ack also proves that every step the
-// previous group triggered (compaction included) has finished.
+// commits and checkpoints in turn, its ack also proves that every step the
+// previous group triggered (the checkpoint included) has finished.
 const barrierUpdate = `[{"op":"settext","target":"1.99.1","value":"x"}]`
 
 func barrier(t *testing.T, ts *httptest.Server) {
@@ -33,77 +35,116 @@ func barrier(t *testing.T, ts *httptest.Server) {
 	}
 }
 
-// longestChain reads the longest delta chain from the directory's catalog.
-func longestChain(t *testing.T, dir string) int {
+// dirFiles lists a store directory's file names, sorted.
+func dirFiles(t *testing.T, dir string) []string {
 	t.Helper()
-	cat, err := store.OpenCatalog(dir)
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	longest := 0
-	for _, e := range cat.Views {
-		if len(e.Deltas) > longest {
-			longest = len(e.Deltas)
-		}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
 	}
-	return longest
+	return names
 }
 
-// TestCompactionIsACommitterStep: with a chain threshold of 2 and
-// sequential acked updates that each extend one view's chain, compaction
-// runs after exactly every second commit. Nothing is polled: the counts
-// are exact after each barrier.
+// logOffline commits n settexts to dir through the offline writer path,
+// without ever checkpointing: the log then holds n more epochs.
+func logOffline(t *testing.T, dir string, n int) {
+	t.Helper()
+	cat, st, err := view.OpenUpdatableStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < n; k++ {
+		ups, err := maintain.ParseUpdates([]byte(fmt.Sprintf(`[{"op":"settext","target":"1.1.1","value":"old%d"}]`, k)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := view.ApplyAndPersistStaged(context.Background(), dir, cat, st, ups, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// copyFixture copies a store directory from internal/view/testdata into a
+// fresh temporary directory.
+func copyFixture(t *testing.T, name string) string {
+	t.Helper()
+	src := filepath.Join("..", "view", "testdata", name)
+	dir := t.TempDir()
+	for _, f := range dirFiles(t, src) {
+		data, err := os.ReadFile(filepath.Join(src, f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, f), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestCompactionIsACommitterStep: the checkpoint, which replaced
+// compaction, is the committer's only background step, so between
+// checkpoints a commit writes nothing but its log record and the catalog.
+// After each of a run of sequential acked updates the directory holds the
+// built base segments, the document, updates.xvl and catalog.json, and no
+// checkpoint has run; the first checkpoint replaces exactly the changed
+// bases and the document.
 func TestCompactionIsACommitterStep(t *testing.T) {
-	ts, dir := newUpdatableServer(t, Config{CompactMaxChain: 2})
-	for k := 1; k <= 7; k++ {
+	ts, dir := newUpdatableServer(t, Config{})
+	want := "catalog.json document.xvt seg-0000.xvs seg-0001.xvs seg-0002.xvs updates.xvl"
+	for k := int64(1); k <= view.CheckpointEvery; k++ {
 		var up UpdateResponse
 		body := fmt.Sprintf(`[{"op":"settext","target":"1.1.1","value":"n%d"}]`, k)
-		if code := postUpdate(t, ts, body, &up); code != http.StatusOK || up.Epoch != int64(k) {
+		if code := postUpdate(t, ts, body, &up); code != http.StatusOK || up.Epoch != k {
 			t.Fatalf("update %d: status %d, epoch %d", k, code, up.Epoch)
 		}
+		if k%64 != 0 && k != 1 {
+			continue
+		}
 		barrier(t, ts)
-		var st Stats
-		getJSON(t, ts.URL+"/stats", &st)
-		if st.Compactions != int64(k/2) || st.DeltaSegmentsFolded != int64(2*(k/2)) || st.CompactErrors != 0 {
-			t.Fatalf("after update %d: compactions_run %d, delta_segments_folded %d, compact_errors %d; want %d, %d, 0",
-				k, st.Compactions, st.DeltaSegmentsFolded, st.CompactErrors, k/2, 2*(k/2))
+		if k == view.CheckpointEvery {
+			want = fmt.Sprintf("catalog.json document.c%04d.xvt seg-0000.c%04d.xvs seg-0001.xvs seg-0002.xvs updates.xvl", k, k)
 		}
-		if st.MaxDeltaChain != int64(k%2) {
-			t.Fatalf("after update %d: max_delta_chain %d, want %d", k, st.MaxDeltaChain, k%2)
+		if got := strings.Join(dirFiles(t, dir), " "); got != want {
+			t.Fatalf("after update %d the directory holds %s, want %s", k, got, want)
 		}
-		if got := longestChain(t, dir); got != k%2 {
-			t.Fatalf("after update %d: longest catalog chain %d, want %d", k, got, k%2)
+		if got, wantRuns := metricValue(t, ts, "xvserve_doc_checkpoints_total"), float64(k/view.CheckpointEvery); got != wantRuns {
+			t.Fatalf("after update %d: %v checkpoint(s), want %v", k, got, wantRuns)
 		}
 	}
 }
 
-// TestFailedCompactionIsLogged: a compaction that cannot read its chain is
-// counted and logged at ERROR with the error and the longest chain, leaves
-// the server healthy, and updates keep committing.
+// TestFailedCompactionIsLogged: a checkpoint (what compaction became) that
+// cannot write its files is counted and logged at ERROR with the error,
+// leaves the server healthy, and updates keep committing on the log.
 func TestFailedCompactionIsLogged(t *testing.T) {
 	buf := &syncBuffer{}
-	ts, dir := newUpdatableServer(t, Config{CompactMaxChain: 2, Logger: slog.New(slog.NewJSONHandler(buf, nil))})
-	var up UpdateResponse
-	if code := postUpdate(t, ts, `[{"op":"settext","target":"1.1.1","value":"n1"}]`, &up); code != http.StatusOK {
-		t.Fatalf("update 1: status %d", code)
+	_, dir := newUpdatableServer(t, Config{ReadOnly: true}) // builds the store; starts no goroutine
+	logOffline(t, dir, view.CheckpointEvery-1)
+	// A non-empty directory squats on the base segment name the checkpoint
+	// after the next commit wants.
+	squat := filepath.Join(dir, fmt.Sprintf("seg-0000.c%04d.xvs", view.CheckpointEvery))
+	if err := os.MkdirAll(filepath.Join(squat, "x"), 0o755); err != nil {
+		t.Fatal(err)
 	}
-	cat, err := store.OpenCatalog(dir)
+	srv, err := New(Config{Dir: dir, Logger: slog.New(slog.NewJSONHandler(buf, nil))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := cat.Entry("vname")
-	if len(e.Deltas) != 1 {
-		t.Fatalf("vname chain %+v, want one delta", e.Deltas)
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	var up UpdateResponse
+	if code := postUpdate(t, ts, `[{"op":"settext","target":"1.1.1","value":"n1"}]`, &up); code != http.StatusOK || up.Epoch != view.CheckpointEvery {
+		t.Fatalf("update: status %d, epoch %d", code, up.Epoch)
 	}
-	if err := os.Remove(filepath.Join(dir, e.Deltas[0].Segment)); err != nil {
-		t.Fatal(err)
-	}
-	if code := postUpdate(t, ts, `[{"op":"settext","target":"1.1.1","value":"n2"}]`, &up); code != http.StatusOK || up.Epoch != 2 {
-		t.Fatalf("update 2: status %d, epoch %d", code, up.Epoch)
-	}
-	barrier(t, ts) // the chain reached 2: the failed compaction has run
-	if got := metricValue(t, ts, "xvserve_compact_errors_total"); got != 1 {
-		t.Fatalf("xvserve_compact_errors_total = %v, want 1", got)
+	barrier(t, ts) // the log reached CheckpointEvery: the failed checkpoint has run
+	if got := metricValue(t, ts, "xvserve_doc_checkpoint_errors_total"); got != 1 {
+		t.Fatalf("xvserve_doc_checkpoint_errors_total = %v, want 1", got)
 	}
 	var errs []map[string]any
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
@@ -121,56 +162,192 @@ func TestFailedCompactionIsLogged(t *testing.T) {
 	if len(errs) != 1 {
 		t.Fatalf("%d ERROR log lines, want 1:\n%s", len(errs), buf.String())
 	}
-	if msg, _ := errs[0]["msg"].(string); !strings.Contains(msg, "compaction failed") ||
-		!strings.Contains(fmt.Sprint(errs[0]["error"]), e.Deltas[0].Segment) || errs[0]["longest_chain"] != 2.0 {
-		t.Fatalf("compaction failure logged as %v", errs[0])
+	if msg, _ := errs[0]["msg"].(string); !strings.Contains(msg, "checkpoint failed") ||
+		!strings.Contains(fmt.Sprint(errs[0]["error"]), filepath.Base(squat)) {
+		t.Fatalf("checkpoint failure logged as %v", errs[0])
 	}
-	if code := postUpdate(t, ts, `[{"op":"settext","target":"1.3.1","value":"n3"}]`, &up); code != http.StatusOK || up.Epoch != 3 {
-		t.Fatalf("update after the failed compaction: status %d, epoch %d", code, up.Epoch)
+	if code := postUpdate(t, ts, `[{"op":"settext","target":"1.3.1","value":"n3"}]`, &up); code != http.StatusOK || up.Epoch != view.CheckpointEvery+1 {
+		t.Fatalf("update after the failed checkpoint: status %d, epoch %d", code, up.Epoch)
 	}
 	var st Stats
 	getJSON(t, ts.URL+"/stats", &st)
-	if st.Degraded || st.DurableEpoch != 3 {
-		t.Fatalf("after the failed compaction: degraded %v, durable_epoch %d", st.Degraded, st.DurableEpoch)
+	if st.Degraded || st.DurableEpoch != view.CheckpointEvery+1 || st.DocEpoch != 0 {
+		t.Fatalf("after the failed checkpoint: degraded %v, durable_epoch %d, doc_epoch %d", st.Degraded, st.DurableEpoch, st.DocEpoch)
 	}
 }
 
-// TestOverThresholdStoreFoldedBeforeFirstCommit: a store opened with chains
-// already over the threshold is compacted before the first update commits,
-// so that update's delta lands on the fresh base instead of being folded
-// with the old chain.
+// TestOverThresholdStoreFoldedBeforeFirstCommit: a store opened with a log
+// already at CheckpointEvery epochs is checkpointed before the first
+// update commits, so that update's record is the only one in the log.
 func TestOverThresholdStoreFoldedBeforeFirstCommit(t *testing.T) {
-	ts, dir := newUpdatableServer(t, Config{CompactDisabled: true})
-	for k := 1; k <= 3; k++ {
-		var up UpdateResponse
-		body := fmt.Sprintf(`[{"op":"settext","target":"1.1.1","value":"old%d"}]`, k)
-		if code := postUpdate(t, ts, body, &up); code != http.StatusOK {
-			t.Fatalf("seeding update %d: status %d", k, code)
-		}
-	}
-	if got := longestChain(t, dir); got != 3 {
-		t.Fatalf("seeded chain %d, want 3", got)
-	}
+	_, dir := newUpdatableServer(t, Config{ReadOnly: true}) // builds the store; starts no goroutine
+	logOffline(t, dir, view.CheckpointEvery)
 
-	srv, err := New(Config{Dir: dir, CompactMaxChain: 2})
+	srv, err := New(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	ts2 := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts2.Close)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
 	var up UpdateResponse
-	if code := postUpdate(t, ts2, `[{"op":"settext","target":"1.1.1","value":"new"}]`, &up); code != http.StatusOK || up.Epoch != 4 {
+	if code := postUpdate(t, ts, `[{"op":"settext","target":"1.1.1","value":"new"}]`, &up); code != http.StatusOK || up.Epoch != view.CheckpointEvery+1 {
 		t.Fatalf("first update: status %d, epoch %d", code, up.Epoch)
 	}
 	var st Stats
-	getJSON(t, ts2.URL+"/stats", &st)
-	if st.Compactions != 1 || st.DeltaSegmentsFolded != 3 || st.MaxDeltaChain != 1 {
-		t.Fatalf("compactions_run %d, delta_segments_folded %d, max_delta_chain %d; want 1, 3, 1 (fold first, then commit)",
-			st.Compactions, st.DeltaSegmentsFolded, st.MaxDeltaChain)
+	getJSON(t, ts.URL+"/stats", &st)
+	if st.DocEpoch != view.CheckpointEvery || st.UpdateLogRecords != 1 {
+		t.Fatalf("doc_epoch %d, update_log_records %d; want %d, 1 (checkpoint first, then commit)",
+			st.DocEpoch, st.UpdateLogRecords, view.CheckpointEvery)
 	}
-	if got := longestChain(t, dir); got != 1 {
-		t.Fatalf("longest catalog chain %d, want 1", got)
+	if recs, _, tail, err := store.ReadUpdateLog(dir); err != nil || tail != nil || len(recs) != 1 || recs[0].Epoch != view.CheckpointEvery+1 {
+		t.Fatalf("log after the first commit: %d record(s), tail %v, err %v", len(recs), tail, err)
+	}
+}
+
+// TestOlderStoreCheckpointedAtStart: a daemon over a catalog-version-4
+// directory checkpoints it into the current layout when its committer
+// starts, before any commit; a read-only daemon over the same files
+// upgrades in memory only. Both answer at the directory's epoch.
+func TestOlderStoreCheckpointedAtStart(t *testing.T) {
+	const q = `site(//item[id](/name[v]))`
+	query := func(ts *httptest.Server) QueryResponse {
+		t.Helper()
+		var resp QueryResponse
+		if code := getJSON(t, ts.URL+"/query?q="+url.QueryEscape(q), &resp); code != http.StatusOK {
+			t.Fatalf("query status %d", code)
+		}
+		return resp
+	}
+	serveDir := func(cfg Config) *httptest.Server {
+		t.Helper()
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		return ts
+	}
+
+	roDir := copyFixture(t, "store-v4")
+	before := dirFiles(t, roDir)
+	ro := serveDir(Config{Dir: roDir, ReadOnly: true})
+	if resp := query(ro); resp.Epoch != 4 || resp.TotalRows != 3 {
+		t.Fatalf("read-only daemon: %d rows at epoch %d", resp.TotalRows, resp.Epoch)
+	}
+	cat, err := store.OpenCatalog(roDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dirFiles(t, roDir); cat.FormatVersion != 4 || strings.Join(got, " ") != strings.Join(before, " ") {
+		t.Fatalf("read-only daemon wrote to the directory: v%d, files %v", cat.FormatVersion, got)
+	}
+
+	dir := copyFixture(t, "store-v4")
+	ts := serveDir(Config{Dir: dir})
+	barrier(t, ts) // the start-up checkpoint has run
+	if cat, err = store.OpenCatalog(dir); err != nil {
+		t.Fatal(err)
+	}
+	if cat.FormatVersion != store.CatalogVersion || cat.DocEpoch != 4 || cat.Epoch != 4 {
+		t.Fatalf("after start: v%d epoch %d doc_epoch %d", cat.FormatVersion, cat.Epoch, cat.DocEpoch)
+	}
+	if got := strings.Join(dirFiles(t, dir), " "); got != "catalog.json document.c0004.xvt seg-0000.c0004.xvs seg-0001.c0004.xvs updates.xvl" {
+		t.Fatalf("after start the directory holds %s", got)
+	}
+	var up UpdateResponse
+	if code := postUpdate(t, ts, `[{"op":"delete","target":"1.1"}]`, &up); code != http.StatusOK || up.Epoch != 5 {
+		t.Fatalf("first update: status %d, epoch %d", code, up.Epoch)
+	}
+	if resp := query(ts); resp.Epoch != 5 || resp.TotalRows != 2 {
+		t.Fatalf("after the update: %d rows at epoch %d", resp.TotalRows, resp.Epoch)
+	}
+}
+
+// TestOpenNeverWrites: a directory whose log holds a record beyond the
+// catalog epoch and a torn tail opens read-only — OpenStoreWithCatalog
+// and a ReadOnly daemon — at the catalog epoch, leaving the log's bytes
+// alone; a writer then cuts the tail and commits the next epoch.
+func TestOpenNeverWrites(t *testing.T) {
+	_, dir := newUpdatableServer(t, Config{ReadOnly: true}) // builds the store; starts no goroutine
+	logOffline(t, dir, 3)
+	clean, err := os.ReadFile(filepath.Join(dir, store.UpdateLogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A commit that crashed between its log append and its catalog rename,
+	// then half of another append.
+	if err := store.AppendUpdateLog(dir, 4, []byte(`[{"op":"delete","target":"1.1"}]`)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, store.UpdateLogName), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{5, 0, 0, 0, 0, 0, 0, 0, 9}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dirty, err := os.ReadFile(filepath.Join(dir, store.UpdateLogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	logUnchanged := func(when string) {
+		t.Helper()
+		if got, err := os.ReadFile(filepath.Join(dir, store.UpdateLogName)); err != nil || string(got) != string(dirty) {
+			t.Fatalf("%s rewrote the log (%d byte(s), had %d): %v", when, len(got), len(dirty), err)
+		}
+	}
+
+	cat, err := store.OpenCatalog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views, err := view.ViewsFromCatalog(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := view.OpenStoreWithCatalog(dir, cat, views)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Epoch() != 3 || st.Relation(views[0]).Len() != 2 {
+		t.Fatalf("OpenStoreWithCatalog at epoch %d with %d vname rows, want 3 and 2", st.Epoch(), st.Relation(views[0]).Len())
+	}
+	logUnchanged("OpenStoreWithCatalog")
+
+	srv, err := New(Config{Dir: dir, ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	var resp QueryResponse
+	if code := getJSON(t, ts.URL+"/query?q="+url.QueryEscape(`site(/item[id](/name[v]))`), &resp); code != http.StatusOK || resp.Epoch != 3 || resp.TotalRows != 2 {
+		t.Fatalf("read-only daemon: status %d, %d rows at epoch %d", code, resp.TotalRows, resp.Epoch)
+	}
+	ts.Close()
+	srv.Close()
+	logUnchanged("a read-only daemon")
+
+	ups, err := maintain.ParseUpdates([]byte(`[{"op":"settext","target":"1.3.1","value":"nib"}]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := view.UpdateStore(dir, ups)
+	if err != nil || res.Epoch != 4 {
+		t.Fatalf("writer commit: %+v, %v", res, err)
+	}
+	recs, _, tail, err := store.ReadUpdateLog(dir)
+	if err != nil || tail != nil || len(recs) != 4 {
+		t.Fatalf("log after the writer's commit: %d record(s), tail %v, err %v", len(recs), tail, err)
+	}
+	if got, _ := os.ReadFile(filepath.Join(dir, store.UpdateLogName)); string(got[:len(clean)]) != string(clean) ||
+		string(recs[3].Payload) == `[{"op":"delete","target":"1.1"}]` {
+		t.Fatal("the writer did not cut the unacknowledged tail before appending")
 	}
 }
 

@@ -44,15 +44,9 @@ type metricsSet struct {
 	invalidations *obs.Counter
 	groupCommits  *obs.Counter
 
-	// Compaction counters.
-	compactions      *obs.Counter
-	compactFolded    *obs.Counter
-	compactReclaimed *obs.Counter
-	compactErrors    *obs.Counter
-
-	// Document-checkpoint counters: checkpoints that folded the update log
-	// into a fresh document segment, and attempts that failed (retried
-	// after the next group).
+	// Checkpoint counters: checkpoints that folded the update log into
+	// fresh base segments and a fresh document segment, and attempts that
+	// failed (retried after the next group).
 	checkpoints      *obs.Counter
 	checkpointErrors *obs.Counter
 
@@ -69,19 +63,14 @@ type metricsSet struct {
 	maintainSeconds *obs.Histogram
 	applySeconds    *obs.Histogram
 	persistSeconds  *obs.Histogram
-	compactSeconds  *obs.Histogram
-	// checkpointSeconds observes document checkpoints: like compaction a
-	// committer step after a group's acks, so updates queue behind it.
+	// checkpointSeconds observes checkpoints: a committer step after a
+	// group's acks, so updates queue behind it.
 	checkpointSeconds *obs.Histogram
 	// Group-commit instruments: how many requests each committed group
 	// merged (a size distribution, not a latency), and how long requests
 	// waited in the commit queue before their group sealed.
 	groupSize *obs.Histogram
 	queueWait *obs.Histogram
-
-	// Delta-chain gauges, refreshed after every update and compaction.
-	maxChain   *obs.Gauge
-	deltaBytes *obs.Gauge
 
 	// Durability gauges, written by the committer. durableEpoch is the last
 	// epoch whose catalog rename completed: xvserve_epoch runs ahead of it
@@ -122,12 +111,7 @@ func newMetricsSet(r *obs.Registry) *metricsSet {
 		invalidations: r.Counter("xvserve_cache_invalidations_total", "Epoch advances that dropped the plan and subsume caches (the summary's shape changed)."),
 		groupCommits:  r.Counter("xvserve_group_commits_total", "Committed update groups (one epoch, one fsync each)."),
 
-		compactions:      r.Counter("xvserve_compactions_total", "Online compaction runs that folded at least one chain."),
-		compactFolded:    r.Counter("xvserve_compact_segments_folded_total", "Delta segments folded into base segments."),
-		compactReclaimed: r.Counter("xvserve_compact_reclaimed_bytes_total", "Bytes of superseded segment files deleted by compaction."),
-		compactErrors:    r.Counter("xvserve_compact_errors_total", "Failed online compaction attempts."),
-
-		checkpoints:      r.Counter("xvserve_doc_checkpoints_total", "Document checkpoints written (update log folded into a fresh document segment)."),
+		checkpoints:      r.Counter("xvserve_doc_checkpoints_total", "Checkpoints written (update log folded into fresh base segments and document segment)."),
 		checkpointErrors: r.Counter("xvserve_doc_checkpoint_errors_total", "Failed document checkpoint attempts."),
 
 		rewriteSeconds:  r.Histogram("xvserve_rewrite_seconds", "Rewrite phase latency: plan-cache lookup plus search when one ran.", nil),
@@ -137,16 +121,12 @@ func newMetricsSet(r *obs.Registry) *metricsSet {
 		encodeSeconds:   r.Histogram("xvserve_encode_seconds", "Response encoding latency: sorting, windowing and rendering result rows.", nil),
 		maintainSeconds: r.Histogram("xvserve_maintain_seconds", "End-to-end update batch latency: apply, persist and cache swap.", nil),
 		applySeconds:    r.Histogram("xvserve_maintain_apply_seconds", "In-memory maintenance latency of update batches (diff + splice).", nil),
-		persistSeconds:  r.Histogram("xvserve_maintain_persist_seconds", "Disk persistence latency of update batches (delta files, update-log record, catalog).", nil),
-		compactSeconds:  r.Histogram("xvserve_compact_seconds", "Online compaction latency (a committer step; updates queue behind it).", nil),
+		persistSeconds:  r.Histogram("xvserve_maintain_persist_seconds", "Disk persistence latency of update batches (update-log record, catalog).", nil),
 		checkpointSeconds: r.Histogram("xvserve_doc_checkpoint_seconds",
-			"Document checkpoint latency (a committer step; updates queue behind it).", nil),
+			"Checkpoint latency (a committer step; updates queue behind it).", nil),
 		groupSize: r.Histogram("xvserve_commit_group_size", "Requests merged per committed group.",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128}),
 		queueWait: r.Histogram("xvserve_commit_queue_wait_seconds", "Time update requests waited in the commit queue before their group sealed.", nil),
-
-		maxChain:   r.Gauge("xvserve_max_delta_chain", "Longest per-view delta chain, in segments."),
-		deltaBytes: r.Gauge("xvserve_delta_bytes", "Total size of all delta segments, in bytes."),
 
 		durableEpoch: r.Gauge("xvserve_durable_epoch", "Last epoch whose catalog write completed; xvserve_epoch is ahead of it while a persist is in flight."),
 		docEpoch:     r.Gauge("xvserve_doc_epoch", "Epoch of the document checkpoint the catalog names."),

@@ -221,9 +221,7 @@ var statsFields = []string{
 	"plan_cache_hits", "plan_cache_misses", "plan_cache_size", "plan_hit_rate",
 	"subsume_cache_entries", "rewrite_ms_total", "exec_ms_total",
 	"updates_applied", "tuples_added", "tuples_deleted", "cache_invalidations",
-	"maintain_ms_total", "max_delta_chain", "delta_bytes",
-	"compactions_run", "delta_segments_folded", "compact_bytes_reclaimed",
-	"compact_errors",
+	"maintain_ms_total",
 	// The durability contract (docs/concurrency.md): how far the disk is
 	// behind memory and how much log a restart replays.
 	"durable_epoch", "doc_epoch", "update_log_records", "update_log_bytes",

@@ -15,13 +15,13 @@
 //
 // The daemon also accepts typed document updates on POST /update. A batch
 // is maintained through the incremental engine (internal/maintain),
-// persisted as append-only delta segments plus one update-log record, and
-// bumps the store epoch. Rewriting depends on the summary's shape (paths
-// and strong/one-to-one edges), not on extent contents, so the plan and
-// summary-implication caches survive a commit that leaves the shape alone
-// (only the cost pick is redone under the new statistics) and are dropped
-// by one that changes it: a plan (or a cached negative verdict) computed
-// against another shape can never answer a later query.
+// persisted as one update-log record, and bumps the store epoch.
+// Rewriting depends on the summary's shape (paths and strong/one-to-one
+// edges), not on extent contents, so the plan and summary-implication
+// caches survive a commit that leaves the shape alone (only the cost pick
+// is redone under the new statistics) and are dropped by one that changes
+// it: a plan (or a cached negative verdict) computed against another shape
+// can never answer a later query.
 package serve
 
 import (
@@ -71,19 +71,6 @@ type Config struct {
 	// price of longer, memory-hungrier searches; 1 reproduces the
 	// first-found behavior.
 	MaxRewritings int
-	// CompactMaxChain and CompactMaxBytes set the online compaction
-	// policy: when any view's delta chain reaches CompactMaxChain segments
-	// (<= 0: default 16) or the chains' total size reaches CompactMaxBytes
-	// (<= 0: default 32 MiB), the committer folds every chain
-	// into fresh base segments and reclaims the superseded files. The
-	// epoch is preserved and queries are unaffected (compaction is
-	// disk-only; extents are served from memory).
-	CompactMaxChain int
-	CompactMaxBytes int64
-	// CompactDisabled turns online compaction off (chains then grow
-	// until an offline `xvstore compact`). Read-only servers never
-	// compact.
-	CompactDisabled bool
 	// GroupWait is how long the committer holds a commit group open for
 	// straggler requests after the first one arrives. 0 commits with
 	// natural batching only: whatever queued while the previous group
@@ -109,11 +96,6 @@ type Config struct {
 	// (<= 0: obs.DefaultRingSize).
 	TraceRingSize int
 }
-
-const (
-	defaultCompactMaxChain = 16
-	defaultCompactMaxBytes = 32 << 20
-)
 
 // defaultMaxRewritings bounds the per-query alternative enumeration. Two
 // is what every recorded run uses: on XMark-sized summaries the search for
@@ -143,7 +125,7 @@ type Server struct {
 	// closed by Close; done is closed when the committer has exited (at
 	// once on a read-only server, which starts none). degraded is set when
 	// a batch was applied in memory but could not be persisted; further
-	// updates are refused so the directory's delta chains never skip an
+	// updates are refused so the directory's update log never skips an
 	// epoch.
 	commitQ   chan<- *commitReq
 	stop      chan struct{}
@@ -204,7 +186,6 @@ func New(cfg Config) (*Server, error) {
 	obs.RegisterRuntimeMetrics(reg)
 	c := &committer{srv: s, cat: cat, st: st, q: q}
 	c.publish(sum)
-	c.refreshChains()
 	c.refreshLog()
 	if cfg.ReadOnly {
 		close(s.done)
@@ -246,10 +227,9 @@ func (s *Server) registerGauges() {
 		func() float64 { return time.Since(s.started).Seconds() })
 }
 
-// Close stops the committer, waiting out the group or compaction it is in
+// Close stops the committer, waiting out the group or checkpoint it is in
 // the middle of. The HTTP handler remains usable for reads; /update
-// requests still queued when the committer stops are answered 503, and
-// chains then only compact offline.
+// requests still queued when the committer stops are answered 503.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() { close(s.stop) })
 	<-s.done
@@ -820,14 +800,6 @@ type Stats struct {
 	TuplesDeleted      int64   `json:"tuples_deleted"`
 	CacheInvalidations int64   `json:"cache_invalidations"`
 	MaintainMillis     float64 `json:"maintain_ms_total"`
-	// Online-compaction state: the current longest delta chain and total
-	// delta bytes, and what online compaction has folded/reclaimed so far.
-	MaxDeltaChain         int64 `json:"max_delta_chain"`
-	DeltaBytes            int64 `json:"delta_bytes"`
-	Compactions           int64 `json:"compactions_run"`
-	DeltaSegmentsFolded   int64 `json:"delta_segments_folded"`
-	CompactBytesReclaimed int64 `json:"compact_bytes_reclaimed"`
-	CompactErrors         int64 `json:"compact_errors"`
 	// Durability state: DurableEpoch is the last epoch whose catalog write
 	// completed (Epoch is ahead of it while a persist is in flight);
 	// DocEpoch is the document checkpoint's epoch, and the update log
@@ -847,37 +819,31 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	es := s.snapshot()
 	defer es.st.Release()
 	writeJSON(w, http.StatusOK, &Stats{
-		UptimeSeconds:         time.Since(s.started).Seconds(),
-		Views:                 len(s.views),
-		Epoch:                 es.epoch,
-		Degraded:              s.degraded.Load(),
-		Queries:               s.met.queries.Value(),
-		RewritesRun:           s.met.rewritesRun.Value(),
-		ClientDisconnects:     s.met.clientsGone.Value(),
-		Errors:                s.met.errors.Value(),
-		RowsServed:            s.met.rowsServed.Value(),
-		PlanCacheHits:         hits,
-		PlanCacheMisses:       misses,
-		PlanCacheSize:         es.plans.len(),
-		PlanHitRate:           rate,
-		SubsumeEntries:        es.subsume.Len(),
-		RewriteMillis:         s.met.rewriteSeconds.Sum() * 1e3,
-		ExecMillis:            s.met.execSeconds.Sum() * 1e3,
-		UpdatesApplied:        s.met.updates.Value(),
-		TuplesAdded:           s.met.tuplesAdded.Value(),
-		TuplesDeleted:         s.met.tuplesDeleted.Value(),
-		CacheInvalidations:    s.met.invalidations.Value(),
-		MaintainMillis:        s.met.maintainSeconds.Sum() * 1e3,
-		MaxDeltaChain:         int64(s.met.maxChain.Value()),
-		DeltaBytes:            int64(s.met.deltaBytes.Value()),
-		Compactions:           s.met.compactions.Value(),
-		DeltaSegmentsFolded:   s.met.compactFolded.Value(),
-		CompactBytesReclaimed: s.met.compactReclaimed.Value(),
-		CompactErrors:         s.met.compactErrors.Value(),
-		DurableEpoch:          int64(s.met.durableEpoch.Value()),
-		DocEpoch:              int64(s.met.docEpoch.Value()),
-		UpdateLogRecords:      int64(s.met.logRecords.Value()),
-		UpdateLogBytes:        int64(s.met.logBytes.Value()),
+		UptimeSeconds:      time.Since(s.started).Seconds(),
+		Views:              len(s.views),
+		Epoch:              es.epoch,
+		Degraded:           s.degraded.Load(),
+		Queries:            s.met.queries.Value(),
+		RewritesRun:        s.met.rewritesRun.Value(),
+		ClientDisconnects:  s.met.clientsGone.Value(),
+		Errors:             s.met.errors.Value(),
+		RowsServed:         s.met.rowsServed.Value(),
+		PlanCacheHits:      hits,
+		PlanCacheMisses:    misses,
+		PlanCacheSize:      es.plans.len(),
+		PlanHitRate:        rate,
+		SubsumeEntries:     es.subsume.Len(),
+		RewriteMillis:      s.met.rewriteSeconds.Sum() * 1e3,
+		ExecMillis:         s.met.execSeconds.Sum() * 1e3,
+		UpdatesApplied:     s.met.updates.Value(),
+		TuplesAdded:        s.met.tuplesAdded.Value(),
+		TuplesDeleted:      s.met.tuplesDeleted.Value(),
+		CacheInvalidations: s.met.invalidations.Value(),
+		MaintainMillis:     s.met.maintainSeconds.Sum() * 1e3,
+		DurableEpoch:       int64(s.met.durableEpoch.Value()),
+		DocEpoch:           int64(s.met.docEpoch.Value()),
+		UpdateLogRecords:   int64(s.met.logRecords.Value()),
+		UpdateLogBytes:     int64(s.met.logBytes.Value()),
 	})
 }
 

@@ -64,15 +64,13 @@ func TestServeUpdateStatusCodesPinned(t *testing.T) {
 
 // TestServeSoakAutoCompaction is the race-enabled soak: hundreds of update
 // batches stream through the daemon while readers query concurrently. It
-// asserts epochs advance strictly one per batch, delta chains stay bounded
-// by the auto-compaction policy, the compactor actually runs, and the
-// persisted store reopens with extents identical to a from-scratch rebuild
-// of the final document.
+// asserts epochs advance strictly one per batch, the update log stays
+// bounded by the checkpoint policy (the background step that replaced
+// compaction), the checkpoint actually runs mid-stream, and the persisted
+// store reopens with extents identical to a from-scratch rebuild of the
+// final document.
 func TestServeSoakAutoCompaction(t *testing.T) {
-	const (
-		batches   = 200
-		threshold = 4
-	)
+	const batches = view.CheckpointEvery + 44
 	dir := t.TempDir()
 	doc := xmltree.MustParseParen(`site(item(name "n0" price "1"))`)
 	views := []*core.View{
@@ -84,7 +82,7 @@ func TestServeSoakAutoCompaction(t *testing.T) {
 	}
 	// Tracing and slow-request logging run at full throttle during the
 	// soak: observability must not perturb the pipeline under race.
-	srv, err := New(Config{Dir: dir, PlanCacheSize: 16, CompactMaxChain: threshold,
+	srv, err := New(Config{Dir: dir, PlanCacheSize: 16,
 		SlowQuery: time.Nanosecond, Logger: slog.New(slog.NewJSONHandler(io.Discard, nil))})
 	if err != nil {
 		t.Fatal(err)
@@ -133,10 +131,9 @@ func TestServeSoakAutoCompaction(t *testing.T) {
 		}
 	}()
 
-	// Readers: query and watch /stats while the writer runs. Chains may
-	// transiently overshoot the threshold (the compactor is asynchronous),
-	// but never run away. Failures go through errs — t.Fatal must not be
-	// called off the test goroutine.
+	// Readers: query and watch /stats while the writer runs; the log never
+	// outgrows the checkpoint policy. Failures go through errs — t.Fatal
+	// must not be called off the test goroutine.
 	fetch := func(url string, out any) error {
 		r, err := http.Get(url)
 		if err != nil {
@@ -182,8 +179,8 @@ func TestServeSoakAutoCompaction(t *testing.T) {
 					errs <- err
 					return
 				}
-				if st.MaxDeltaChain > threshold+32 {
-					errs <- fmt.Errorf("delta chain ran away: %d (threshold %d)", st.MaxDeltaChain, threshold)
+				if st.UpdateLogRecords > view.CheckpointEvery {
+					errs <- fmt.Errorf("log ran away: %+v", st)
 					return
 				}
 			}
@@ -196,33 +193,20 @@ func TestServeSoakAutoCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Quiesce: let any pending compaction finish, then check the policy
-	// held. The final chains must sit under the threshold, the compactor
-	// must have run, and nothing may have failed.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var st Stats
-		getJSON(t, ts.URL+"/stats", &st)
-		if st.MaxDeltaChain < threshold {
-			if st.Compactions < 1 || st.DeltaSegmentsFolded < 1 {
-				t.Fatalf("compactor never ran: %+v", st)
-			}
-			if st.CompactErrors != 0 {
-				t.Fatalf("compaction errors: %+v", st)
-			}
-			if st.Epoch != batches || st.UpdatesApplied != batches {
-				t.Fatalf("final epoch %d / updates %d, want %d", st.Epoch, st.UpdatesApplied, batches)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("chains never drained under the threshold: %+v", st)
-		}
-		time.Sleep(10 * time.Millisecond)
+	// Every batch is acked, so the checkpoint at CheckpointEvery has run:
+	// the log holds exactly the epochs after it.
+	var st Stats
+	getJSON(t, ts.URL+"/stats", &st)
+	if st.Epoch != batches || st.UpdatesApplied != batches || st.DocEpoch != view.CheckpointEvery ||
+		st.UpdateLogRecords != batches-view.CheckpointEvery || st.Degraded {
+		t.Fatalf("final state: %+v", st)
 	}
-	srv.Close() // stop the compactor before inspecting the directory
+	if got := metricValue(t, ts, "xvserve_doc_checkpoint_errors_total"); got != 0 {
+		t.Fatalf("%v checkpoint error(s)", got)
+	}
+	srv.Close() // stop the committer before inspecting the directory
 
-	// The persisted store must reopen (epoch preserved, chains replayable)
+	// The persisted store must reopen (epoch preserved, log replayable)
 	// with extents identical to re-materializing every view over the final
 	// persisted document.
 	cat, st2, err := view.OpenUpdatableStore(dir)

@@ -283,7 +283,7 @@ func TestServeConcurrentQueriesAndUpdates(t *testing.T) {
 // cannot be persisted (here: the store directory vanishes), the server
 // must answer 500, keep serving the applied batch from memory, report
 // degraded on /stats, and refuse further updates with 503 — never
-// persisting a later batch over a hole in the delta chains.
+// persisting a later batch over a hole in the update log.
 func TestServeDegradedOnPersistFailure(t *testing.T) {
 	ts, dir := newUpdatableServer(t, Config{})
 

@@ -29,9 +29,17 @@ const ManifestName = "catalog.json"
 // (UpdateLogName) carries the epochs after it, which older readers would
 // silently ignore. In a version-2 or -3 directory the document is current
 // at the catalog epoch and there is no log, so OpenCatalog reads those as
-// DocEpoch = Epoch; the first commit writes the directory back as
-// version 4.
-const CatalogVersion = 4
+// DocEpoch = Epoch.
+//
+// Version 5 made the log the only per-commit artefact: a commit appends
+// one log record and rewrites the manifest, and the base segments, like
+// the document, are current at DocEpoch; the log's records replay over
+// both. Versions 2–4 kept extents current at Epoch through per-commit
+// delta chains (Entry.Deltas), which a version-4 reader would look for and
+// not find. The view layer opens an older directory by rebuilding its
+// extents from the document and checkpoints it into this layout before
+// its first commit.
+const CatalogVersion = 5
 
 // MinCatalogVersion is the oldest manifest version this code still reads:
 // version-2 stores (plain summary text, no statistics) open fine — the
@@ -47,31 +55,24 @@ type Entry struct {
 	Pattern string `json:"pattern"`
 	// Columns is the extent's flat column schema (s<k>.<attr> names).
 	Columns []string `json:"columns"`
-	// Rows is the extent's current row count, after replaying Deltas over
-	// the base segment.
+	// Rows is the extent's row count at the catalog epoch.
 	Rows int `json:"rows"`
 	// Bytes is the base segment file's size.
 	Bytes int64 `json:"bytes"`
 	// Segment is the base segment file name, relative to the store
-	// directory.
+	// directory: the extent at DocEpoch (before version 5, at the base's
+	// own epoch, with Deltas replayed over it).
 	Segment string `json:"segment"`
-	// Deltas is the append-only chain of delta segments to replay over the
-	// base segment, oldest first. Compaction folds them back into Segment
-	// and clears the chain.
+	// Deltas is a version-2–4 entry's chain of delta segments. Nothing
+	// reads their contents any more; the upgrade checkpoint deletes the
+	// files it names.
 	Deltas []DeltaRef `json:"deltas,omitempty"`
 }
 
-// DeltaRef names one delta segment of an entry's chain.
+// DeltaRef names one delta segment of a version-2–4 entry's chain; the
+// manifest's other delta fields (tuple counts, size, epoch) are ignored.
 type DeltaRef struct {
-	// Segment is the delta file name, relative to the store directory.
 	Segment string `json:"segment"`
-	// Adds and Dels are the tuple counts of the two halves.
-	Adds int `json:"adds"`
-	Dels int `json:"dels"`
-	// Bytes is the delta file's size.
-	Bytes int64 `json:"bytes"`
-	// Epoch is the store epoch the batch produced.
-	Epoch int64 `json:"epoch"`
 }
 
 // Catalog is the manifest of a store directory: the summary the views were
@@ -97,9 +98,10 @@ type Catalog struct {
 	// always names a file that exists. A store without one cannot apply
 	// updates.
 	DocSegment string `json:"doc_segment,omitempty"`
-	// DocEpoch is the epoch DocSegment was written at. The update log holds
-	// one record for each epoch in (DocEpoch, Epoch]; replaying them over
-	// the checkpoint yields the document at Epoch.
+	// DocEpoch is the epoch DocSegment (and, since version 5, every base
+	// segment) was written at. The update log holds one record for each
+	// epoch in (DocEpoch, Epoch]; replaying them over the checkpoint yields
+	// the document and the extents at Epoch.
 	DocEpoch int64 `json:"doc_epoch,omitempty"`
 }
 
@@ -167,9 +169,6 @@ func OpenCatalog(dir string) (*Catalog, error) {
 		for _, d := range e.Deltas {
 			if d.Segment == "" {
 				return nil, fmt.Errorf("store: catalog entry %q has a delta without a segment", e.Name)
-			}
-			if d.Epoch < 1 || d.Epoch > c.Epoch {
-				return nil, fmt.Errorf("store: catalog entry %q delta epoch %d outside (0, %d]", e.Name, d.Epoch, c.Epoch)
 			}
 		}
 	}

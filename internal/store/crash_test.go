@@ -18,15 +18,17 @@ import (
 )
 
 // The crash-point table: one scripted life of a store directory — commit,
-// commit, document checkpoint, commit, compaction, commit, checkpoint —
-// run under store.CrashFS once for every operation count N the script
-// performs, with and without a torn final write. After each simulated
-// power cut the durable state must reopen (OpenUpdatableStore) at exactly
-// the epoch before or after the interrupted step, with the replayed
-// document equal to an in-memory oracle's and every extent equal to a
-// rebuild over it; then it must take one more update and reopen again,
-// which a skipped epoch, a double-applied log record, a dangling
-// doc_segment or an unreadable log would all fail.
+// commit, checkpoint, commit, commit, checkpoint, commit — run under
+// store.CrashFS once for every operation count N the script performs, with
+// and without a torn final write. After each simulated power cut the
+// durable state must open read-only and as the writer
+// (OpenUpdatableStore) at exactly the epoch before or after the
+// interrupted step, with the replayed document equal to an in-memory
+// oracle's and every extent equal to a rebuild over it; then it must take
+// one more update and reopen again, which a skipped epoch, a
+// double-applied log record, a dangling base segment or doc_segment or an
+// unreadable log would all fail. Every view changes between checkpoints,
+// so each checkpoint rewrites all six base segments.
 
 const crashDoc = `<site><regions><asia>` +
 	`<item><name>fan</name><location>Kyoto</location></item>` +
@@ -40,7 +42,10 @@ func crashViews(t testing.TB) []*core.View {
 	for _, def := range [][2]string{
 		{"VNAME", `site(//item[id](/name[v]))`},
 		{"VLOC", `site(//item[id](/location[v]))`},
+		{"VITEM", `site(//item[id])`},
 		{"VPERSON", `site(//person[id](/name[v]))`},
+		{"VPEOPLE", `site(/people(/person[id]))`},
+		{"VPNAME", `site(//person(/name[id,v]))`},
 	} {
 		p, err := pattern.Parse(def[1])
 		if err != nil {
@@ -58,8 +63,9 @@ func crashViews(t testing.TB) []*core.View {
 var crashUpdates = []string{
 	`[{"op":"insert","parent":"1.1.1","subtree":"item(name \"a \\\"quoted\\\\ name\" location \"Nara\")"}]`,
 	`[{"op":"settext","target":"1.1.1.1.1","value":"folding fan"},{"op":"insert","parent":"1.3","subtree":"person(name \"Bo\")"}]`,
-	`[{"op":"delete","target":"1.1.1.3"}]`,
-	`[{"op":"rename","target":"1.1.3.1.3","label":"origin"},{"op":"insert","parent":"1.1.3","before":"1.1.3.1","subtree":"item(name \"bell\")"}]`,
+	`[{"op":"delete","target":"1.1.1.3"},{"op":"settext","target":"1.3.1.1","value":"Ada L."}]`,
+	`[{"op":"rename","target":"1.1.3.1.3","label":"origin"},{"op":"insert","parent":"1.1.3","before":"1.1.3.1","subtree":"item(name \"bell\")"},{"op":"insert","parent":"1.3","subtree":"person(name \"Cy\")"}]`,
+	`[{"op":"delete","target":"1.3.1"}]`,
 }
 
 const crashProbe = `[{"op":"insert","parent":"1.3","subtree":"person(name \"probe\")"}]`
@@ -126,19 +132,20 @@ func crashScript(t testing.TB) []crashStep {
 		}}
 	}
 	checkpoint := crashStep{"checkpoint", 0, func(dir string, cat *store.Catalog, st *view.Store) error {
-		return view.CheckpointDocument(dir, cat, st.Document())
-	}}
-	compact := crashStep{"compact", 0, func(dir string, cat *store.Catalog, st *view.Store) error {
-		_, err := view.CompactCatalog(dir, cat)
+		_, err := view.Checkpoint(dir, cat, st)
 		return err
 	}}
-	return []crashStep{commit(0), commit(1), checkpoint, commit(2), compact, commit(3), checkpoint}
+	return []crashStep{commit(0), commit(1), checkpoint, commit(2), commit(3), checkpoint, commit(4)}
 }
 
 // checkStore asserts the directory opens at one of the allowed epochs with
 // the oracle's document and rebuilt extents, and returns that epoch.
 func checkStore(t *testing.T, dir string, docs []string, allowed ...int64) int64 {
 	t.Helper()
+	ro, err := view.OpenStore(dir, crashViews(t))
+	if err != nil {
+		t.Fatalf("read-only open: %v", err)
+	}
 	cat, st, err := view.OpenUpdatableStore(dir)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -157,9 +164,16 @@ func checkStore(t *testing.T, dir string, docs []string, allowed ...int64) int64
 	if err != nil {
 		t.Fatal(err)
 	}
+	if ro.Epoch() != cat.Epoch {
+		t.Fatalf("read-only open at epoch %d, writer at %d", ro.Epoch(), cat.Epoch)
+	}
 	for _, v := range views {
-		if got, want := st.Relation(v).Clone(), view.MaterializeFlat(v, st.Document()); !got.EqualAsSet(want) {
+		want := view.MaterializeFlat(v, st.Document())
+		if got := st.Relation(v).Clone(); !got.EqualAsSet(want) {
 			t.Fatalf("epoch %d: extent of %s\n%swant rebuild\n%s", cat.Epoch, v.Name, got.Sorted(), want.Sorted())
+		}
+		if got := ro.Relation(v).Clone(); !got.EqualAsSet(want) {
+			t.Fatalf("epoch %d: read-only extent of %s\n%swant rebuild\n%s", cat.Epoch, v.Name, got.Sorted(), want.Sorted())
 		}
 	}
 	if cat.DocEpoch > cat.Epoch {

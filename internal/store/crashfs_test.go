@@ -19,10 +19,11 @@ import (
 // before the cut leaves the first half of its bytes behind, as a short
 // write does.
 //
-// The model is the strict one: nothing unsynced survives. A real disk may
-// keep more (any unsynced write or rename may have reached the platter),
-// but every such state is one this model produces at a later crash point
-// or a superset of garbage files, so enumerating all Limits covers them.
+// The model is the strict one: nothing unsynced survives, and a removed
+// file is gone at once. A real disk may keep more (any unsynced write or
+// rename may have reached the platter), but every such state is one this
+// model produces at a later crash point or a superset of garbage files,
+// so enumerating all Limits covers them.
 type CrashFS struct {
 	Limit int // operations allowed before the crash; < 0: never crash
 	Tear  bool
@@ -158,7 +159,11 @@ func (c *CrashFS) remove(path string) error {
 	if err := (osFS{}).remove(path); err != nil {
 		return err
 	}
+	// Unlike a new name, a removal is taken to be durable at once: the
+	// disk may persist it before any later directory sync, and a file lost
+	// too early is the failure that matters.
 	delete(c.live, c.name(path))
+	delete(c.durable, c.name(path))
 	return nil
 }
 

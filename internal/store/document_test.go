@@ -1,69 +1,11 @@
 package store
 
 import (
-	"math/rand"
 	"path/filepath"
 	"testing"
 
-	"xmlviews/internal/nodeid"
-	"xmlviews/internal/nrel"
 	"xmlviews/internal/xmltree"
 )
-
-func smallRel(vals ...string) *nrel.Relation {
-	r := nrel.NewRelation("s0.id", "s0.v")
-	for i, v := range vals {
-		val := nrel.Null()
-		if v != "" {
-			val = nrel.String(v)
-		}
-		r.Append(nrel.Tuple{nrel.ID(nodeid.New(1, uint32(2*i+1))), val})
-	}
-	return r
-}
-
-func TestDeltaFileRoundTrip(t *testing.T) {
-	adds, dels := smallRel("a", "b", ""), smallRel("c")
-	path := filepath.Join(t.TempDir(), "d.xvs")
-	if _, err := WriteDeltaFile(path, adds, dels); err != nil {
-		t.Fatal(err)
-	}
-	gotAdds, gotDels, err := ReadDeltaFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gotAdds.EqualAsSet(adds) || !gotDels.EqualAsSet(dels) {
-		t.Fatalf("round trip changed deltas:\n%s\n%s", gotAdds, gotDels)
-	}
-}
-
-func TestDeltaDecodeRejectsCorruption(t *testing.T) {
-	data := EncodeDelta(smallRel("a", "b"), smallRel())
-	if _, _, err := DecodeDelta([]byte("XVSG....")); err == nil {
-		t.Error("segment magic accepted as delta")
-	}
-	for _, n := range []int{0, 3, 5, len(data) / 2, len(data) - 1} {
-		if _, _, err := DecodeDelta(data[:n]); err == nil {
-			t.Errorf("truncation to %d bytes not detected", n)
-		}
-	}
-	if _, _, err := DecodeDelta(append(data, 0)); err == nil {
-		t.Error("trailing bytes not detected")
-	}
-	r := rand.New(rand.NewSource(3))
-	for i := 0; i < 200; i++ {
-		mut := append([]byte(nil), data...)
-		mut[r.Intn(len(mut))] ^= 1 << uint(r.Intn(8))
-		a, d, err := DecodeDelta(mut)
-		if err == nil {
-			// A flipped bit may land in redundant varint space and still
-			// decode; it must at least decode to *some* relation pair.
-			if a == nil || d == nil {
-				t.Fatalf("flip %d: nil relations without error", i)
-			}
-		}
-	}
-}
 
 func TestDocumentFileRoundTrip(t *testing.T) {
 	doc := xmltree.MustParseParen(`site(item(name "pen" price "3") item(@id "7" name "ink"))`)

@@ -66,26 +66,6 @@ func FuzzSegmentRead(f *testing.F) {
 	})
 }
 
-// FuzzDeltaRead is the same property for the delta segment decoder.
-func FuzzDeltaRead(f *testing.F) {
-	r := fuzzSeedRelation()
-	f.Add(EncodeDelta(r, nrel.NewRelation(r.Cols...)))
-	f.Add(EncodeDelta(nrel.NewRelation(), nrel.NewRelation()))
-	f.Add([]byte("XVDL"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<20 {
-			return
-		}
-		adds, dels, err := DecodeDelta(data) // must not panic
-		if err != nil {
-			return
-		}
-		if _, _, err := DecodeDelta(EncodeDelta(adds, dels)); err != nil {
-			t.Fatalf("re-encode of accepted delta does not decode: %v", err)
-		}
-	})
-}
-
 // FuzzUpdateLogRead asserts the update-log reader never panics on
 // arbitrary bytes, returns only a checksummed prefix of them — the
 // records re-encode to exactly data[:valid] — and never reports the rest

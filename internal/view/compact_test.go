@@ -1,9 +1,9 @@
 package view
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"xmlviews/internal/core"
@@ -13,9 +13,9 @@ import (
 	"xmlviews/internal/xmltree"
 )
 
-// chainedStore builds a one-view store and commits an insert and a settext
-// to it, leaving a delta chain of two.
-func chainedStore(t *testing.T) (string, []*core.View) {
+// loggedStore builds a one-view store and commits an insert and a settext
+// to it offline, leaving a two-record update log over the built bases.
+func loggedStore(t *testing.T) (string, []*core.View) {
 	t.Helper()
 	dir := t.TempDir()
 	doc := xmltree.MustParseParen(`site(item(name "pen") item(name "ink"))`)
@@ -40,57 +40,60 @@ func chainedStore(t *testing.T) (string, []*core.View) {
 	return dir, views
 }
 
-// TestCompactionChecksDeltaCounts: a delta whose tuple counts disagree with
-// its catalog DeltaRef is refused by compaction exactly as by open — not
-// folded into a new base with the evidence deleted — even when the folded
-// extent still has the catalog's row count.
+// dirContents maps every file of dir to its bytes.
+func dirContents(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for _, e := range entries {
+		if out[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestCompactionChecksDeltaCounts: a log whose replay disagrees with the
+// catalog's row counts is refused by compaction exactly as by open — not
+// folded into a new base with the evidence deleted — and the refused
+// compaction leaves every file as it was.
 func TestCompactionChecksDeltaCounts(t *testing.T) {
-	dir, views := chainedStore(t)
+	dir, views := loggedStore(t)
 	cat, err := store.OpenCatalog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat.Views[0].Deltas[0].Adds++ // Rows stays consistent with the files
+	cat.Views[0].Rows++
 	if err := store.WriteCatalog(dir, cat); err != nil {
 		t.Fatal(err)
 	}
+	before := dirContents(t, dir)
 	if _, err := OpenStore(dir, views); err == nil {
-		t.Fatal("open accepted a delta whose counts disagree with the catalog")
+		t.Fatal("open accepted a replay whose row count disagrees with the catalog")
 	}
 	if res, err := CompactStore(dir); err == nil {
-		t.Fatalf("compaction folded a delta whose counts disagree with the catalog: %+v", res)
+		t.Fatalf("compaction checkpointed a replay whose row count disagrees with the catalog: %+v", res)
 	}
-	after, err := store.OpenCatalog(dir)
-	if err != nil {
-		t.Fatal(err)
+	after := dirContents(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("refused compaction left %d file(s), had %d", len(after), len(before))
 	}
-	if after.Views[0].Segment != cat.Views[0].Segment || len(after.Views[0].Deltas) != 2 {
-		t.Fatalf("refused compaction changed the catalog: %+v", after.Views[0])
-	}
-	for _, d := range after.Views[0].Deltas {
-		if _, err := os.Stat(filepath.Join(dir, d.Segment)); err != nil {
-			t.Fatalf("refused compaction removed %s: %v", d.Segment, err)
+	for name, data := range before {
+		if !bytes.Equal(after[name], data) {
+			t.Fatalf("refused compaction changed %s", name)
 		}
 	}
 }
 
-// TestCompactionReclaimsFiles: compaction must write a fresh base segment,
-// remove the superseded base and delta files after the catalog is durable,
-// and leave a store that reopens with identical extents.
+// TestCompactionReclaimsFiles: compaction (the offline checkpoint) writes
+// a fresh base segment and document checkpoint, removes the superseded
+// ones after the catalog is durable, empties the log, and leaves a store
+// that reopens with identical extents and keeps taking updates.
 func TestCompactionReclaimsFiles(t *testing.T) {
-	dir, views := chainedStore(t)
-	preCat, err := store.OpenCatalog(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldBase := preCat.Views[0].Segment
-	var oldDeltas []string
-	for _, d := range preCat.Views[0].Deltas {
-		oldDeltas = append(oldDeltas, d.Segment)
-	}
-	if len(oldDeltas) != 2 {
-		t.Fatalf("expected 2 deltas before compaction, have %v", oldDeltas)
-	}
+	dir, views := loggedStore(t)
 	_, preStore, err := OpenUpdatableStore(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -101,10 +104,10 @@ func TestCompactionReclaimsFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Folded != 2 || res.FilesRemoved != 3 || res.BytesReclaimed <= 0 {
+	if res.FilesWritten != 2 || res.BytesWritten <= 0 || res.FilesRemoved != 2 || res.BytesReclaimed <= 0 {
 		t.Fatalf("unexpected compaction result: %+v", res)
 	}
-	for _, gone := range append(oldDeltas, oldBase) {
+	for _, gone := range []string{"seg-0000.xvs", DocSegmentName} {
 		if _, err := os.Stat(filepath.Join(dir, gone)); !os.IsNotExist(err) {
 			t.Fatalf("superseded file %s still on disk (err=%v)", gone, err)
 		}
@@ -113,13 +116,14 @@ func TestCompactionReclaimsFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seg := cat.Views[0].Segment; !strings.HasPrefix(seg, "seg-0000.c") || seg == oldBase {
-		t.Fatalf("base segment not renamed by compaction: %s", seg)
+	if cat.Epoch != 2 || cat.DocEpoch != 2 || cat.Views[0].Segment != "seg-0000.c0002.xvs" || cat.DocSegment != "document.c0002.xvt" {
+		t.Fatalf("catalog after compaction: epoch %d, base %s, document %s@%d",
+			cat.Epoch, cat.Views[0].Segment, cat.DocSegment, cat.DocEpoch)
 	}
-	if cat.Epoch != 2 || len(cat.Views[0].Deltas) != 0 {
-		t.Fatalf("catalog not compacted: epoch %d, %d deltas", cat.Epoch, len(cat.Views[0].Deltas))
+	if n := store.UpdateLogSize(dir); n != 0 {
+		t.Fatalf("log holds %d byte(s) after compaction", n)
 	}
-	_, st, err := OpenUpdatableStore(dir)
+	st, err := OpenStore(dir, views)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,12 +136,11 @@ func TestCompactionReclaimsFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Folded != 0 || res2.FilesRemoved != 0 {
+	if res2.FilesWritten != 0 || res2.FilesRemoved != 0 {
 		t.Fatalf("idle compaction did work: %+v", res2)
 	}
 
-	// The compacted store keeps taking updates, with delta names derived
-	// from the new base stem.
+	// The compacted store keeps taking updates: one log record, no new file.
 	ups, err := maintain.ParseUpdates([]byte(`[{"op":"settext","target":"1.1.1","value":"nib"}]`))
 	if err != nil {
 		t.Fatal(err)
@@ -145,11 +148,13 @@ func TestCompactionReclaimsFiles(t *testing.T) {
 	if _, err := UpdateStore(dir, ups); err != nil {
 		t.Fatal(err)
 	}
-	cat3, err := store.OpenCatalog(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cat3.Views[0].Deltas) != 1 || !strings.Contains(cat3.Views[0].Deltas[0].Segment, ".d0003.") {
-		t.Fatalf("post-compaction delta chain wrong: %+v", cat3.Views[0].Deltas)
+	files := dirContents(t, dir)
+	if len(files) != 4 || files["seg-0000.c0002.xvs"] == nil || files["document.c0002.xvt"] == nil ||
+		files[store.ManifestName] == nil || files[store.UpdateLogName] == nil {
+		names := make([]string, 0, len(files))
+		for name := range files {
+			names = append(names, name)
+		}
+		t.Fatalf("directory after one more commit holds %v", names)
 	}
 }

@@ -1,6 +1,7 @@
 package view
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -69,8 +70,7 @@ func BuildStore(dir string, doc *xmltree.Document, views []*core.View) (*store.C
 // OpenStore loads the named views' extents from a store directory built by
 // BuildStore. Each view's definition is checked against the catalog's
 // recorded pattern text, and every segment block is CRC-verified at load.
-// The returned store carries no document: queries are answered purely from
-// the persisted extents.
+// The returned store answers queries purely from the loaded extents.
 func OpenStore(dir string, views []*core.View) (*Store, error) {
 	cat, err := store.OpenCatalog(dir)
 	if err != nil {
@@ -81,11 +81,35 @@ func OpenStore(dir string, views []*core.View) (*Store, error) {
 
 // OpenStoreWithCatalog is OpenStore for callers that already hold the
 // directory's catalog (e.g. a serving daemon that also needs the summary).
-// Each extent is its base segment with the entry's delta chain replayed
-// over it, oldest first.
+//
+// The base segments hold the extents at DocEpoch. When the catalog is
+// ahead of that, the document checkpoint is read and the update log's
+// records of epochs DocEpoch+1 … Epoch are replayed through ApplyUpdates,
+// the path a commit takes, so a reopened store is the committed one by
+// construction; the store then carries the document. A directory written
+// before catalog version 5 has no base segments current at DocEpoch: its
+// extents are rebuilt with MaterializeFlat over the checkpoint before the
+// replay, and its first writer checkpoints it (AttachDocument) — until
+// then the upgrade lives in memory only.
+//
+// Open never writes. Records beyond the catalog epoch and a torn tail are
+// left where they are for the writer to cut (AttachDocument); a needed
+// record that is missing, out of sequence, corrupt or unappliable refuses
+// the open. Every extent must end with the row count the catalog records.
 func OpenStoreWithCatalog(dir string, cat *store.Catalog, views []*core.View) (*Store, error) {
-	st := &Store{views: views, blocks: newBlockCache(),
-		cur: &extentVersion{epoch: cat.Epoch, rels: map[string]*nrel.Relation{}, prepared: map[string]*nrel.Relation{}}}
+	upgrade := cat.FormatVersion < store.CatalogVersion
+	var doc *xmltree.Document
+	if upgrade || cat.Epoch > cat.DocEpoch {
+		if cat.DocSegment == "" {
+			return nil, fmt.Errorf("view: store %s has no persisted document to replay its update log over; rebuild it", dir)
+		}
+		var err error
+		if doc, err = store.ReadDocumentFile(filepath.Join(dir, cat.DocSegment)); err != nil {
+			return nil, err
+		}
+	}
+	st := &Store{views: views, blocks: newBlockCache(), dirty: map[string]bool{},
+		cur: &extentVersion{epoch: cat.DocEpoch, rels: map[string]*nrel.Relation{}, prepared: map[string]*nrel.Relation{}}}
 	for _, v := range views {
 		e := cat.Entry(v.Name)
 		if e == nil {
@@ -94,55 +118,88 @@ func OpenStoreWithCatalog(dir string, cat *store.Catalog, views []*core.View) (*
 		if got := v.Pattern.String(); got != e.Pattern {
 			return nil, fmt.Errorf("view: definition of %q does not match catalog (have %s, catalog has %s); rebuild the store", v.Name, got, e.Pattern)
 		}
+		if upgrade {
+			st.cur.rels[v.Name] = MaterializeFlat(v, doc)
+			st.dirty[v.Name] = true
+			continue
+		}
 		rel, zones, err := store.ReadFileZones(filepath.Join(dir, e.Segment))
 		if err != nil {
 			return nil, err
 		}
-		if zones != nil && len(e.Deltas) == 0 {
-			// The extent keeps the segment's row order, so the persisted
-			// zone maps describe it exactly; replayed deltas reorder rows
-			// and void them (Blocks recomputes zones in that case).
+		if zones != nil {
+			// The extent keeps the segment's row order, so the persisted zone
+			// maps describe it exactly until an update reorders it.
 			if st.cur.zoneSeeds == nil {
 				st.cur.zoneSeeds = map[string]*store.ZoneMap{}
 			}
 			st.cur.zoneSeeds[v.Name] = zones
 		}
-		if rel, err = replayChain(dir, e, rel); err != nil {
+		st.cur.rels[v.Name] = rel
+	}
+	if doc != nil {
+		st.doc = doc
+		batches, _, err := acknowledgedLog(dir, cat)
+		if err != nil {
 			return nil, err
 		}
-		st.cur.rels[v.Name] = rel
+		for i, ups := range batches {
+			if _, err := st.ApplyUpdates(context.Background(), ups); err != nil {
+				return nil, fmt.Errorf("view: replaying epoch %d: %w", cat.DocEpoch+int64(i)+1, err)
+			}
+		}
+	}
+	for _, v := range views {
+		if n, want := st.cur.rels[v.Name].Len(), cat.Entry(v.Name).Rows; n != want {
+			return nil, fmt.Errorf("view: extent %q has %d rows at epoch %d, catalog says %d", v.Name, n, cat.Epoch, want)
+		}
 	}
 	return st, nil
 }
 
-// replayChain is the one path from a catalog entry's files to its extent,
-// shared by store open and compaction: it reads the entry's delta files,
-// checks each against its DeltaRef tuple counts, folds the chain over base
-// in one pass (maintain.FoldChain) and checks the result against the
-// entry's row count.
-func replayChain(dir string, e *store.Entry, base *nrel.Relation) (*nrel.Relation, error) {
-	rel := base
-	if len(e.Deltas) > 0 {
-		adds := make([]*nrel.Relation, len(e.Deltas))
-		dels := make([]*nrel.Relation, len(e.Deltas))
-		for i, d := range e.Deltas {
-			a, dl, err := store.ReadDeltaFile(filepath.Join(dir, d.Segment))
-			if err != nil {
-				return nil, err
-			}
-			if a.Len() != d.Adds || dl.Len() != d.Dels {
-				return nil, fmt.Errorf("view: delta %s has %d/%d tuples, catalog says %d/%d",
-					d.Segment, a.Len(), dl.Len(), d.Adds, d.Dels)
-			}
-			adds[i], dels[i] = a, dl
+// acknowledgedLog reads the update log's batches for epochs DocEpoch+1 …
+// Epoch, in order, and the byte length of the log up to the last of them
+// when anything follows it: a record beyond the catalog epoch is a commit
+// that crashed between its log append and its catalog rename, and bytes
+// that do not frame a record are an append torn by a short write — neither
+// was ever acknowledged. cut is -1 when the log ends with the catalog
+// epoch. Records at or below DocEpoch are skipped (a checkpoint whose log
+// truncation never happened).
+func acknowledgedLog(dir string, cat *store.Catalog) (batches [][]xmltree.Update, cut int64, err error) {
+	recs, valid, tail, err := store.ReadUpdateLog(dir)
+	if err != nil {
+		return nil, 0, err
+	}
+	cut = -1
+	if tail != nil {
+		cut = valid
+	}
+	next := cat.DocEpoch + 1
+	for _, r := range recs {
+		if r.Epoch > cat.Epoch {
+			cut = r.Offset
+			break
 		}
-		rel = maintain.FoldChain(base, adds, dels)
+		if r.Epoch <= cat.DocEpoch && next == cat.DocEpoch+1 {
+			continue
+		}
+		if r.Epoch != next {
+			return nil, 0, fmt.Errorf("view: update log of %s is out of sequence: want epoch %d, found %d", dir, next, r.Epoch)
+		}
+		ups, err := maintain.ParseUpdates(r.Payload)
+		if err != nil {
+			return nil, 0, fmt.Errorf("view: update log record of epoch %d: %w", r.Epoch, err)
+		}
+		batches = append(batches, ups)
+		next++
 	}
-	if rel.Len() != e.Rows {
-		return nil, fmt.Errorf("view: extent %q has %d rows after %d delta(s), catalog says %d",
-			e.Name, rel.Len(), len(e.Deltas), e.Rows)
+	if next <= cat.Epoch {
+		if tail != nil {
+			return nil, 0, fmt.Errorf("view: update log of %s stops at epoch %d, catalog is at %d: %w", dir, next-1, cat.Epoch, tail)
+		}
+		return nil, 0, fmt.Errorf("view: update log of %s stops at epoch %d, catalog is at %d", dir, next-1, cat.Epoch)
 	}
-	return rel, nil
+	return batches, cut, nil
 }
 
 // ViewsFromCatalog reconstructs view definitions from a catalog's recorded

@@ -3,6 +3,7 @@ package view
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 
@@ -38,8 +39,8 @@ type UpdateResult struct {
 // but could not be fully persisted: memory is ahead of the directory.
 // The caller must not apply further batches against the directory (the
 // serving layer degrades /update until restart), since a later persisted
-// batch would leave a hole in the delta chains and the update log that
-// makes the store refuse to reopen.
+// batch would leave a hole in the update log that makes the store refuse
+// to reopen.
 type PersistError struct{ Err error }
 
 func (e *PersistError) Error() string {
@@ -48,28 +49,30 @@ func (e *PersistError) Error() string {
 func (e *PersistError) Unwrap() error { return e.Err }
 
 // CheckpointEvery is how many epochs the update log may hold before the
-// directory's writer checkpoints the document (CheckpointDue). A checkpoint
-// re-encodes the whole document (~70 ms for the benchmark's 220k nodes,
-// against ~5 ms for a commit), so it must be rare to stay off the
-// throughput; replay at attach costs one ApplyUpdate per logged update
-// (microseconds), so the log may be long. Chosen from alternating
-// write_stream runs (CHANGES.md): every 16 epochs — riding each compaction —
-// gave 82 ops/s at p90 114 ms, 64 gave 104 at 74 ms, 256 gave 133 at 62 ms.
+// directory's writer checkpoints (CheckpointDue): the one background step
+// that writes the changed extents and the document at the catalog epoch
+// and empties the log. A checkpoint re-encodes the whole document (~70 ms
+// for the benchmark's 220k nodes, against ~5 ms for a commit), so it must
+// be rare to stay off the throughput; a restart replays up to this many
+// logged batches through ApplyUpdates (BenchmarkOpenFullLog). Chosen from
+// alternating write_stream runs (CHANGES.md): checkpointing every 16
+// epochs gave 82 ops/s at p90 114 ms, 64 gave 104 at 74 ms, 256 gave 133
+// at 62 ms.
 const CheckpointEvery = 256
 
 // ApplyAndPersistStaged runs one update batch against an open store and
-// appends it to the directory: one delta file per changed view, one
-// update-log record holding the batch itself (store.AppendUpdateLog,
-// fsynced), and the catalog (new epoch, rebuilt summary, updated row
-// counts) — the catalog write last and the catalog object mutated only
-// after every file write succeeded, so a crash or I/O failure mid-persist
-// leaves both the catalog object and the directory's manifest on the
-// pre-batch state, with only unreferenced delta files and at most one log
-// record beyond the catalog epoch behind (AttachDocument drops it). The
-// document is NOT rewritten: the catalog's DocSegment stays the checkpoint
-// of DocEpoch, and CheckpointDocument folds the log into a fresh one off
-// the commit path. The store must carry its document (OpenUpdatableStore,
-// or AttachDocument on an open store).
+// commits it to the directory: one update-log record holding the batch
+// itself (store.AppendUpdateLog, fsynced), then the catalog (new epoch,
+// rebuilt summary, updated row counts) renamed into place. Nothing else is
+// written: the base segments and the document stay the checkpoint of
+// DocEpoch, and Checkpoint folds the log into fresh ones off the commit
+// path. A crash or I/O failure before the catalog rename leaves the
+// directory's manifest on the pre-batch state with at most one log record
+// beyond its epoch, which open ignores and the next writer cuts
+// (AttachDocument). The store must carry its document (OpenUpdatableStore,
+// or AttachDocument on an open store), and a directory still in an older
+// catalog layout must be checkpointed first, or the commit would stamp the
+// current version on bases that are not current at DocEpoch.
 //
 // What is applied is exactly what a replay of the log record will apply:
 // the batch is rendered to its wire form (maintain.EncodeUpdates) and the
@@ -89,18 +92,20 @@ const CheckpointEvery = 256
 //
 // When ctx carries an obs.Trace, the pipeline records "apply" (in-memory
 // maintenance, including the engine's diff/splice sub-spans), "persist"
-// (delta files and the log record) and "catalog" (commit write) spans.
-// The context does not cancel the batch: aborting between apply and
-// catalog-write is exactly the memory-ahead-of-disk state PersistError
-// exists to report, so the batch always runs to completion or error.
+// (the log record) and "catalog" (commit write) spans. The context does
+// not cancel the batch: aborting between apply and catalog-write is
+// exactly the memory-ahead-of-disk state PersistError exists to report, so
+// the batch always runs to completion or error.
 //
-// Everything that mutates one directory — this function,
-// CheckpointDocument and CompactCatalog — must be called from one
-// goroutine at a time; the serving layer's committer and the offline CLI
-// are each that goroutine.
+// Everything that mutates one directory — this function, AttachDocument
+// and Checkpoint — must be called from one goroutine at a time; the
+// serving layer's committer and the offline CLI are each that goroutine.
 func ApplyAndPersistStaged(ctx context.Context, dir string, cat *store.Catalog, st *Store, updates []xmltree.Update, onApplied func(*UpdateResult)) (*UpdateResult, error) {
 	if cat.DocSegment == "" {
 		return nil, fmt.Errorf("view: store %s has no persisted document to log updates against; rebuild it", dir)
+	}
+	if cat.FormatVersion < store.CatalogVersion {
+		return nil, fmt.Errorf("view: store %s has the catalog version %d layout; checkpoint it before its first commit", dir, cat.FormatVersion)
 	}
 	payload, err := maintain.EncodeUpdates(updates)
 	if err == nil {
@@ -117,51 +122,32 @@ func ApplyAndPersistStaged(ctx context.Context, dir string, cat *store.Catalog, 
 	}
 	epoch := st.Epoch()
 	res := &UpdateResult{Epoch: epoch, Skipped: len(batch.Skipped), Summary: batch.Summary}
-	for _, d := range batch.Deltas {
+	entries := make([]*store.Entry, len(batch.Deltas))
+	for i, d := range batch.Deltas {
 		res.Changed = append(res.Changed, ChangedView{
 			Name: d.View.Name, Adds: d.Adds.Len(), Dels: d.Dels.Len(), Rows: d.New.Len(),
 		})
+		entries[i] = cat.Entry(d.View.Name)
 	}
 	if onApplied != nil {
 		onApplied(res)
 	}
-	endPersist := obs.StartSpan(ctx, "persist")
-	// Stage: write every delta file before touching the catalog object.
-	type staged struct {
-		entry *store.Entry
-		ref   store.DeltaRef
-		rows  int
-	}
-	var stage []staged
-	for _, d := range batch.Deltas {
-		e := cat.Entry(d.View.Name)
+	for i, e := range entries {
 		if e == nil {
-			endPersist()
-			return res, &PersistError{fmt.Errorf("changed view %q not in catalog", d.View.Name)}
+			return res, &PersistError{fmt.Errorf("changed view %q not in catalog", batch.Deltas[i].View.Name)}
 		}
-		base := strings.TrimSuffix(e.Segment, ".xvs")
-		seg := fmt.Sprintf("%s.d%04d.xvs", base, epoch)
-		n, err := store.WriteDeltaFile(filepath.Join(dir, seg), d.Adds, d.Dels)
-		if err != nil {
-			endPersist()
-			return res, &PersistError{fmt.Errorf("writing delta for %q: %w", d.View.Name, err)}
-		}
-		stage = append(stage, staged{entry: e, rows: d.New.Len(),
-			ref: store.DeltaRef{Segment: seg, Adds: d.Adds.Len(), Dels: d.Dels.Len(), Bytes: n, Epoch: epoch}})
 	}
-	// The log record goes last of the staged writes, so the only window in
-	// which the log is ahead of the catalog is the catalog write itself.
-	if err := store.AppendUpdateLog(dir, epoch, payload); err != nil {
-		endPersist()
+	endPersist := obs.StartSpan(ctx, "persist")
+	err = store.AppendUpdateLog(dir, epoch, payload)
+	endPersist()
+	if err != nil {
 		return res, &PersistError{fmt.Errorf("appending update log: %w", err)}
 	}
-	endPersist()
-	// Commit: all files durable; mutate the catalog and write it.
+	// Commit: the record is durable; the catalog rename acknowledges it.
 	endCatalog := obs.StartSpan(ctx, "catalog")
 	defer endCatalog()
-	for _, s := range stage {
-		s.entry.Deltas = append(s.entry.Deltas, s.ref)
-		s.entry.Rows = s.rows
+	for i, e := range entries {
+		e.Rows = batch.Deltas[i].New.Len()
 	}
 	cat.Summary = batch.Summary.StatsString()
 	cat.Epoch = epoch
@@ -171,61 +157,151 @@ func ApplyAndPersistStaged(ctx context.Context, dir string, cat *store.Catalog, 
 	return res, nil
 }
 
-// CheckpointDue reports whether the update log has reached
-// CheckpointEvery epochs.
+// CheckpointDue reports whether the directory's writer should checkpoint
+// now: the update log has reached CheckpointEvery epochs, or the directory
+// is still in an older catalog layout, which must be checkpointed before
+// its first commit.
 func CheckpointDue(cat *store.Catalog) bool {
-	return cat.Epoch-cat.DocEpoch >= CheckpointEvery
+	return cat.Epoch-cat.DocEpoch >= CheckpointEvery || cat.FormatVersion < store.CatalogVersion
 }
 
-// CheckpointDocument folds the update log into a fresh document
-// checkpoint: doc — the directory's document as of cat.Epoch, i.e. the
-// attached document of the store whose batches this catalog recorded — is
-// annotated with the catalog's summary (the codec persists each node's
-// PathID, which incremental maintenance leaves stale) and written to a new
-// file named document.c<epoch>.xvt; the catalog is renamed into place with
-// DocSegment and DocEpoch pointing at it; only then is the log truncated
-// and the old checkpoint removed.
+// CheckpointResult reports what a checkpoint wrote and reclaimed.
+type CheckpointResult struct {
+	// FilesWritten and BytesWritten count the new base segments and the
+	// document checkpoint.
+	FilesWritten int   `json:"files_written"`
+	BytesWritten int64 `json:"bytes_written"`
+	// FilesRemoved and BytesReclaimed count the superseded files (old base
+	// segments, the old document checkpoint, an older layout's delta
+	// segments) actually deleted after the new catalog was durably
+	// written.
+	FilesRemoved   int   `json:"files_removed"`
+	BytesReclaimed int64 `json:"bytes_reclaimed"`
+}
+
+// Checkpoint folds the update log into the directory at the catalog
+// epoch, the one background step of the writer. In order:
 //
-// Crash safety mirrors CompactCatalog: before the catalog write the old
-// catalog references the old checkpoint and the untouched log (plus an
-// unreferenced new file a later checkpoint cannot collide with, since the
-// epoch has to advance first); after it, the log's records are all at or
-// below DocEpoch, which replay skips, and the old checkpoint is garbage.
-// The catalog object is mutated only once the manifest is durable, so a
-// failed checkpoint leaves it untouched and can simply be retried.
-func CheckpointDocument(dir string, cat *store.Catalog, doc *xmltree.Document) error {
-	if cat.DocEpoch == cat.Epoch {
-		return nil
+//  1. every view whose extent changed since DocEpoch (every view, for a
+//     directory in an older catalog layout) is written from the live store
+//     to a new base segment <stem>.c<epoch>.xvs;
+//  2. the document, annotated with the catalog's summary (the codec
+//     persists each node's PathID, which incremental maintenance leaves
+//     stale), is written to document.c<epoch>.xvt;
+//  3. the catalog is renamed into place naming them, with DocEpoch = Epoch;
+//  4. the log is truncated and the superseded files are removed.
+//
+// Before step 3 the old catalog references the old, untouched files and
+// the full log (plus unreferenced new files a later checkpoint overwrites);
+// after it, the log's records are all at or below DocEpoch, which replay
+// skips, and the old files are garbage. The catalog object is replaced
+// only once the manifest is durable, so a failed checkpoint leaves it
+// untouched and can simply be retried. st must be the store whose batches
+// this catalog recorded, at the catalog epoch, with its document attached.
+func Checkpoint(dir string, cat *store.Catalog, st *Store) (*CheckpointResult, error) {
+	res := &CheckpointResult{}
+	upgrade := cat.FormatVersion < store.CatalogVersion
+	if cat.DocEpoch == cat.Epoch && !upgrade {
+		return res, nil
+	}
+	doc := st.Document()
+	if doc == nil {
+		return nil, fmt.Errorf("view: checkpoint of %s needs the store's document", dir)
+	}
+	st.mu.RLock()
+	ver, dirty := st.cur, st.dirty
+	st.mu.RUnlock()
+	if ver.epoch != cat.Epoch {
+		return nil, fmt.Errorf("view: store is at epoch %d, catalog %s at %d; not checkpointing", ver.epoch, dir, cat.Epoch)
 	}
 	sum, err := summary.Parse(cat.Summary)
 	if err != nil {
-		return fmt.Errorf("view: catalog summary does not parse: %w", err)
+		return nil, fmt.Errorf("view: catalog summary does not parse: %w", err)
 	}
 	if err := sum.Annotate(doc); err != nil {
-		return fmt.Errorf("view: annotating document: %w", err)
-	}
-	seg := fmt.Sprintf("document.c%04d.xvt", cat.Epoch)
-	if _, err := store.WriteDocumentFile(filepath.Join(dir, seg), doc); err != nil {
-		return fmt.Errorf("view: writing document checkpoint: %w", err)
+		return nil, fmt.Errorf("view: annotating document: %w", err)
 	}
 	next := *cat
-	next.DocSegment, next.DocEpoch = seg, cat.Epoch
+	next.Views = append([]store.Entry(nil), cat.Views...)
+	for i := range next.Views {
+		e := &next.Views[i]
+		e.Deltas = nil
+		if !dirty[e.Name] && !upgrade {
+			continue
+		}
+		rel, ok := ver.rels[e.Name]
+		if !ok {
+			return nil, fmt.Errorf("view: extent of %q is not in the store", e.Name)
+		}
+		seg := baseSegmentName(e.Segment, cat.Epoch)
+		n, err := store.WriteFile(filepath.Join(dir, seg), rel)
+		if err != nil {
+			return nil, fmt.Errorf("view: writing base segment of %q: %w", e.Name, err)
+		}
+		e.Segment, e.Bytes = seg, n
+		res.FilesWritten++
+		res.BytesWritten += n
+	}
+	next.DocSegment, next.DocEpoch = fmt.Sprintf("document.c%04d.xvt", cat.Epoch), cat.Epoch
+	n, err := store.WriteDocumentFile(filepath.Join(dir, next.DocSegment), doc)
+	if err != nil {
+		return nil, fmt.Errorf("view: writing document checkpoint: %w", err)
+	}
+	res.FilesWritten++
+	res.BytesWritten += n
 	if err := store.WriteCatalog(dir, &next); err != nil {
-		return err
+		return nil, err
 	}
-	old := cat.DocSegment
+	old := *cat
 	*cat = next
+	st.mu.Lock()
+	st.dirty = map[string]bool{}
+	st.mu.Unlock()
 	// The durable catalog no longer needs these; a failure or crash here
-	// leaves skipped records and an unreferenced file, not an inconsistency.
+	// leaves skipped records and unreferenced files, not an inconsistency.
 	if err := store.TruncateUpdateLog(dir, 0); err != nil {
-		return fmt.Errorf("view: truncating update log after checkpoint: %w", err)
+		return res, fmt.Errorf("view: truncating update log after checkpoint: %w", err)
 	}
-	_ = store.RemoveFile(filepath.Join(dir, old))
-	return nil
+	live := map[string]bool{cat.DocSegment: true}
+	for _, e := range cat.Views {
+		live[e.Segment] = true
+	}
+	superseded := []string{old.DocSegment}
+	for _, e := range old.Views {
+		superseded = append(superseded, e.Segment)
+		for _, d := range e.Deltas {
+			superseded = append(superseded, d.Segment)
+		}
+	}
+	for _, name := range superseded {
+		if live[name] {
+			continue
+		}
+		path := filepath.Join(dir, name)
+		fi, err := os.Stat(path)
+		if err == nil && store.RemoveFile(path) == nil {
+			res.FilesRemoved++
+			res.BytesReclaimed += fi.Size()
+		}
+	}
+	return res, nil
 }
 
-// OpenUpdatableStore opens a store directory together with its persisted
-// document, ready for ApplyAndPersistStaged.
+// baseSegmentName derives a view's next base segment name from its current
+// one: the stem up to the first '.' plus the checkpoint epoch, so repeated
+// checkpoints do not grow the name.
+func baseSegmentName(segment string, epoch int64) string {
+	stem := segment
+	if i := strings.IndexByte(stem, '.'); i >= 0 {
+		stem = stem[:i]
+	}
+	return fmt.Sprintf("%s.c%04d.xvs", stem, epoch)
+}
+
+// OpenUpdatableStore opens a store directory as its writer, ready for
+// ApplyAndPersistStaged: the extents and the document at the catalog
+// epoch (OpenStoreWithCatalog, AttachDocument), and a directory in an
+// older catalog layout checkpointed into the current one.
 func OpenUpdatableStore(dir string) (*store.Catalog, *Store, error) {
 	cat, err := store.OpenCatalog(dir)
 	if err != nil {
@@ -242,22 +318,22 @@ func OpenUpdatableStore(dir string) (*store.Catalog, *Store, error) {
 	if err := AttachDocument(dir, cat, st); err != nil {
 		return nil, nil, err
 	}
+	if cat.FormatVersion < store.CatalogVersion {
+		if _, err := Checkpoint(dir, cat, st); err != nil {
+			return nil, nil, fmt.Errorf("view: checkpointing %s into catalog version %d: %w", dir, store.CatalogVersion, err)
+		}
+	}
 	return cat, st, nil
 }
 
-// AttachDocument loads the directory's source document into an open
-// store, making it updatable: it reads the checkpoint the catalog names
-// and replays the update-log records of epochs DocEpoch+1 … Epoch over it
-// (xmltree.Document.ApplyUpdate; ID allocation is a pure function of the
-// document, so the replayed document is the committed one node for node).
-// Records at or below DocEpoch are skipped (a checkpoint whose log
-// truncation never happened). Whatever follows the last needed record is
-// cut off the log before returning: a record beyond the catalog epoch is a
-// commit that crashed between its log append and its catalog rename, and
-// bytes that do not frame a record are an append torn by a short write —
-// neither was ever acknowledged. A needed record that is missing, out of
-// sequence, corrupt or unappliable refuses the attach, exactly as a hole
-// in a delta chain refuses the open.
+// AttachDocument makes an open store the directory's writer. It attaches
+// the document when open did not need it (a catalog with no log to
+// replay), and cuts off whatever the update log holds beyond the catalog
+// epoch — a record of a commit that crashed between its log append and
+// its catalog rename, or an append torn by a short write; neither was ever
+// acknowledged — so the next commit's record lands right behind the last
+// acknowledged one. A log that does not carry every epoch up to the
+// catalog's refuses the attach, as it refuses the open.
 //
 // Serving layers call it lazily, on the first update: a store that only
 // answers queries never reads the document back. It writes (the
@@ -266,56 +342,31 @@ func AttachDocument(dir string, cat *store.Catalog, st *Store) error {
 	if cat.DocSegment == "" {
 		return fmt.Errorf("view: store %s has no persisted document; rebuild it to make it updatable", dir)
 	}
-	doc, err := store.ReadDocumentFile(filepath.Join(dir, cat.DocSegment))
+	_, cut, err := acknowledgedLog(dir, cat)
 	if err != nil {
 		return err
 	}
-	recs, keep, tail, err := store.ReadUpdateLog(dir)
-	if err != nil {
-		return err
-	}
-	cut := tail != nil
-	next := cat.DocEpoch + 1
-	for _, r := range recs {
-		if r.Epoch > cat.Epoch {
-			keep, cut = r.Offset, true
-			break
+	if st.Document() == nil {
+		if st.Epoch() != cat.DocEpoch {
+			return fmt.Errorf("view: store is at epoch %d without a document; only one opened at the checkpoint epoch %d can attach it", st.Epoch(), cat.DocEpoch)
 		}
-		if r.Epoch <= cat.DocEpoch && next == cat.DocEpoch+1 {
-			continue
-		}
-		if r.Epoch != next {
-			return fmt.Errorf("view: update log of %s is out of sequence: want epoch %d, found %d", dir, next, r.Epoch)
-		}
-		ups, err := maintain.ParseUpdates(r.Payload)
+		doc, err := store.ReadDocumentFile(filepath.Join(dir, cat.DocSegment))
 		if err != nil {
-			return fmt.Errorf("view: update log record of epoch %d: %w", r.Epoch, err)
+			return err
 		}
-		for i, u := range ups {
-			if _, err := doc.ApplyUpdate(u); err != nil {
-				return fmt.Errorf("view: replaying epoch %d, update %d: %w", r.Epoch, i, err)
-			}
-		}
-		next++
+		st.SetDocument(doc)
 	}
-	if next <= cat.Epoch {
-		if tail != nil {
-			return fmt.Errorf("view: update log of %s stops at epoch %d, catalog is at %d: %w", dir, next-1, cat.Epoch, tail)
-		}
-		return fmt.Errorf("view: update log of %s stops at epoch %d, catalog is at %d", dir, next-1, cat.Epoch)
-	}
-	if cut {
-		if err := store.TruncateUpdateLog(dir, keep); err != nil {
+	if cut >= 0 {
+		if err := store.TruncateUpdateLog(dir, cut); err != nil {
 			return fmt.Errorf("view: dropping unacknowledged update log tail: %w", err)
 		}
 	}
-	st.SetDocument(doc)
 	return nil
 }
 
 // UpdateStore applies an update batch to a store directory offline: open
-// (replaying the update log), maintain, persist, and checkpoint the
-// document when the log has grown to CheckpointEvery epochs. It is the
+// as the writer (replaying the update log), maintain, persist, and
+// checkpoint when the log has grown to CheckpointEvery epochs. It is the
 // engine behind `xvstore apply`.
 func UpdateStore(dir string, updates []xmltree.Update) (*UpdateResult, error) {
 	cat, st, err := OpenUpdatableStore(dir)
@@ -326,27 +377,17 @@ func UpdateStore(dir string, updates []xmltree.Update) (*UpdateResult, error) {
 	if err != nil || !CheckpointDue(cat) {
 		return res, err
 	}
-	if err := CheckpointDocument(dir, cat, st.Document()); err != nil {
-		return res, fmt.Errorf("view: batch committed at epoch %d, but the document checkpoint failed: %w", res.Epoch, err)
+	if _, err := Checkpoint(dir, cat, st); err != nil {
+		return res, fmt.Errorf("view: batch committed at epoch %d, but the checkpoint failed: %w", res.Epoch, err)
 	}
 	return res, nil
 }
 
-// CompactResult reports what a compaction did.
-type CompactResult struct {
-	// Folded is the number of delta segments folded into base segments.
-	Folded int `json:"folded"`
-	// FilesRemoved and BytesReclaimed count the superseded files (old base
-	// segments and folded delta segments) actually deleted from disk after
-	// the new catalog was durably written.
-	FilesRemoved   int   `json:"files_removed"`
-	BytesReclaimed int64 `json:"bytes_reclaimed"`
-}
-
-// CompactStore folds every entry's delta chain into a fresh base segment
-// and clears the chains. Extents are unchanged (a compacted store answers
-// queries identically); the epoch is preserved.
-func CompactStore(dir string) (*CompactResult, error) {
+// CompactStore checkpoints a store directory offline: the log is folded
+// into fresh base segments and a fresh document checkpoint (Checkpoint).
+// Extents are unchanged (the store answers queries identically); the epoch
+// is preserved.
+func CompactStore(dir string) (*CheckpointResult, error) {
 	cat, err := store.OpenCatalog(dir)
 	if err != nil {
 		return nil, err
@@ -355,85 +396,20 @@ func CompactStore(dir string) (*CompactResult, error) {
 }
 
 // CompactCatalog is CompactStore for callers that hold the directory's
-// live catalog object (the serving daemon's committer must mutate the
-// same catalog its update path appends to, or a later persisted batch
-// would resurrect folded chains).
-//
-// Crash safety: each folded extent is written to a *new* base segment
-// (named <stem>.c<epoch>.xvs), the catalog is atomically renamed into
-// place last, and only then are the superseded files deleted. A crash
-// before the catalog write leaves the old catalog referencing the old,
-// untouched files (plus unreferenced new-base files a later compaction
-// run cannot collide with, since the epoch has to advance before chains
-// regrow); a crash after it leaves only removable garbage.
-func CompactCatalog(dir string, cat *store.Catalog) (*CompactResult, error) {
-	res := &CompactResult{}
-	type obsolete struct {
-		seg   string
-		bytes int64
-	}
-	var stale []obsolete
-	type commit struct {
-		entry   *store.Entry
-		segment string
-		bytes   int64
-	}
-	var commits []commit
-	for i := range cat.Views {
-		e := &cat.Views[i]
-		if len(e.Deltas) == 0 {
-			continue
-		}
-		base, err := store.ReadFile(filepath.Join(dir, e.Segment))
-		if err != nil {
-			return nil, err
-		}
-		rel, err := replayChain(dir, e, base)
-		if err != nil {
-			return nil, err
-		}
-		for _, d := range e.Deltas {
-			stale = append(stale, obsolete{seg: d.Segment, bytes: d.Bytes})
-		}
-		res.Folded += len(e.Deltas)
-		seg := compactedSegmentName(e.Segment, cat.Epoch)
-		n, err := store.WriteFile(filepath.Join(dir, seg), rel)
-		if err != nil {
-			return nil, err
-		}
-		stale = append(stale, obsolete{seg: e.Segment, bytes: e.Bytes})
-		commits = append(commits, commit{entry: e, segment: seg, bytes: n})
-	}
-	if res.Folded == 0 {
-		return res, nil
-	}
-	for _, c := range commits {
-		c.entry.Segment = c.segment
-		c.entry.Bytes = c.bytes
-		c.entry.Deltas = nil
-	}
-	if err := store.WriteCatalog(dir, cat); err != nil {
+// catalog object, which it advances. It opens the directory's extents
+// itself, so it must not run beside a writer holding an open store: such a
+// writer checkpoints through Checkpoint.
+func CompactCatalog(dir string, cat *store.Catalog) (*CheckpointResult, error) {
+	views, err := ViewsFromCatalog(cat)
+	if err != nil {
 		return nil, err
 	}
-	// The new catalog no longer references these; reclaim the space. A
-	// removal failure only leaks an unreferenced file, so it is not fatal
-	// and simply is not counted as reclaimed.
-	for _, o := range stale {
-		if err := store.RemoveFile(filepath.Join(dir, o.seg)); err == nil {
-			res.FilesRemoved++
-			res.BytesReclaimed += o.bytes
-		}
+	st, err := OpenStoreWithCatalog(dir, cat, views)
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
-}
-
-// compactedSegmentName derives the next base segment name from the current
-// one: the stem up to the first '.' plus the compaction epoch, so repeated
-// compactions do not grow the name.
-func compactedSegmentName(segment string, epoch int64) string {
-	stem := segment
-	if i := strings.IndexByte(stem, '.'); i >= 0 {
-		stem = stem[:i]
+	if err := AttachDocument(dir, cat, st); err != nil {
+		return nil, err
 	}
-	return fmt.Sprintf("%s.c%04d.xvs", stem, epoch)
+	return Checkpoint(dir, cat, st)
 }

@@ -157,7 +157,7 @@ func TestMVCCConcurrentReadersDontBlockCommit(t *testing.T) {
 
 // TestSnapshotOutlivesCommitsAndCompaction: a snapshot taken at epoch E
 // keeps reading E's rows — through the persisted write path, not just the
-// in-memory one — after two further commits and a compaction of the
+// in-memory one — after two further commits and a checkpoint of the
 // directory underneath, and releasing it (twice) returns the store to one
 // tracked version.
 func TestSnapshotOutlivesCommitsAndCompaction(t *testing.T) {
@@ -184,8 +184,8 @@ func TestSnapshotOutlivesCommitsAndCompaction(t *testing.T) {
 	want := snap.Relation(v).Clone().Sorted().String()
 	commit("3")
 	commit("4")
-	if res, err := CompactCatalog(dir, cat); err != nil || res.Folded != 3 {
-		t.Fatalf("compaction: %+v, %v", res, err)
+	if res, err := Checkpoint(dir, cat, st); err != nil || res.FilesWritten != 2 {
+		t.Fatalf("checkpoint: %+v, %v", res, err)
 	}
 	if snap.Epoch() != 1 || st.Epoch() != 3 {
 		t.Fatalf("epochs: snapshot %d, store %d; want 1, 3", snap.Epoch(), st.Epoch())

@@ -320,8 +320,8 @@ func TestMaintenanceOracleQueries(t *testing.T) {
 }
 
 // TestMaintenanceOracleDisk drives batches through UpdateStore (open →
-// maintain → persist delta segments) and checks that reopening — before
-// and after compaction — yields extents and query results identical to a
+// maintain → log the batch) and checks that reopening — before and after
+// compaction — yields extents and query results identical to a
 // from-scratch rebuild of the updated document.
 func TestMaintenanceOracleDisk(t *testing.T) {
 	dir := t.TempDir()
@@ -371,28 +371,21 @@ func TestMaintenanceOracleDisk(t *testing.T) {
 		preCompact[v.Name] = st.Relation(v).Clone().Sorted().String()
 	}
 
-	// Compact and reopen: identical answers from folded base segments.
+	// Compact (the offline checkpoint) and reopen: identical answers from
+	// fresh base segments with nothing left to replay.
 	res, err := view.CompactStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Folded == 0 {
-		t.Fatal("nothing compacted after 12 batches")
-	}
-	if res.FilesRemoved < res.Folded || res.BytesReclaimed <= 0 {
-		t.Fatalf("compaction did not reclaim superseded files: %+v", res)
+	if res.FilesWritten < 2 || res.FilesRemoved < 2 || res.BytesReclaimed <= 0 {
+		t.Fatalf("compaction did not replace the changed files: %+v", res)
 	}
 	cat2, st2, err := view.OpenUpdatableStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cat2.Epoch != batches {
-		t.Fatalf("compaction changed epoch: %d", cat2.Epoch)
-	}
-	for _, e := range cat2.Views {
-		if len(e.Deltas) != 0 {
-			t.Fatalf("delta chain survived compaction for %s", e.Name)
-		}
+	if cat2.Epoch != batches || cat2.DocEpoch != batches || store.UpdateLogSize(dir) != 0 {
+		t.Fatalf("compaction left epoch %d, doc_epoch %d, %d log byte(s)", cat2.Epoch, cat2.DocEpoch, store.UpdateLogSize(dir))
 	}
 	for _, v := range views {
 		if got := st2.Relation(v).Clone().Sorted().String(); got != preCompact[v.Name] {
@@ -417,10 +410,11 @@ func docFingerprint(doc *xmltree.Document) string {
 // TestMaintenanceOracleReplay is the differential for the update log: a
 // store kept open across wild batches (arbitrary labels anywhere) commits
 // each through ApplyAndPersistStaged, and after every epoch a fresh
-// OpenUpdatableStore of the directory — checkpoint plus log replay — must
-// yield a document structurally equal to the live one and extents equal to
-// a rebuild over it. Checkpoints and a compaction fall mid-sequence, so
-// replay starts from a non-zero doc_epoch and over folded chains too.
+// read-only open of the directory — base segments plus log replay — must
+// equal the live store row for row and a rebuild over the live document as
+// a set, and the writer's open must replay a document structurally equal
+// to the live one. Checkpoints fall mid-sequence, so replay starts from a
+// non-zero doc_epoch over rewritten base segments too.
 func TestMaintenanceOracleReplay(t *testing.T) {
 	dir := t.TempDir()
 	r := rand.New(rand.NewSource(1907))
@@ -440,21 +434,30 @@ func TestMaintenanceOracleReplay(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		switch round {
-		case 7, 19:
-			if err := view.CheckpointDocument(dir, cat, st.Document()); err != nil {
+		case 7, 13, 19:
+			if _, err := view.Checkpoint(dir, cat, st); err != nil {
 				t.Fatalf("round %d: checkpoint: %v", round, err)
 			}
 			if cat.DocEpoch != int64(round) || store.UpdateLogSize(dir) != 0 {
 				t.Fatalf("round %d: checkpoint left doc_epoch %d and %d log byte(s)", round, cat.DocEpoch, store.UpdateLogSize(dir))
 			}
-		case 13:
-			if _, err := view.CompactCatalog(dir, cat); err != nil {
-				t.Fatalf("round %d: compact: %v", round, err)
-			}
 		}
-		cat2, st2, err := view.OpenUpdatableStore(dir)
+		fresh, err := view.OpenStore(dir, views)
 		if err != nil {
 			t.Fatalf("round %d: reopen: %v", round, err)
+		}
+		if fresh.Epoch() != int64(round) {
+			t.Fatalf("round %d: reopened at epoch %d", round, fresh.Epoch())
+		}
+		for _, v := range views {
+			if got, live := fresh.Relation(v).Clone().String(), st.Relation(v).Clone().String(); got != live {
+				t.Fatalf("round %d: reopened extent of %s differs from the live one row for row\nreopened:\n%s\nlive:\n%s", round, v.Name, got, live)
+			}
+		}
+		checkExtentsMatchRebuild(t, fresh, views, st.Document(), round)
+		cat2, st2, err := view.OpenUpdatableStore(dir)
+		if err != nil {
+			t.Fatalf("round %d: writer reopen: %v", round, err)
 		}
 		if cat2.Epoch != int64(round) || cat2.DocEpoch != cat.DocEpoch || cat2.DocSegment != cat.DocSegment {
 			t.Fatalf("round %d: reopened at epoch %d, doc %s@%d; live catalog has %d, %s@%d",
@@ -463,6 +466,5 @@ func TestMaintenanceOracleReplay(t *testing.T) {
 		if got, want := docFingerprint(st2.Document()), docFingerprint(st.Document()); got != want {
 			t.Fatalf("round %d: replayed document differs from the live one\nreplayed:\n%s\nlive:\n%s", round, got, want)
 		}
-		checkExtentsMatchRebuild(t, st2, views, st2.Document(), round)
 	}
 }

@@ -3,6 +3,7 @@ package view
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -66,11 +67,23 @@ func writeLog(t *testing.T, dir string, data []byte) {
 	}
 }
 
-// TestCommitLogsTheBatchNotTheDocument: a commit leaves the document
-// checkpoint untouched and appends one log record per epoch; the catalog
-// keeps naming the checkpoint that exists.
+// TestCommitLogsTheBatchNotTheDocument: a commit leaves the base segment
+// and the document checkpoint untouched and appends one log record per
+// epoch; the catalog keeps naming the files that exist, and no other file
+// is ever written.
 func TestCommitLogsTheBatchNotTheDocument(t *testing.T) {
 	dir, _ := logTestStore(t)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if got := strings.Join(names, " "); got != "catalog.json document.xvt seg-0000.xvs updates.xvl" {
+		t.Fatalf("directory after 3 commits holds %s", got)
+	}
 	cat, err := store.OpenCatalog(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -107,8 +120,9 @@ func TestCommitLogsTheBatchNotTheDocument(t *testing.T) {
 	}
 }
 
-// TestAttachHandlesLogTails covers what AttachDocument may find behind the
-// last acknowledged record, and what it must refuse.
+// TestAttachHandlesLogTails covers what the writer's open may find behind
+// the last acknowledged record — AttachDocument cuts it — and what open
+// must refuse.
 func TestAttachHandlesLogTails(t *testing.T) {
 	const replayed = `site(item(name "quill") item(name "dry"))`
 	frame := func(t *testing.T, epoch int64, src string) []byte {
@@ -177,7 +191,7 @@ func TestAttachHandlesLogTails(t *testing.T) {
 			mangle: func(t *testing.T, log []byte, recs []store.LogRecord) []byte {
 				return append(log[:recs[2].Offset:recs[2].Offset], frame(t, 3, `[{"op":"delete","target":"1.9"}]`)...)
 			},
-			refuse: "replaying epoch 3, update 0",
+			refuse: "replaying epoch 3: maintain: update 0",
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -222,9 +236,10 @@ func TestAttachHandlesLogTails(t *testing.T) {
 	}
 }
 
-// TestCheckpointDocument: the checkpoint is an epoch-named new file, the
-// catalog names it, the log is emptied and the old file removed; a failed
-// checkpoint leaves the catalog object and the directory as they were.
+// TestCheckpointDocument: the checkpoint writes epoch-named new base
+// segments and document, the catalog names them, the log is emptied and
+// the old files removed; a failed checkpoint leaves the catalog object and
+// the directory as they were.
 func TestCheckpointDocument(t *testing.T) {
 	dir, _ := logTestStore(t)
 	cat, st, err := OpenUpdatableStore(dir)
@@ -238,11 +253,11 @@ func TestCheckpointDocument(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := *cat
-	if err := CheckpointDocument(dir, cat, st.Document()); err == nil {
+	if _, err := Checkpoint(dir, cat, st); err == nil {
 		t.Fatal("checkpoint over an unusable file name succeeded")
 	}
-	if cat.DocSegment != before.DocSegment || cat.DocEpoch != before.DocEpoch || cat.Epoch != before.Epoch {
-		t.Fatalf("failed checkpoint mutated the catalog: %s@%d", cat.DocSegment, cat.DocEpoch)
+	if cat.DocSegment != before.DocSegment || cat.DocEpoch != before.DocEpoch || cat.Epoch != before.Epoch || cat.Views[0].Segment != "seg-0000.xvs" {
+		t.Fatalf("failed checkpoint mutated the catalog: %s@%d, base %s", cat.DocSegment, cat.DocEpoch, cat.Views[0].Segment)
 	}
 	if _, _, err := OpenUpdatableStore(dir); err != nil {
 		t.Fatalf("directory unusable after a failed checkpoint: %v", err)
@@ -251,14 +266,20 @@ func TestCheckpointDocument(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := CheckpointDocument(dir, cat, st.Document()); err != nil {
+	res, err := Checkpoint(dir, cat, st)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if cat.DocSegment != "document.c0003.xvt" || cat.DocEpoch != 3 {
-		t.Fatalf("catalog names %s@%d", cat.DocSegment, cat.DocEpoch)
+	if res.FilesWritten != 2 || res.FilesRemoved != 2 {
+		t.Fatalf("checkpoint result %+v, want the base and the document written and replaced", res)
 	}
-	if _, err := os.Stat(filepath.Join(dir, DocSegmentName)); !os.IsNotExist(err) {
-		t.Fatalf("old checkpoint not removed: %v", err)
+	if cat.DocSegment != "document.c0003.xvt" || cat.DocEpoch != 3 || cat.Views[0].Segment != "seg-0000.c0003.xvs" {
+		t.Fatalf("catalog names %s@%d, base %s", cat.DocSegment, cat.DocEpoch, cat.Views[0].Segment)
+	}
+	for _, gone := range []string{DocSegmentName, "seg-0000.xvs"} {
+		if _, err := os.Stat(filepath.Join(dir, gone)); !os.IsNotExist(err) {
+			t.Fatalf("superseded %s not removed: %v", gone, err)
+		}
 	}
 	if n := store.UpdateLogSize(dir); n != 0 {
 		t.Fatalf("log holds %d byte(s) after the checkpoint", n)
@@ -282,23 +303,27 @@ func TestCheckpointDocument(t *testing.T) {
 		return true
 	})
 	// Idempotent when there is nothing to fold.
-	if err := CheckpointDocument(dir, cat, st.Document()); err != nil || cat.DocEpoch != 3 {
-		t.Fatalf("no-op checkpoint: %v, doc_epoch %d", err, cat.DocEpoch)
+	if res, err := Checkpoint(dir, cat, st); err != nil || cat.DocEpoch != 3 || res.FilesWritten != 0 {
+		t.Fatalf("no-op checkpoint: %+v, %v, doc_epoch %d", res, err, cat.DocEpoch)
 	}
 	// A checkpoint whose log truncation never happened (crash after the
 	// catalog rename): the stale records are skipped, not replayed twice.
-	dir2, _ := logTestStore(t)
+	dir2, views := logTestStore(t)
 	stale := readLog(t, dir2)
 	cat2, st2, err := OpenUpdatableStore(dir2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckpointDocument(dir2, cat2, st2.Document()); err != nil {
+	if _, err := Checkpoint(dir2, cat2, st2); err != nil {
 		t.Fatal(err)
 	}
 	writeLog(t, dir2, stale)
-	if _, st3, err := OpenUpdatableStore(dir2); err != nil || st3.Document().Root.String() != `site(item(name "quill") item(name "dry"))` {
+	_, st3, err := OpenUpdatableStore(dir2)
+	if err != nil || st3.Document().Root.String() != `site(item(name "quill") item(name "dry"))` {
 		t.Fatalf("reopen over stale log records: %v", err)
+	}
+	if got, want := st3.Relation(views[0]).Clone(), MaterializeFlat(views[0], st3.Document()); !got.EqualAsSet(want) {
+		t.Fatalf("extent over stale log records\n%swant\n%s", got.Sorted(), want.Sorted())
 	}
 }
 
@@ -360,74 +385,117 @@ func TestUnloggableBatchRefused(t *testing.T) {
 }
 
 // TestOlderDirectoriesUpgrade: a directory written before catalog version
-// 4 (document current at the catalog epoch, no log) opens, takes an
-// update, and reopens as version 4 with the update replayed from the log;
-// its first checkpoint moves it to an epoch-named document file. The
-// version-2 case is the version-3 fixture with its manifest rewritten the
-// way version-2 writers wrote it (no statistics in the summary text).
+// 5 opens read-only by rebuilding its extents from the document, without
+// writing anything; its writer checkpoints it into the current layout
+// (delta files and old bases gone), commits on top at once, and the result
+// reopens equal to a rebuild. The version-2 case is the version-3 fixture
+// with its manifest rewritten the way version-2 writers wrote it (no
+// statistics in the summary text); the version-4 fixture has delta chains
+// and a log past a document checkpoint.
 func TestOlderDirectoriesUpgrade(t *testing.T) {
-	for _, ver := range []int{2, 3} {
-		t.Run("v"+string(rune('0'+ver)), func(t *testing.T) {
+	for _, tc := range []struct {
+		ver     int
+		fixture string
+		epoch   int64
+		doc     string
+		commit  string
+		after   string
+	}{
+		{2, "store-v3", 1, `site(item(name "pen") item(name "ink") person(name "Ada") item(name "dry"))`,
+			`[{"op":"settext","target":"1.1.1","value":"quill"}]`,
+			`site(item(name "quill") item(name "ink") person(name "Ada") item(name "dry"))`},
+		{3, "store-v3", 1, `site(item(name "pen") item(name "ink") person(name "Ada") item(name "dry"))`,
+			`[{"op":"settext","target":"1.1.1","value":"quill"}]`,
+			`site(item(name "quill") item(name "ink") person(name "Ada") item(name "dry"))`},
+		{4, "store-v4", 4, `site(item(name "quill") item(name "ink well") person(name "Ada") item(name "dry") person(name "Bo"))`,
+			`[{"op":"delete","target":"1.5"}]`,
+			`site(item(name "quill") item(name "ink well") item(name "dry") person(name "Bo"))`},
+	} {
+		t.Run(fmt.Sprintf("v%d", tc.ver), func(t *testing.T) {
 			dir := t.TempDir()
-			entries, err := os.ReadDir(filepath.Join("testdata", "store-v3"))
+			entries, err := os.ReadDir(filepath.Join("testdata", tc.fixture))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, e := range entries {
-				data, err := os.ReadFile(filepath.Join("testdata", "store-v3", e.Name()))
+				data, err := os.ReadFile(filepath.Join("testdata", tc.fixture, e.Name()))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if e.Name() == store.ManifestName && ver == 2 {
+				if e.Name() == store.ManifestName && tc.ver == 2 {
 					data = downgradeManifest(t, data)
 				}
 				if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
+			checkRebuilt := func(st *Store, views []*core.View, want string) {
+				t.Helper()
+				doc := st.Document()
+				if doc == nil || doc.Root.String() != want {
+					t.Fatalf("document %v, want %s", doc, want)
+				}
+				for _, v := range views {
+					if got, rebuilt := st.Relation(v).Clone(), MaterializeFlat(v, doc); !got.EqualAsSet(rebuilt) {
+						t.Fatalf("extent of %s\n%swant\n%s", v.Name, got.Sorted(), rebuilt.Sorted())
+					}
+				}
+			}
+
+			// Read-only: the upgrade happens in memory only.
+			before := dirContents(t, dir)
+			cat, err := store.OpenCatalog(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			views, err := ViewsFromCatalog(cat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ro, err := OpenStoreWithCatalog(dir, cat, views)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cat.FormatVersion != tc.ver || ro.Epoch() != tc.epoch {
+				t.Fatalf("opened v%d at epoch %d", cat.FormatVersion, ro.Epoch())
+			}
+			checkRebuilt(ro, views, tc.doc)
+			if after := dirContents(t, dir); len(after) != len(before) {
+				t.Fatalf("read-only open changed the directory: %d file(s), had %d", len(after), len(before))
+			}
+
+			// The writer checkpoints into the current layout before committing.
 			cat, st, err := OpenUpdatableStore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cat.FormatVersion != ver || cat.Epoch != 1 || cat.DocEpoch != 1 {
-				t.Fatalf("opened as v%d epoch %d doc_epoch %d", cat.FormatVersion, cat.Epoch, cat.DocEpoch)
+			if cat.FormatVersion != store.CatalogVersion || cat.Epoch != tc.epoch || cat.DocEpoch != tc.epoch {
+				t.Fatalf("writer opened as v%d epoch %d doc_epoch %d", cat.FormatVersion, cat.Epoch, cat.DocEpoch)
 			}
-			if got := st.Document().Root.String(); got != `site(item(name "pen") item(name "ink") person(name "Ada") item(name "dry"))` {
-				t.Fatalf("document: %s", got)
+			want := map[string]bool{store.ManifestName: true, cat.DocSegment: true}
+			for _, e := range cat.Views {
+				want[e.Segment] = true
 			}
-			ups, _ := maintain.ParseUpdates([]byte(`[{"op":"settext","target":"1.1.1","value":"quill"}]`))
-			if _, err := UpdateStore(dir, ups); err != nil {
+			for name := range dirContents(t, dir) {
+				if !want[name] && name != store.UpdateLogName {
+					t.Errorf("upgrade checkpoint left %s behind", name)
+				}
+			}
+			ups, err := maintain.ParseUpdates([]byte(tc.commit))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ApplyAndPersistStaged(context.Background(), dir, cat, st, ups, nil); err != nil {
 				t.Fatal(err)
 			}
 			cat, st, err = OpenUpdatableStore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cat.FormatVersion != store.CatalogVersion || cat.Epoch != 2 || cat.DocEpoch != 1 || cat.DocSegment != DocSegmentName {
-				t.Fatalf("reopened as v%d epoch %d doc %s@%d", cat.FormatVersion, cat.Epoch, cat.DocSegment, cat.DocEpoch)
+			if cat.FormatVersion != store.CatalogVersion || cat.Epoch != tc.epoch+1 || cat.DocEpoch != tc.epoch {
+				t.Fatalf("reopened as v%d epoch %d doc_epoch %d", cat.FormatVersion, cat.Epoch, cat.DocEpoch)
 			}
-			const want = `site(item(name "quill") item(name "ink") person(name "Ada") item(name "dry"))`
-			if got := st.Document().Root.String(); got != want {
-				t.Fatalf("replayed document: %s", got)
-			}
-			views, err := ViewsFromCatalog(cat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range views {
-				if got, rebuilt := st.Relation(v).Clone(), MaterializeFlat(v, st.Document()); !got.EqualAsSet(rebuilt) {
-					t.Fatalf("extent of %s\n%swant\n%s", v.Name, got.Sorted(), rebuilt.Sorted())
-				}
-			}
-			if err := CheckpointDocument(dir, cat, st.Document()); err != nil {
-				t.Fatal(err)
-			}
-			if _, st, err = OpenUpdatableStore(dir); err != nil || st.Document().Root.String() != want {
-				t.Fatalf("after the first checkpoint: %v", err)
-			}
-			if _, err := os.Stat(filepath.Join(dir, DocSegmentName)); !os.IsNotExist(err) {
-				t.Fatalf("document.xvt survived the first checkpoint: %v", err)
-			}
+			checkRebuilt(st, views, tc.after)
 		})
 	}
 }

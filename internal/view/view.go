@@ -135,7 +135,7 @@ type extentVersion struct {
 	prepared map[string]*nrel.Relation
 	// zoneSeeds holds zone maps read from base segments at open time, valid
 	// only while the extent keeps the segment's row order (no replayed
-	// deltas, no re-sort); dropped from the successor version on the first
+	// update, no re-sort); dropped from the successor version on the first
 	// invalidation.
 	zoneSeeds map[string]*store.ZoneMap
 	// refs counts snapshots pinning this version; guarded by the owning
@@ -230,7 +230,7 @@ func (c *blockCache) put(key string, rel *nrel.Relation, b *store.Blocks) {
 // A Store is safe for concurrent use by readers and one updater: lazy
 // materialization uses double-checked locking, so many goroutines can
 // execute plans against one store. Callers that apply updates must
-// serialize ApplyUpdates calls among themselves (delta chains append in
+// serialize ApplyUpdates calls among themselves (the update log appends in
 // epoch order) and must not concurrently materialize from the live
 // document — serving layers give the store to one committer goroutine
 // and hand everyone else a Snapshot, which never touches the document.
@@ -251,6 +251,10 @@ type Store struct {
 	// blocks caches columnar block handles, shared with snapshots (it
 	// validates by relation pointer, so versions cannot cross-contaminate).
 	blocks *blockCache
+	// dirty names the views whose extent changed since the directory's base
+	// segments were written: what the next Checkpoint must rewrite. Owned
+	// by the updater; guarded by mu.
+	dirty map[string]bool
 }
 
 // Snapshot is a read-only view of one pinned extent version: later
@@ -428,7 +432,7 @@ func (st *Store) trimLocked() {
 //
 // Readers never wait: they pin versions via Snapshot and the diff/splice
 // pass runs outside the store lock. Callers that apply updates must
-// serialize among themselves so delta chains append in epoch order.
+// serialize among themselves so the update log appends in epoch order.
 func (st *Store) ApplyUpdates(ctx context.Context, updates []xmltree.Update) (*maintain.Batch, error) {
 	st.mu.Lock()
 	if st.doc == nil {
@@ -495,6 +499,12 @@ func (st *Store) ApplyUpdates(ctx context.Context, updates []xmltree.Update) (*m
 	}
 	nv.epoch = base.epoch + 1
 	st.msum = batch.Maintained
+	if st.dirty == nil {
+		st.dirty = map[string]bool{}
+	}
+	for _, d := range batch.Deltas {
+		st.dirty[d.View.Name] = true
+	}
 	st.install(nv)
 	st.mu.Unlock()
 	return batch, nil

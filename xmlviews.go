@@ -272,16 +272,17 @@ func ParseUpdates(data []byte) ([]Update, error) { return maintain.ParseUpdates(
 type StoreUpdateResult = view.UpdateResult
 
 // UpdateStore applies an update batch to a store directory: the extents
-// are maintained incrementally, the deltas appended as segments, and the
-// catalog epoch advanced.
+// are maintained incrementally, the batch appended to the update log, and
+// the catalog epoch advanced.
 func UpdateStore(dir string, updates []Update) (*StoreUpdateResult, error) {
 	return view.UpdateStore(dir, updates)
 }
 
-// CompactResult reports what a store compaction folded and reclaimed.
-type CompactResult = view.CompactResult
+// CompactResult reports what a store checkpoint wrote and reclaimed.
+type CompactResult = view.CheckpointResult
 
-// CompactStore folds every delta chain of a store directory into fresh
-// base segments, removing the superseded files once the new catalog is
-// durable. Query answers are unchanged.
+// CompactStore checkpoints a store directory: its update log is folded
+// into fresh base segments and a fresh document checkpoint, and the
+// superseded files are removed once the new catalog is durable. Query
+// answers are unchanged.
 func CompactStore(dir string) (*CompactResult, error) { return view.CompactStore(dir) }
