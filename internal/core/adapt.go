@@ -21,22 +21,9 @@ func (rw *rewriter) adaptToQuery(e entry) []entry {
 	// slot's paths must be able to fall within the query slot's paths).
 	cand := make([][]int, len(qReturns))
 	for k, rn := range qReturns {
-		qSet := map[int]bool{}
-		for _, sid := range rw.qPaths[rn.Index] {
-			qSet[sid] = true
-		}
 		for j, ps := range slots {
-			if rn.Attrs&^ps.Attrs != 0 {
-				continue // the slot lacks a required attribute
-			}
-			overlap := false
-			for sid := range slotPaths(e.model, j) {
-				if qSet[sid] {
-					overlap = true
-					break
-				}
-			}
-			if overlap {
+			// The slot must carry every required attribute.
+			if rn.Attrs&^ps.Attrs == 0 && overlaps(e.slotP[j], rw.qSets[rn.Index]) {
 				cand[k] = append(cand[k], j)
 			}
 		}
@@ -84,33 +71,14 @@ func (rw *rewriter) buildAdapted(e entry, assign []int) (entry, bool) {
 				return entry{}, false
 			}
 			plan = &Plan{Op: OpSelectLabel, Input: plan, Slot: j, Label: rn.Label}
-			model = filterModel(model, func(t *Tree) *Tree {
-				sl := t.Slots[j]
-				if sl.Node < 0 || t.Label(sl.Node) != rn.Label {
-					return nil
-				}
-				return t
-			})
+			model = editModel(plan, model, rw.s)
 		}
 		if !rn.Pred.IsTrue() && slotNeedsValueSelect(model, j, rn) {
 			if !slots[j].Attrs.Has(pattern.AttrValue) {
 				return entry{}, false
 			}
-			pred := rn.Pred
-			plan = &Plan{Op: OpSelectValue, Input: plan, Slot: j, Pred: pred}
-			model = filterModel(model, func(t *Tree) *Tree {
-				sl := t.Slots[j]
-				if sl.Node < 0 {
-					return nil
-				}
-				out := t.Clone()
-				out.Nodes[sl.Node].Pred = out.Nodes[sl.Node].Pred.And(pred)
-				out.key = ""
-				if !out.Satisfiable() {
-					return nil
-				}
-				return out
-			})
+			plan = &Plan{Op: OpSelectValue, Input: plan, Slot: j, Pred: rn.Pred}
+			model = editModel(plan, model, rw.s)
 		}
 	}
 	if len(model) == 0 {
@@ -129,10 +97,7 @@ func (rw *rewriter) buildAdapted(e entry, assign []int) (entry, bool) {
 		if qn.IsReturn() || qn.Pred.IsTrue() {
 			continue
 		}
-		qSet := map[int]bool{}
-		for _, sid := range rw.qPaths[qn.Index] {
-			qSet[sid] = true
-		}
+		qSet := rw.qSets[qn.Index]
 		for j, ps := range slots {
 			if assigned[j] || !ps.Attrs.Has(pattern.AttrValue) {
 				continue
@@ -147,23 +112,9 @@ func (rw *rewriter) buildAdapted(e entry, assign []int) (entry, bool) {
 			if !within || !slotNeedsValueSelect(model, j, qn) {
 				continue
 			}
-			pred := qn.Pred
-			jj := j
-			plan = &Plan{Op: OpSelectValue, Input: plan, Slot: jj, Pred: pred}
-			model = filterModel(model, func(t *Tree) *Tree {
-				sl := t.Slots[jj]
-				if sl.Node < 0 {
-					return nil
-				}
-				out := t.Clone()
-				out.Nodes[sl.Node].Pred = out.Nodes[sl.Node].Pred.And(pred)
-				out.key = ""
-				if !out.Satisfiable() {
-					return nil
-				}
-				return out
-			})
-			assigned[jj] = true
+			plan = &Plan{Op: OpSelectValue, Input: plan, Slot: j, Pred: qn.Pred}
+			model = editModel(plan, model, rw.s)
+			assigned[j] = true
 			break
 		}
 	}
@@ -173,16 +124,7 @@ func (rw *rewriter) buildAdapted(e entry, assign []int) (entry, bool) {
 
 	// Projection onto the chosen slots, in query order.
 	plan = &Plan{Op: OpProject, Input: plan, Keep: append([]int(nil), assign...)}
-	model = filterModel(model, func(t *Tree) *Tree {
-		out := t.Clone()
-		ns := make([]Slot, len(assign))
-		for k, j := range assign {
-			ns[k] = out.Slots[j]
-		}
-		out.Slots = ns
-		out.key = ""
-		return out
-	})
+	model = editModel(plan, model, rw.s)
 
 	// Nesting adjustment (Section 4.6, nested patterns).
 	plan, model, ok := rw.adjustNesting(plan, model)
@@ -210,16 +152,6 @@ func slotNeedsValueSelect(model []*Tree, j int, rn *pattern.Node) bool {
 	return false
 }
 
-func filterModel(model []*Tree, f func(*Tree) *Tree) []*Tree {
-	byKey := map[string]*Tree{}
-	for _, t := range model {
-		if out := f(t); out != nil {
-			byKey[out.Key()] = out
-		}
-	}
-	return sortedTrees(byKey)
-}
-
 // adjustNesting reconciles the plan's per-slot nesting sequences with the
 // query's: extra plan steps are removed with unnest; missing steps are
 // added with group-by when some plan slot's ID identifies the grouping
@@ -239,15 +171,7 @@ func (rw *rewriter) adjustNesting(plan *Plan, model []*Tree) (*Plan, []*Tree, bo
 		case len(planNest) > len(qNest):
 			for i := len(planNest); i > len(qNest); i-- {
 				plan = &Plan{Op: OpUnnest, Input: plan, Slots: []int{k}}
-				kk := k
-				model = filterModel(model, func(t *Tree) *Tree {
-					out := t.Clone()
-					if n := len(out.Slots[kk].Nest); n > 0 {
-						out.Slots[kk].Nest = out.Slots[kk].Nest[:n-1]
-					}
-					out.key = ""
-					return out
-				})
+				model = editModel(plan, model, rw.s)
 			}
 		case len(planNest) < len(qNest):
 			// Add each missing step by grouping on an ID-bearing slot
@@ -259,13 +183,7 @@ func (rw *rewriter) adjustNesting(plan *Plan, model []*Tree) (*Plan, []*Tree, bo
 					return nil, nil, false
 				}
 				plan = &Plan{Op: OpGroupBy, Input: plan, Slots: []int{k}, BySID: sid, BySlot: bySlot}
-				kk, step := k, sid
-				model = filterModel(model, func(t *Tree) *Tree {
-					out := t.Clone()
-					out.Slots[kk].Nest = insertNestStep(rw.s, out.Slots[kk].Nest, step)
-					out.key = ""
-					return out
-				})
+				model = editModel(plan, model, rw.s)
 			}
 		}
 	}

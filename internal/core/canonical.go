@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"xmlviews/internal/pattern"
 	"xmlviews/internal/predicate"
@@ -115,11 +114,7 @@ func ModelWith(p *pattern.Pattern, s *summary.Summary, opts ModelOptions) ([]*Tr
 		return nil, overflow
 	}
 
-	out := make([]*Tree, 0, len(byKey))
-	for _, t := range byKey {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	out := sortedTrees(byKey)
 
 	// Maximality filter for optional edges: keep a tree only if its return
 	// tuple (⊥s included) is actually produced by p on the tree itself —

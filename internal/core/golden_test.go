@@ -198,7 +198,7 @@ func readGolden(t *testing.T) map[string]string {
 }
 
 func TestRewriteGolden(t *testing.T) {
-	rows := append(append(append(smallCases(), concurrentRow()), coldRows()...), fig15Rows()...)
+	rows := allGoldenRows()
 	if *update {
 		// Every row, outside subtests: a -run filter must not drop rows
 		// from the rewritten file.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"xmlviews/internal/pattern"
@@ -43,78 +44,70 @@ func PlanModel(p *Plan, s *summary.Summary, opts ModelOptions) ([]*Tree, error) 
 			}
 		}
 		return sortedTrees(byKey), nil
-	case OpProject:
-		return mapModel(p.Input, s, opts, func(t *Tree) *Tree {
-			out := t.Clone()
-			slots := make([]Slot, len(p.Keep))
-			for i, k := range p.Keep {
-				slots[i] = out.Slots[k]
-			}
-			out.Slots = slots
-			out.key = ""
-			return out
-		})
-	case OpSelectLabel:
-		return mapModel(p.Input, s, opts, func(t *Tree) *Tree {
-			sl := t.Slots[p.Slot]
-			if sl.Node < 0 {
-				return nil // σ on ⊥ drops the tuple
-			}
-			if t.Label(sl.Node) != p.Label {
-				return nil
-			}
-			return t
-		})
-	case OpSelectValue:
-		return mapModel(p.Input, s, opts, func(t *Tree) *Tree {
-			sl := t.Slots[p.Slot]
-			if sl.Node < 0 {
-				return nil
-			}
-			out := t.Clone()
-			out.Nodes[sl.Node].Pred = out.Nodes[sl.Node].Pred.And(p.Pred)
-			out.key = ""
-			if !out.Satisfiable() {
-				return nil
-			}
-			return out
-		})
-	case OpUnnest:
-		return mapModel(p.Input, s, opts, func(t *Tree) *Tree {
-			out := t.Clone()
-			for _, k := range p.Slots {
-				if n := len(out.Slots[k].Nest); n > 0 {
-					out.Slots[k].Nest = out.Slots[k].Nest[:n-1]
-				}
-			}
-			out.key = ""
-			return out
-		})
-	case OpGroupBy:
-		return mapModel(p.Input, s, opts, func(t *Tree) *Tree {
-			out := t.Clone()
-			for _, k := range p.Slots {
-				out.Slots[k].Nest = insertNestStep(s, out.Slots[k].Nest, p.BySID)
-			}
-			out.key = ""
-			return out
-		})
+	case OpProject, OpSelectLabel, OpSelectValue, OpUnnest, OpGroupBy:
+		in, err := PlanModel(p.Input, s, opts)
+		if err != nil {
+			return nil, err
+		}
+		return editModel(p, in, s), nil
 	}
 	return nil, fmt.Errorf("core: unknown plan op %d", p.Op)
 }
 
-func mapModel(in *Plan, s *summary.Summary, opts ModelOptions, f func(*Tree) *Tree) ([]*Tree, error) {
-	model, err := PlanModel(in, s, opts)
-	if err != nil {
-		return nil, err
-	}
+// editModel applies the edit of p, a unary operator, to every tree of its
+// input's model; the result is deduplicated and sorted by key.
+func editModel(p *Plan, model []*Tree, s *summary.Summary) []*Tree {
 	byKey := map[string]*Tree{}
 	for _, t := range model {
-		if out := f(t); out != nil {
+		if out := p.edit(t, s); out != nil {
 			byKey[out.Key()] = out
 		}
 	}
-	return sortedTrees(byKey), nil
+	return sortedTrees(byKey)
+}
+
+// edit applies the unary operator p to one canonical tree, returning nil
+// when p drops the tree's tuple. The input tree is never modified: slot
+// edits share its nodes, a value selection copies the node array.
+func (p *Plan) edit(t *Tree, s *summary.Summary) *Tree {
+	switch p.Op {
+	case OpProject:
+		slots := make([]Slot, len(p.Keep))
+		for i, k := range p.Keep {
+			slots[i] = t.Slots[k]
+		}
+		return t.withSlots(slots)
+	case OpSelectLabel:
+		if sl := t.Slots[p.Slot]; sl.Node < 0 || t.Label(sl.Node) != p.Label {
+			return nil // σ on ⊥ drops the tuple
+		}
+		return t
+	case OpSelectValue:
+		sl := t.Slots[p.Slot]
+		if sl.Node < 0 {
+			return nil
+		}
+		out := t.withPred(sl.Node, t.Nodes[sl.Node].Pred.And(p.Pred))
+		if !out.Satisfiable() {
+			return nil
+		}
+		return out
+	case OpUnnest:
+		slots := slices.Clone(t.Slots)
+		for _, k := range p.Slots {
+			if n := len(slots[k].Nest); n > 0 {
+				slots[k].Nest = slots[k].Nest[:n-1]
+			}
+		}
+		return t.withSlots(slots)
+	case OpGroupBy:
+		slots := slices.Clone(t.Slots)
+		for _, k := range p.Slots {
+			slots[k].Nest = insertNestStep(s, slots[k].Nest, p.BySID)
+		}
+		return t.withSlots(slots)
+	}
+	panic(fmt.Sprintf("core: plan op %d has no tree edit", p.Op))
 }
 
 func sortedTrees(byKey map[string]*Tree) []*Tree {
@@ -203,7 +196,7 @@ func mergeJoinPair(t1, t2 *Tree, p *Plan, s *summary.Summary) *Tree {
 		ns := Slot{Node: -1, Attrs: sl.Attrs}
 		if sl.Node >= 0 {
 			ns.Node = mapping[sl.Node]
-			ns.Nest = append([]int(nil), sl.Nest...)
+			ns.Nest = sl.Nest
 			if p.Nested {
 				ns.Nest = insertNestStep(s, ns.Nest, s1)
 			}
@@ -224,8 +217,7 @@ func mergeTrees(t1, t2 *Tree, x1, x2 int) (*Tree, []int) {
 	if t1.Nodes[x1].SID != t2.Nodes[x2].SID {
 		return nil, nil
 	}
-	out := t1.Clone()
-	out.key = ""
+	out := t1.clone(len(t2.Nodes))
 	mapping := make([]int, len(t2.Nodes))
 	for i := range mapping {
 		mapping[i] = -1
@@ -420,8 +412,7 @@ func outerVariants(left []*Tree, p *Plan, s *summary.Summary, byKey map[string]*
 		if forcedMatchExists(probe, sl1.Node, t1) {
 			continue
 		}
-		out := t1.Clone()
-		out.key = ""
+		out := t1.clone(0)
 		for _, ps := range rightSlots {
 			out.Slots = append(out.Slots, Slot{Node: -1, Attrs: ps.Attrs})
 		}

@@ -245,13 +245,36 @@ func slotPaths(model []*Tree, slot int) map[int]bool {
 	return out
 }
 
+// pathSets returns, per node index of p, the set of summary ids the node
+// can bind (its associated paths).
+func pathSets(p *pattern.Pattern, s *summary.Summary) []map[int]bool {
+	paths := pattern.AssociatedPaths(p, s)
+	sets := make([]map[int]bool, len(paths))
+	for i, ids := range paths {
+		sets[i] = make(map[int]bool, len(ids))
+		for _, id := range ids {
+			sets[i][id] = true
+		}
+	}
+	return sets
+}
+
+// overlaps reports whether two id sets share an element.
+func overlaps(a, b map[int]bool) bool {
+	for id := range a {
+		if b[id] {
+			return true
+		}
+	}
+	return false
+}
+
 // modelKey is a deterministic key for a whole canonical model.
 func modelKey(model []*Tree) string {
-	var b strings.Builder
-	b.WriteString(strconv.Itoa(len(model)))
+	parts := make([]string, 1, len(model)+1)
+	parts[0] = strconv.Itoa(len(model))
 	for _, t := range model {
-		b.WriteByte('|')
-		b.WriteString(t.Key())
+		parts = append(parts, t.Key())
 	}
-	return b.String()
+	return strings.Join(parts, "|")
 }

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -114,6 +114,16 @@ func newEntry(plan *Plan, model []*Tree) entry {
 // are S-equivalent to q, using ⋈=, ⋈≺, ⋈≺≺ (plain and nested), selections,
 // projections, unnest/group-by nesting adjustments, and unions.
 func Rewrite(q *pattern.Pattern, views []*View, s *summary.Summary, opts RewriteOptions) (*RewriteResult, error) {
+	rw, m0, err := newRewriter(q, views, s, opts)
+	if err != nil {
+		return nil, err
+	}
+	return rw.run(m0)
+}
+
+// newRewriter prepares a search: the query's model, the pruned view set,
+// and the initial plan–model pairs (M0) the search starts from.
+func newRewriter(q *pattern.Pattern, views []*View, s *summary.Summary, opts RewriteOptions) (*rewriter, []entry, error) {
 	if opts.MaxScansPerPlan <= 0 {
 		// Legacy zero-value handling: fill in the unset search bounds,
 		// keeping every field the caller did set (flags included).
@@ -143,12 +153,12 @@ func Rewrite(q *pattern.Pattern, views []*View, s *summary.Summary, opts Rewrite
 
 	qModel, err := ModelWith(q, s, opts.Model)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(qModel) == 0 {
-		return nil, ErrUnsatisfiable
+		return nil, nil, ErrUnsatisfiable
 	}
-	qPaths := pattern.AssociatedPaths(q, s)
+	qSets := pathSets(q, s)
 
 	prepared := prepareViewSet(views, s, opts)
 	res.ViewsTotal = len(prepared)
@@ -162,14 +172,14 @@ func Rewrite(q *pattern.Pattern, views []*View, s *summary.Summary, opts Rewrite
 	for _, v := range kept {
 		model, err := ModelWith(v.Pattern, s, opts.Model)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if len(model) == 0 {
 			continue // S-unsatisfiable view
 		}
 		m0 = append(m0, newEntry(Scan(v), model))
 	}
-	sortByRelevance(m0, q, qPaths)
+	sortByRelevance(m0, q, qSets)
 	res.Setup = time.Since(start)
 
 	subsume := opts.Subsume
@@ -177,11 +187,16 @@ func Rewrite(q *pattern.Pattern, views []*View, s *summary.Summary, opts Rewrite
 		subsume = NewSubsumeCache(0)
 	}
 	rw := &rewriter{
-		q: q, qModel: qModel, qPaths: qPaths, s: s, opts: opts,
+		q: q, qModel: qModel, qSets: qSets, s: s, opts: opts,
 		seen: map[string]bool{}, adaptedSeen: map[string]bool{},
 		resultKeys: map[string]bool{}, cover: map[string]bool{}, subsume: subsume,
 		res: res, start: start,
 	}
+	return rw, m0, nil
+}
+
+// run searches from the seed pairs m0, then for unions.
+func (rw *rewriter) run(m0 []entry) (*RewriteResult, error) {
 	rw.search(m0)
 
 	// Union phase (Algorithm 1, lines 13-14).
@@ -189,10 +204,10 @@ func Rewrite(q *pattern.Pattern, views []*View, s *summary.Summary, opts Rewrite
 	if rw.cancelled() {
 		// The search was cut short; partial results are not the canonical
 		// answer, so report the cancellation instead.
-		return nil, opts.Ctx.Err()
+		return nil, rw.opts.Ctx.Err()
 	}
-	res.Total = time.Since(start)
-	return res, nil
+	rw.res.Total = time.Since(rw.start)
+	return rw.res, nil
 }
 
 // search seeds the working set with the single-view plans m0 and runs the
@@ -253,27 +268,12 @@ func prepareViewSet(views []*View, s *summary.Summary, opts RewriteOptions) []*V
 // sortByRelevance orders entries by how many query return slots their
 // slots can serve (paths overlap and attributes suffice), ties broken by
 // smaller canonical models.
-func sortByRelevance(m0 []entry, q *pattern.Pattern, qPaths [][]int) {
+func sortByRelevance(m0 []entry, q *pattern.Pattern, qSets []map[int]bool) {
 	score := func(e entry) int {
 		total := 0
-		for k, rn := range q.Returns() {
-			_ = k
-			qSet := map[int]bool{}
-			for _, sid := range qPaths[rn.Index] {
-				qSet[sid] = true
-			}
+		for _, rn := range q.Returns() {
 			for j, ps := range e.plan.OutSlots() {
-				if rn.Attrs&^ps.Attrs != 0 {
-					continue
-				}
-				hit := false
-				for sid := range e.slotP[j] {
-					if qSet[sid] {
-						hit = true
-						break
-					}
-				}
-				if hit {
+				if rn.Attrs&^ps.Attrs == 0 && overlaps(e.slotP[j], qSets[rn.Index]) {
 					total++
 					break
 				}
@@ -297,9 +297,10 @@ func sortByRelevance(m0 []entry, q *pattern.Pattern, qPaths [][]int) {
 type rewriter struct {
 	q      *pattern.Pattern
 	qModel []*Tree
-	qPaths [][]int
-	s      *summary.Summary
-	opts   RewriteOptions
+	// qSets holds, per query node index, the summary nodes it can bind.
+	qSets []map[int]bool
+	s     *summary.Summary
+	opts  RewriteOptions
 
 	// seen is the canonical-model dedup set.
 	seen        map[string]bool
@@ -416,11 +417,7 @@ func (rw *rewriter) genJoinCandidates(li, lj entry, limit int) ([]entry, int) {
 func (rw *rewriter) joinFeasible(lp, rp map[int]bool, kind JoinKind) bool {
 	switch kind {
 	case JoinID:
-		for x := range lp {
-			if rp[x] {
-				return true
-			}
-		}
+		return overlaps(lp, rp)
 	case JoinParent:
 		for y := range rp {
 			if lp[rw.s.Node(y).Parent] {
@@ -571,23 +568,36 @@ func (rw *rewriter) supersetOf(successful [][]int, idx []int) bool {
 
 // reducedKey is the Proposition 3.5 comparison key: the canonical model
 // with duplicate slots (same node, attrs, nesting) collapsed, so a join
-// that merely re-derives one child is recognized as redundant.
+// that merely re-derives one child is recognized as redundant. A tree with
+// no duplicate slot is its own reduction, cached key included.
 func reducedKey(model []*Tree) string {
-	byKey := map[string]*Tree{}
+	byKey := make(map[string]*Tree, len(model))
 	for _, t := range model {
-		r := t.Clone()
-		seen := map[string]bool{}
-		var slots []Slot
-		for _, sl := range r.Slots {
-			k := fmt.Sprintf("%d/%v/%v", sl.Node, sl.Attrs, sl.Nest)
-			if !seen[k] {
-				seen[k] = true
-				slots = append(slots, sl)
-			}
+		if slots := distinctSlots(t.Slots); len(slots) < len(t.Slots) {
+			t = t.withSlots(slots)
 		}
-		r.Slots = slots
-		r.key = ""
-		byKey[r.Key()] = r
+		byKey[t.Key()] = t
 	}
 	return modelKey(sortedTrees(byKey))
+}
+
+// distinctSlots returns slots without the ones equal to an earlier slot;
+// slots itself when they are all distinct.
+func distinctSlots(slots []Slot) []Slot {
+	var out []Slot
+	for i, sl := range slots {
+		dup := slices.ContainsFunc(slots[:i], func(o Slot) bool {
+			return o.Node == sl.Node && o.Attrs == sl.Attrs && slices.Equal(o.Nest, sl.Nest)
+		})
+		switch {
+		case dup && out == nil:
+			out = slices.Clone(slots[:i])
+		case !dup && out != nil:
+			out = append(out, sl)
+		}
+	}
+	if out == nil {
+		return slots
+	}
+	return out
 }

@@ -5,9 +5,11 @@
 package core
 
 import (
-	"sort"
+	"bytes"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"xmlviews/internal/pattern"
 	"xmlviews/internal/predicate"
@@ -24,6 +26,15 @@ import (
 // same summary node: this is the general form required for decorated
 // patterns (Section 4.2) and for the join merges of the rewriting algorithm
 // (Figure 5), and it is what makes canonical trees exact witness documents.
+//
+// A published tree (one returned by a model or plan-model computation, or
+// held by the search) is never mutated: its key is cached, and other trees
+// share its parts. A derivative that only edits slots (withSlots) shares
+// Nodes and Erased; one that edits a formula (withPred) copies the node
+// array but shares the child lists. Nesting sequences are replaced, never
+// written into. AddNode runs only on a tree under construction: a new one
+// or a clone, which copies the node array, child lists, slots and erased
+// records.
 type Tree struct {
 	Sum   *summary.Summary
 	Nodes []TNode
@@ -45,19 +56,10 @@ type ErasedSub struct {
 }
 
 // hasSlotIn reports whether the erased subtree contains a return node.
-func (e ErasedSub) hasSlotIn() bool {
-	found := false
-	var walk func(n *pattern.Node)
-	walk = func(n *pattern.Node) {
-		if n.IsReturn() {
-			found = true
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(e.Root)
-	return found
+func (e ErasedSub) hasSlotIn() bool { return hasReturn(e.Root) }
+
+func hasReturn(n *pattern.Node) bool {
+	return n.IsReturn() || slices.ContainsFunc(n.Children, hasReturn)
 }
 
 // TNode is one canonical tree node.
@@ -199,101 +201,137 @@ func (t *Tree) Descendants(i int) []int {
 // formulas, slot positions, attributes and nesting sequences. Two trees
 // with equal keys are isomorphic with identical decorations, which is the
 // equality used for canonical-model dedup and for the redundant-join check
-// of Proposition 3.5.
+// of Proposition 3.5. Erased records are keyed by the index of their
+// parent node, not by its place in the canonical form, so two isomorphic
+// trees numbered differently may get different keys: dedup is
+// conservative, it never merges distinct trees.
+//
+// The key renders into one byte buffer: each node appends its tag,
+// formula and slot marks, then its children in place, whose byte spans
+// are sorted and written back joined by spaces.
 func (t *Tree) Key() string {
 	if t.key != "" {
 		return t.key
 	}
-	slotsAt := map[int][]int{}
-	for k, sl := range t.Slots {
-		if sl.Node >= 0 {
-			slotsAt[sl.Node] = append(slotsAt[sl.Node], k)
-		}
-	}
-	var render func(i int) string
-	render = func(i int) string {
-		n := t.Nodes[i]
-		var b strings.Builder
-		b.WriteString(strconv.Itoa(n.SID))
-		if !n.Pred.IsTrue() {
-			b.WriteByte('{')
-			b.WriteString(n.Pred.String())
-			b.WriteByte('}')
-		}
-		if ks := slotsAt[i]; len(ks) > 0 {
-			b.WriteByte('[')
-			for j, k := range ks {
-				if j > 0 {
-					b.WriteByte(',')
-				}
-				b.WriteString(strconv.Itoa(k))
+	t.key = render(func(r *keyRenderer) {
+		r.node(t, 0)
+		for _, sl := range t.Slots {
+			r.buf = append(r.buf, ';')
+			if sl.Node < 0 {
+				r.buf = append(r.buf, '~')
 			}
-			b.WriteByte(']')
-		}
-		if len(n.Children) > 0 {
-			parts := make([]string, 0, len(n.Children))
-			for _, c := range n.Children {
-				parts = append(parts, render(c))
+			r.buf = append(r.buf, sl.Attrs.String()...)
+			r.buf = append(r.buf, ':')
+			for _, s := range sl.Nest {
+				r.buf = strconv.AppendInt(r.buf, int64(s), 10)
+				r.buf = append(r.buf, '.')
 			}
-			sort.Strings(parts)
-			b.WriteByte('(')
-			b.WriteString(strings.Join(parts, " "))
-			b.WriteByte(')')
 		}
-		return b.String()
-	}
-	var b strings.Builder
-	b.WriteString(render(0))
-	for _, sl := range t.Slots {
-		b.WriteByte(';')
-		if sl.Node < 0 {
-			b.WriteByte('~')
-		}
-		b.WriteString(sl.Attrs.String())
-		b.WriteByte(':')
-		for _, s := range sl.Nest {
-			b.WriteString(strconv.Itoa(s))
-			b.WriteByte('.')
-		}
-	}
-	erased := make([]string, 0, len(t.Erased))
-	for _, e := range t.Erased {
-		erased = append(erased, strconv.Itoa(e.Parent)+"@"+subtreeSig(e.Root))
-	}
-	sort.Strings(erased)
-	for _, e := range erased {
-		b.WriteByte('!')
-		b.WriteString(e)
-	}
-	t.key = b.String()
+		r.group(len(t.Erased), '!', true, func(j int) {
+			r.buf = strconv.AppendInt(r.buf, int64(t.Erased[j].Parent), 10)
+			r.buf = append(r.buf, '@')
+			r.sig(t.Erased[j].Root)
+		})
+	})
 	return t.key
 }
 
 // subtreeSig serializes a pattern subtree (structure, labels, predicates,
 // axes) for dedup keys.
 func subtreeSig(n *pattern.Node) string {
-	var b strings.Builder
-	b.WriteString(n.Axis.String())
-	b.WriteString(n.Label)
-	if !n.Pred.IsTrue() {
-		b.WriteByte('{')
-		b.WriteString(n.Pred.String())
-		b.WriteByte('}')
+	return render(func(r *keyRenderer) { r.sig(n) })
+}
+
+// keyRenderer holds the buffers of Key and subtreeSig: buf is the output
+// so far, spans the byte ranges of the items rendered at each open group
+// (a stack), scratch the space a group's sorted items are joined in.
+type keyRenderer struct {
+	buf, scratch []byte
+	spans        []span
+}
+
+type span struct{ start, end int }
+
+// keyRenderers recycles the buffers across calls and goroutines.
+var keyRenderers = sync.Pool{New: func() any { return new(keyRenderer) }}
+
+// render runs f on an empty pooled renderer and returns what it wrote.
+func render(f func(r *keyRenderer)) string {
+	r := keyRenderers.Get().(*keyRenderer)
+	r.buf = r.buf[:0]
+	f(r)
+	s := string(r.buf)
+	keyRenderers.Put(r)
+	return s
+}
+
+func (r *keyRenderer) node(t *Tree, i int) {
+	n := &t.Nodes[i]
+	r.buf = strconv.AppendInt(r.buf, int64(n.SID), 10)
+	r.pred(n.Pred)
+	sep := byte('[')
+	for k, sl := range t.Slots {
+		if sl.Node == i {
+			r.buf = append(r.buf, sep)
+			r.buf = strconv.AppendInt(r.buf, int64(k), 10)
+			sep = ','
+		}
 	}
-	if n.Optional {
-		b.WriteByte('?')
+	if sep == ',' {
+		r.buf = append(r.buf, ']')
 	}
 	if len(n.Children) > 0 {
-		parts := make([]string, 0, len(n.Children))
-		for _, c := range n.Children {
-			parts = append(parts, subtreeSig(c))
-		}
-		sort.Strings(parts)
-		b.WriteByte('(')
-		b.WriteString(strings.Join(parts, " "))
-		b.WriteByte(')')
+		r.buf = append(r.buf, '(')
+		r.group(len(n.Children), ' ', false, func(j int) { r.node(t, n.Children[j]) })
+		r.buf = append(r.buf, ')')
 	}
-	return b.String()
+}
+
+func (r *keyRenderer) sig(n *pattern.Node) {
+	r.buf = append(r.buf, n.Axis.String()...)
+	r.buf = append(r.buf, n.Label...)
+	r.pred(n.Pred)
+	if n.Optional {
+		r.buf = append(r.buf, '?')
+	}
+	if len(n.Children) > 0 {
+		r.buf = append(r.buf, '(')
+		r.group(len(n.Children), ' ', false, func(j int) { r.sig(n.Children[j]) })
+		r.buf = append(r.buf, ')')
+	}
+}
+
+func (r *keyRenderer) pred(f predicate.Formula) {
+	if !f.IsTrue() {
+		r.buf = append(r.buf, '{')
+		r.buf = append(r.buf, f.String()...)
+		r.buf = append(r.buf, '}')
+	}
+}
+
+// group renders n items with item, then rewrites them in byte order, each
+// preceded by sep (the first one only when lead).
+func (r *keyRenderer) group(n int, sep byte, lead bool, item func(i int)) {
+	at, base := len(r.buf), len(r.spans)
+	for i := 0; i < n; i++ {
+		start := len(r.buf)
+		item(i)
+		r.spans = append(r.spans, span{start, len(r.buf)})
+	}
+	if spans := r.spans[base:]; n > 1 || lead {
+		slices.SortFunc(spans, func(a, b span) int {
+			return bytes.Compare(r.buf[a.start:a.end], r.buf[b.start:b.end])
+		})
+		r.scratch = r.scratch[:0]
+		for j, sp := range spans {
+			if j > 0 || lead {
+				r.scratch = append(r.scratch, sep)
+			}
+			r.scratch = append(r.scratch, r.buf[sp.start:sp.end]...)
+		}
+		r.buf = append(r.buf[:at], r.scratch...)
+	}
+	r.spans = r.spans[:base]
 }
 
 // String renders the tree with labels for debugging.
@@ -328,23 +366,38 @@ func (t *Tree) String() string {
 	return out
 }
 
-// Clone returns a deep copy of the tree.
-func (t *Tree) Clone() *Tree {
-	out := &Tree{Sum: t.Sum, key: t.key}
-	out.Nodes = make([]TNode, len(t.Nodes))
-	for i, n := range t.Nodes {
-		cn := n
-		cn.Children = append([]int(nil), n.Children...)
-		out.Nodes[i] = cn
+// clone returns a copy of the tree that may grow, without its cached key
+// (the caller is about to change the tree), with room for n more nodes.
+// The copied child lists share one backing array, each capped at its
+// length so that AddNode reallocates the one it appends to. Nesting
+// sequences are shared: no tree writes into one.
+func (t *Tree) clone(n int) *Tree {
+	out := &Tree{Sum: t.Sum, Slots: slices.Clone(t.Slots), Erased: slices.Clone(t.Erased)}
+	out.Nodes = make([]TNode, len(t.Nodes), len(t.Nodes)+n)
+	kids := make([]int, 0, len(t.Nodes))
+	for i, nd := range t.Nodes {
+		if len(nd.Children) > 0 {
+			at := len(kids)
+			kids = append(kids, nd.Children...)
+			nd.Children = kids[at:len(kids):len(kids)]
+		}
+		out.Nodes[i] = nd
 	}
-	out.Slots = make([]Slot, len(t.Slots))
-	for i, sl := range t.Slots {
-		cs := sl
-		cs.Nest = append([]int(nil), sl.Nest...)
-		out.Slots[i] = cs
-	}
-	out.Erased = append([]ErasedSub(nil), t.Erased...)
 	return out
+}
+
+// withSlots returns a tree with t's nodes and erased records (shared, not
+// copied) and the given slots.
+func (t *Tree) withSlots(slots []Slot) *Tree {
+	return &Tree{Sum: t.Sum, Nodes: t.Nodes, Slots: slots, Erased: t.Erased}
+}
+
+// withPred returns a tree equal to t except that node i carries pred. The
+// node array is copied; child lists, slots and erased records are shared.
+func (t *Tree) withPred(i int, pred predicate.Formula) *Tree {
+	nodes := slices.Clone(t.Nodes)
+	nodes[i].Pred = pred
+	return &Tree{Sum: t.Sum, Nodes: nodes, Slots: t.Slots, Erased: t.Erased}
 }
 
 // canonNest maps every element of a nesting sequence to the top of its
@@ -369,14 +422,5 @@ func nestEqual(s *summary.Summary, a, b []int, aIsBottom bool) bool {
 	if aIsBottom {
 		return true
 	}
-	ca, cb := canonNest(s, a), canonNest(s, b)
-	if len(ca) != len(cb) {
-		return false
-	}
-	for i := range ca {
-		if ca[i] != cb[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(canonNest(s, a), canonNest(s, b))
 }
