@@ -1,6 +1,6 @@
-// Command xvlint runs the project's invariant analyzers (detorder,
-// ctxpoll, errclose, metriccheck) over the given packages and exits
-// non-zero when any diagnostic is found.
+// Command xvlint runs the project's three invariant analyzers (detorder,
+// ctxpoll, errclose) over the given packages and exits non-zero when any
+// diagnostic is found.
 //
 // Usage:
 //

@@ -55,13 +55,13 @@ func TestSelectAnalyzers(t *testing.T) {
 		}
 	}
 
-	rest, err := selectAnalyzers("", "metriccheck")
+	rest, err := selectAnalyzers("", "errclose")
 	if err != nil || len(rest) != len(lint.All())-1 {
 		t.Fatalf("-disable selection: %v, got %d analyzers", err, len(rest))
 	}
 	for _, a := range rest {
-		if a.Name == "metriccheck" {
-			t.Errorf("-disable kept metriccheck")
+		if a.Name == "errclose" {
+			t.Errorf("-disable kept errclose")
 		}
 	}
 

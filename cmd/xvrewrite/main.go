@@ -193,33 +193,16 @@ func run(args []string, stdout io.Writer) error {
 func scannedBaseViews(plans []*core.Plan) []*core.View {
 	seen := map[string]bool{}
 	var out []*core.View
-	add := func(v *core.View) {
-		if v.Nav == nil && !seen[v.Name] {
-			seen[v.Name] = true
-			out = append(out, v)
-		}
-	}
-	var walk func(p *core.Plan)
-	walk = func(p *core.Plan) {
-		switch p.Op {
-		case core.OpScan:
-			add(p.View)
-			if p.View.Nav != nil {
-				add(p.View.Nav.Base)
-			}
-		case core.OpJoin:
-			walk(p.Left)
-			walk(p.Right)
-		case core.OpUnion:
-			for _, part := range p.Parts {
-				walk(part)
-			}
-		default:
-			walk(p.Input)
-		}
-	}
 	for _, p := range plans {
-		walk(p)
+		p.EachScan(func(v *core.View) {
+			if v.Nav != nil {
+				v = v.Nav.Base
+			}
+			if !seen[v.Name] {
+				seen[v.Name] = true
+				out = append(out, v)
+			}
+		})
 	}
 	return out
 }

@@ -48,7 +48,7 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: xvstore build|info [flags]")
+		return fmt.Errorf("usage: xvstore build|apply|compact|info|stats [flags]")
 	}
 	switch args[0] {
 	case "build":

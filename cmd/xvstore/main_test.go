@@ -170,8 +170,14 @@ func TestRunApplyCompactInfo(t *testing.T) {
 
 func TestRunBadUsage(t *testing.T) {
 	var out strings.Builder
-	if err := run(nil, &out); err == nil {
+	err := run(nil, &out)
+	if err == nil {
 		t.Fatal("empty args not rejected")
+	}
+	for _, sub := range []string{"build", "apply", "compact", "info", "stats"} {
+		if !strings.Contains(err.Error(), sub) {
+			t.Errorf("usage error %q does not name subcommand %s", err, sub)
+		}
 	}
 	if err := run([]string{"frobnicate"}, &out); err == nil {
 		t.Fatal("unknown subcommand not rejected")

@@ -210,6 +210,24 @@ func (p *Plan) NumScans() int {
 	}
 }
 
+// EachScan calls f once per view scan in the plan, left to right; a view
+// scanned twice is reported twice.
+func (p *Plan) EachScan(f func(*View)) {
+	switch p.Op {
+	case OpScan:
+		f(p.View)
+	case OpJoin:
+		p.Left.EachScan(f)
+		p.Right.EachScan(f)
+	case OpUnion:
+		for _, part := range p.Parts {
+			part.EachScan(f)
+		}
+	default:
+		p.Input.EachScan(f)
+	}
+}
+
 // String renders the plan.
 func (p *Plan) String() string {
 	switch p.Op {

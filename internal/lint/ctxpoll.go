@@ -177,7 +177,7 @@ func bodyPolled(pass *Pass, body *ast.BlockStmt) bool {
 			return false
 		}
 		if call, ok := n.(*ast.CallExpr); ok {
-			if fn, _ := resolveCall(pass.Pkg.Info, call); fn != nil && facts.PollsCtx[funcKey(fn)] {
+			if fn := calleeFunc(pass.Pkg.Info, call); fn != nil && facts.PollsCtx[funcKey(fn)] {
 				found = true
 				return false
 			}

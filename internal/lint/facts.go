@@ -24,7 +24,7 @@ func computeFacts(prog *Program) *Facts {
 	g := prog.CallGraph()
 	for _, key := range g.Keys() {
 		node := g.Nodes[key]
-		if node.Decl != nil && node.Decl.Body != nil && containsPoll(node.Pkg.Info, node.Decl.Body) {
+		if node.Decl.Body != nil && containsPoll(node.Pkg.Info, node.Decl.Body) {
 			facts.PollsCtx[key] = true
 		}
 	}
@@ -38,7 +38,7 @@ func computeFacts(prog *Program) *Facts {
 				continue
 			}
 			for _, e := range g.Nodes[key].Out {
-				if e.Kind == EdgeCall && !e.InFuncLit && facts.PollsCtx[e.Callee] {
+				if !e.InFuncLit && facts.PollsCtx[e.Callee] {
 					facts.PollsCtx[key] = true
 					changed = true
 					break

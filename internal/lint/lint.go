@@ -1,4 +1,4 @@
-// Package lint implements xvlint, the project's invariant checker: four
+// Package lint implements xvlint, the project's invariant checker: three
 // static analyzers that machine-check whole-codebase rules no type
 // boundary can express.
 //
@@ -11,8 +11,6 @@
 //   - errclose: error returns from Close/Sync/WriteFile on the persist path
 //     must not be discarded; a dropped error can silently violate the
 //     write-catalog-last durability protocol.
-//   - metriccheck: metric label values are compile-time bounded and metric
-//     names are constant, xvserve_-prefixed and registered once.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer, Pass, diagnostics, testdata fixtures with "// want"
@@ -34,8 +32,8 @@ import (
 )
 
 // Analyzer is one named check. Run reports diagnostics for a single
-// package; analyzers that need program-wide context (ctxpoll's facts,
-// metriccheck's call graph and registration census) read Pass.Prog.
+// package; analyzers that need program-wide context (ctxpoll's facts)
+// read Pass.Prog.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and test fixtures.
 	Name string
@@ -55,7 +53,7 @@ type Analyzer struct {
 
 // All returns the full xvlint suite in the order diagnostics are grouped.
 func All() []*Analyzer {
-	return []*Analyzer{DetOrder, CtxPoll, ErrClose, MetricCheck}
+	return []*Analyzer{DetOrder, CtxPoll, ErrClose}
 }
 
 // AppliesTo reports whether the analyzer checks the given import path.
@@ -94,8 +92,8 @@ type Package struct {
 }
 
 // Program is everything one xvlint invocation loaded. Analyzers that check
-// cross-package properties (ctxpoll's facts, metriccheck) consult every
-// package here, not just the one under analysis.
+// cross-package properties (ctxpoll's facts) consult every package here,
+// not just the one under analysis.
 type Program struct {
 	Fset     *token.FileSet
 	Packages []*Package
@@ -164,10 +162,10 @@ func Run(prog *Program, analyzers []*Analyzer, opts RunOptions) []Diagnostic {
 }
 
 // A directive is one //xvlint:<name> annotation (orderindependent, nopoll,
-// errok, boundedlabel), optionally followed by free
-// text — the justification lives on the same line as the suppression it
-// explains. Every suppression in the codebase is one of these, so every
-// exception to an invariant is a greppable, reviewed decision.
+// errok), optionally followed by free text — the justification lives on
+// the same line as the suppression it explains. Every suppression in the
+// codebase is one of these, so every exception to an invariant is a
+// greppable, reviewed decision.
 var directiveRE = regexp.MustCompile(`^xvlint:([a-z]+)(?:\s|$)`)
 
 // directiveName returns the directive a comment line carries, or "".
@@ -234,11 +232,18 @@ func unparen(e ast.Expr) ast.Expr {
 }
 
 // calleeFunc resolves a call expression to the *types.Func it invokes
-// (direct calls and method calls; nil for indirect calls through
-// variables, built-ins and type conversions).
+// (direct calls, method calls and explicit instantiations f[T](x); nil for
+// indirect calls through variables, built-ins and type conversions).
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := unparen(call.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = unparen(ix.X)
+	case *ast.IndexListExpr:
+		fun = unparen(ix.X)
+	}
 	var id *ast.Ident
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		id = fun
 	case *ast.SelectorExpr:

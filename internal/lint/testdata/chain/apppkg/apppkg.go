@@ -1,23 +1,18 @@
 // Package apppkg is the top of the three-package chain: it only ever
-// talks to wrappkg, so every edge here into storepkg's facts crossed two
-// package boundaries.
+// talks to wrappkg, so every fact observed here crossed two package
+// boundaries.
 package apppkg
 
-import (
-	"fixture/chain/storepkg"
-	"fixture/chain/wrappkg"
-)
+import "fixture/chain/wrappkg"
 
-// MutateSharedBuggy obtains an extent through the middle package and
-// grows it through another middle-package wrapper: two cross-package
-// call edges.
-func MutateSharedBuggy(s *storepkg.Store) {
-	rel := wrappkg.Cached(s, "v")
-	wrappkg.GrowAll(rel)
+// Stop polls through the middle package.
+func Stop(done chan struct{}) bool {
+	return wrappkg.CheckStop(done)
 }
 
-// ExtentFn takes the accessor's method value; the call graph records
-// this as a reference edge, not a call.
-func ExtentFn(s *storepkg.Store) func(string) *storepkg.Rel {
-	return s.Extent
+// StopLater polls only inside a function literal, which may run on
+// another goroutine or never: the call is an edge, but the polls-ctx fact
+// must not flow through it.
+func StopLater(done chan struct{}) func() bool {
+	return func() bool { return wrappkg.CheckStop(done) }
 }

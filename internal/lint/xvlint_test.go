@@ -26,10 +26,6 @@ func TestErrCloseFixtures(t *testing.T) {
 	linttest.Run(t, "testdata/errclose", lint.ErrClose)
 }
 
-func TestMetricCheckFixtures(t *testing.T) {
-	linttest.Run(t, "testdata/metriccheck", lint.MetricCheck)
-}
-
 // TestRepoIsClean runs the full suite over the real codebase: the tree
 // must carry zero outstanding diagnostics, so a change that violates an
 // invariant fails `go test` even before the CI lint job runs.

@@ -69,16 +69,33 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return c
 }
 
-// CounterVec registers a counter family with a fixed label set; series are
-// created on first With.
-func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
+// Label is one label of a CounterVec family: its name and the values it
+// may take. A value outside Values is counted under Overflow, so a family
+// never holds more series than the product of (len(Values)+1) over its
+// labels, whatever its callers pass.
+type Label struct {
+	Name   string
+	Values []string
+}
+
+// Overflow is the label value every undeclared value is counted under.
+const Overflow = "other"
+
+// CounterVec registers a counter family whose labels take only their
+// declared values; series are created on first With.
+func (r *Registry) CounterVec(name, help string, labels ...Label) *CounterVec {
+	v := &CounterVec{fam: familyMeta{name, help, "counter"}, children: map[string]*Counter{}}
 	for _, l := range labels {
-		if !validName(l) {
-			panic("obs: invalid label name " + strconv.Quote(l))
+		if !validName(l.Name) {
+			panic("obs: invalid label name " + strconv.Quote(l.Name))
 		}
+		declared := make(map[string]bool, len(l.Values))
+		for _, val := range l.Values {
+			declared[val] = true
+		}
+		v.labels = append(v.labels, l.Name)
+		v.declared = append(v.declared, declared)
 	}
-	v := &CounterVec{fam: familyMeta{name, help, "counter"},
-		labels: labels, children: map[string]*Counter{}}
 	r.register(v)
 	return v
 }
@@ -178,16 +195,36 @@ func (c *Counter) write(b *strings.Builder) {
 type CounterVec struct {
 	fam      familyMeta
 	labels   []string
+	declared []map[string]bool // per label, its declared values
 	mu       sync.Mutex
 	children map[string]*Counter
 }
 
-// With returns the counter for the given label values (created on first
-// use). The number of values must match the registered label names.
-func (v *CounterVec) With(values ...string) *Counter {
+// bound returns values with each one its label does not declare replaced
+// by Overflow, copying only when a replacement is needed. The number of
+// values must match the registered labels.
+func (v *CounterVec) bound(values []string) []string {
 	if len(values) != len(v.labels) {
 		panic(fmt.Sprintf("obs: %s takes %d label value(s), got %d", v.fam.name, len(v.labels), len(values)))
 	}
+	copied := false
+	for i, val := range values {
+		if v.declared[i][val] {
+			continue
+		}
+		if !copied {
+			values = append([]string(nil), values...)
+			copied = true
+		}
+		values[i] = Overflow
+	}
+	return values
+}
+
+// With returns the counter for the given label values (created on first
+// use); an undeclared value selects its label's Overflow series.
+func (v *CounterVec) With(values ...string) *Counter {
+	values = v.bound(values)
 	key := strings.Join(values, "\x1f")
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -211,10 +248,10 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return c
 }
 
-// Value returns the current count for the given label values without
-// creating the series (0 when absent).
+// Value returns the current count of the series With would select for the
+// given label values, without creating it (0 when absent).
 func (v *CounterVec) Value(values ...string) int64 {
-	key := strings.Join(values, "\x1f")
+	key := strings.Join(v.bound(values), "\x1f")
 	v.mu.Lock()
 	c := v.children[key]
 	v.mu.Unlock()

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -45,14 +47,16 @@ func TestCounterAndGauge(t *testing.T) {
 
 func TestCounterVec(t *testing.T) {
 	r := NewRegistry()
-	v := r.CounterVec("req_total", "requests", "path", "code")
+	v := r.CounterVec("req_total", "requests",
+		Label{Name: "path", Values: []string{"/query", "/update"}},
+		Label{Name: "code", Values: []string{"200", "404", "500"}})
 	v.With("/query", "200").Add(3)
 	v.With("/query", "404").Inc()
 	v.With("/update", "200").Inc()
 	if got := v.Value("/query", "200"); got != 3 {
 		t.Fatalf("Value = %d, want 3", got)
 	}
-	if got := v.Value("/nope", "500"); got != 0 {
+	if got := v.Value("/update", "500"); got != 0 {
 		t.Fatalf("absent series Value = %d, want 0", got)
 	}
 	var b strings.Builder
@@ -72,9 +76,69 @@ func TestCounterVec(t *testing.T) {
 	}
 }
 
+// TestCounterVecUndeclaredValues pins the cardinality bound: a value a
+// label does not declare is counted under Overflow, Value reads the same
+// series, and no stream of distinct inputs grows the family past the
+// product of (declared values + 1).
+func TestCounterVecUndeclaredValues(t *testing.T) {
+	r := NewRegistry()
+	v := r.CounterVec("bounded_total", "bounded",
+		Label{Name: "path", Values: []string{"/query", "/update"}},
+		Label{Name: "code", Values: []string{"200", "400"}})
+	v.With("/query", "200").Inc()
+	v.With("/query", "418").Inc()
+	v.With("/nope", "200").Add(2)
+	v.With("/nope", "999").Add(3)
+	for _, c := range []struct {
+		path, code string
+		want       int64
+	}{
+		{"/query", "200", 1},
+		{"/query", Overflow, 1},
+		{"/query", "419", 1}, // another undeclared code reads the same series
+		{Overflow, "200", 2},
+		{"/elsewhere", "200", 2},
+		{Overflow, Overflow, 3},
+		{"/update", "400", 0},
+	} {
+		if got := v.Value(c.path, c.code); got != c.want {
+			t.Errorf("Value(%q, %q) = %d, want %d", c.path, c.code, got, c.want)
+		}
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`bounded_total{path="/query",code="other"} 1`,
+		`bounded_total{path="other",code="200"} 2`,
+		`bounded_total{path="other",code="other"} 3`,
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, b.String())
+		}
+	}
+
+	// 1,000 distinct inputs per label touch at most (2+1)*(2+1) series.
+	for i := 0; i < 1000; i++ {
+		v.With(fmt.Sprintf("/p%d", i), strconv.Itoa(1000+i)).Inc()
+		v.With("/update", strconv.Itoa(i)).Inc()
+	}
+	b.Reset()
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(b.String(), "bounded_total{"); n > 9 {
+		t.Fatalf("%d series after 2,000 undeclared inputs, want at most 9:\n%s", n, b.String())
+	}
+	if got := v.Value(Overflow, Overflow); got != 1003 {
+		t.Fatalf("overflow series = %d, want 1003", got)
+	}
+}
+
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	v := r.CounterVec("esc_total", "escapes", "view")
+	v := r.CounterVec("esc_total", "escapes", Label{Name: "view", Values: []string{"a\"b\\c\nd"}})
 	v.With("a\"b\\c\nd").Inc()
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -208,10 +272,11 @@ func TestRegistryPanics(t *testing.T) {
 	r.Counter("dup_total", "x")
 	mustPanic(t, "duplicate name", func() { r.Counter("dup_total", "y") })
 	mustPanic(t, "invalid name", func() { r.Counter("1bad", "y") })
-	mustPanic(t, "invalid label", func() { r.CounterVec("v_total", "y", "bad-label") })
+	mustPanic(t, "invalid label", func() { r.CounterVec("v_total", "y", Label{Name: "bad-label"}) })
 	mustPanic(t, "unsorted buckets", func() { r.Histogram("h_seconds", "y", []float64{2, 1}) })
-	v := r.CounterVec("arity_total", "y", "a", "b")
+	v := r.CounterVec("arity_total", "y", Label{Name: "a"}, Label{Name: "b"})
 	mustPanic(t, "label arity", func() { v.With("only-one") })
+	mustPanic(t, "label arity on Value", func() { v.Value("x", "y", "z") })
 }
 
 func mustPanic(t *testing.T, what string, f func()) {
@@ -231,7 +296,7 @@ func TestRegistryConcurrent(t *testing.T) {
 	c := r.Counter("cc_total", "c")
 	g := r.Gauge("gg", "g")
 	h := r.Histogram("hh_seconds", "h", nil)
-	v := r.CounterVec("vv_total", "v", "k")
+	v := r.CounterVec("vv_total", "v", Label{Name: "k", Values: []string{"a", "b", "c"}})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"net/http"
+	"strconv"
+
 	"xmlviews/internal/algebra"
-	"xmlviews/internal/core"
 	"xmlviews/internal/obs"
 )
 
@@ -16,7 +18,8 @@ type metricsSet struct {
 	// separate error series per route.
 	httpRequests *obs.CounterVec // labels: path, code
 	// viewReads counts, per stored view, how many times an executed plan
-	// scanned it — the access pattern view selection tools want.
+	// scanned it — the access pattern view selection tools want. A
+	// navigation scan reads its base view's extent and counts there.
 	viewReads *obs.CounterVec // label: view
 	// vecKernels counts vectorized kernel executions by kernel name
 	// (select_label, select_value, join_prune); vecBlocksScanned and
@@ -84,14 +87,39 @@ type metricsSet struct {
 	logBytes     *obs.Gauge
 }
 
-func newMetricsSet(r *obs.Registry) *metricsSet {
+// answeredStatuses are the status codes the handlers answer: the code
+// label of the request counter declares exactly these.
+var answeredStatuses = []int{
+	http.StatusOK, http.StatusBadRequest, http.StatusForbidden,
+	http.StatusMethodNotAllowed, http.StatusConflict,
+	http.StatusRequestEntityTooLarge, http.StatusUnprocessableEntity,
+	statusClientClosedRequest, http.StatusInternalServerError,
+	http.StatusServiceUnavailable,
+}
+
+// newMetricsSet registers the daemon's metric families. Every label
+// declares its values here, from the route table, the answered statuses,
+// the catalog's view names and the kernel names; anything else would be
+// counted under obs.Overflow.
+func newMetricsSet(r *obs.Registry, viewNames []string) *metricsSet {
+	paths := make([]string, len(routes))
+	for i, rt := range routes {
+		paths[i] = rt.path
+	}
+	codes := make([]string, len(answeredStatuses))
+	for i, c := range answeredStatuses {
+		codes[i] = strconv.Itoa(c)
+	}
 	return &metricsSet{
 		httpRequests: r.CounterVec("xvserve_http_requests_total",
-			"HTTP requests served, by route and status code.", "path", "code"),
+			"HTTP requests served, by route and status code.",
+			obs.Label{Name: "path", Values: paths}, obs.Label{Name: "code", Values: codes}),
 		viewReads: r.CounterVec("xvserve_view_reads_total",
-			"Materialized-view scans by executed plans, per view.", "view"),
+			"Materialized-view scans by executed plans, per view.",
+			obs.Label{Name: "view", Values: viewNames}),
 		vecKernels: r.CounterVec("xvserve_vec_kernels_total",
-			"Vectorized kernel executions, by kernel.", "kernel"),
+			"Vectorized kernel executions, by kernel.",
+			obs.Label{Name: "kernel", Values: []string{"select_label", "select_value", "join_prune"}}),
 		vecBlocksScanned: r.Counter("xvserve_vec_blocks_scanned_total",
 			"Zone-map blocks the vectorized path scanned row-wise."),
 		vecBlocksSkipped: r.Counter("xvserve_vec_blocks_skipped_total",
@@ -149,28 +177,4 @@ func (m *metricsSet) observeExecStats(xs *algebra.ExecStats) {
 	}
 	m.vecBlocksScanned.Add(int64(xs.BlocksScanned))
 	m.vecBlocksSkipped.Add(int64(xs.BlocksSkipped))
-}
-
-// scannedViews walks an executed plan and calls f once per OpScan leaf with
-// the scanned view's name (a view joined against itself is counted twice:
-// the counter measures scans, not distinct views).
-func scannedViews(p *core.Plan, f func(name string)) {
-	if p == nil {
-		return
-	}
-	switch p.Op {
-	case core.OpScan:
-		if p.View != nil {
-			f(p.View.Name)
-		}
-	case core.OpJoin:
-		scannedViews(p.Left, f)
-		scannedViews(p.Right, f)
-	case core.OpUnion:
-		for _, part := range p.Parts {
-			scannedViews(part, f)
-		}
-	default:
-		scannedViews(p.Input, f)
-	}
 }

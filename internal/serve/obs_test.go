@@ -210,6 +210,123 @@ func TestServeMetricsExposition(t *testing.T) {
 			t.Fatalf("family order differs at %d: %q vs %q", i, o1[i], o2[i])
 		}
 	}
+
+	// Every label value the workload and the error paths produce is a
+	// declared one: nothing lands on the overflow series.
+	var er errorResponse
+	if code := getJSON(t, ts.URL+"/update", &er); code != http.StatusMethodNotAllowed {
+		t.Fatalf("GET /update: status %d", code)
+	}
+	if code := getJSON(t, ts.URL+"/query", &er); code != http.StatusBadRequest {
+		t.Fatalf("query without q: status %d", code)
+	}
+	if code := postUpdate(t, ts, `{"updates":[]}`, &er); code != http.StatusBadRequest {
+		t.Fatalf("empty batch: status %d", code)
+	}
+	if code := postUpdate(t, ts, `{"updates":[{"op":"settext","target":"1.99.1","value":"x"}]}`, &er); code != http.StatusUnprocessableEntity {
+		t.Fatalf("unresolvable target: status %d", code)
+	}
+	resp3, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body3, _ := io.ReadAll(resp3.Body)
+	resp3.Body.Close()
+	for series := range expositionSamples(t, string(body3)) {
+		if strings.Contains(series, `="`+obs.Overflow+`"`) {
+			t.Errorf("undeclared label value counted: %s", series)
+		}
+	}
+}
+
+// metricFamilies is the golden /metrics surface: every family's # TYPE
+// line. A family is added, renamed or retyped only by changing this list,
+// the way statsFields pins /stats.
+var metricFamilies = []string{
+	"go_gc_cycles_total gauge",
+	"go_gc_pause_seconds_total gauge",
+	"go_goroutines gauge",
+	"go_heap_alloc_bytes gauge",
+	"go_heap_objects gauge",
+	"go_sys_bytes gauge",
+	"xvserve_cache_invalidations_total counter",
+	"xvserve_client_disconnects_total counter",
+	"xvserve_commit_group_size histogram",
+	"xvserve_commit_queue_depth gauge",
+	"xvserve_commit_queue_wait_seconds histogram",
+	"xvserve_cost_seconds histogram",
+	"xvserve_degraded gauge",
+	"xvserve_doc_checkpoint_errors_total counter",
+	"xvserve_doc_checkpoint_seconds histogram",
+	"xvserve_doc_checkpoints_total counter",
+	"xvserve_doc_epoch gauge",
+	"xvserve_durable_epoch gauge",
+	"xvserve_encode_seconds histogram",
+	"xvserve_epoch gauge",
+	"xvserve_errors_total counter",
+	"xvserve_exec_seconds histogram",
+	"xvserve_group_commits_total counter",
+	"xvserve_http_requests_total counter",
+	"xvserve_maintain_apply_seconds histogram",
+	"xvserve_maintain_persist_seconds histogram",
+	"xvserve_maintain_seconds histogram",
+	"xvserve_plan_cache_entries gauge",
+	"xvserve_plan_cache_hits_total counter",
+	"xvserve_plan_cache_misses_total counter",
+	"xvserve_queries_total counter",
+	"xvserve_rewrite_seconds histogram",
+	"xvserve_rewrites_run_total counter",
+	"xvserve_rows_served_total counter",
+	"xvserve_snapshot_seconds histogram",
+	"xvserve_store_versions gauge",
+	"xvserve_subsume_cache_entries gauge",
+	"xvserve_tuples_added_total counter",
+	"xvserve_tuples_deleted_total counter",
+	"xvserve_update_log_bytes gauge",
+	"xvserve_update_log_records gauge",
+	"xvserve_updates_applied_total counter",
+	"xvserve_uptime_seconds gauge",
+	"xvserve_vec_blocks_scanned_total counter",
+	"xvserve_vec_blocks_skipped_total counter",
+	"xvserve_vec_kernels_total counter",
+	"xvserve_view_reads_total counter",
+	"xvserve_views gauge",
+}
+
+// TestMetricFamiliesPinned checks the /metrics family set against
+// metricFamilies in both directions, before and after traffic: families
+// are registered once, at New, and none appears or vanishes with use.
+func TestMetricFamiliesPinned(t *testing.T) {
+	ts, _ := newUpdatableServer(t, Config{})
+	check := func(when string) {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]bool{}
+		for _, line := range strings.Split(string(body), "\n") {
+			if typ, ok := strings.CutPrefix(line, "# TYPE "); ok {
+				got[typ] = true
+			}
+		}
+		for _, f := range metricFamilies {
+			if !got[f] {
+				t.Errorf("%s: /metrics lost family %q", when, f)
+			}
+			delete(got, f)
+		}
+		for f := range got {
+			t.Errorf("%s: /metrics grew unpinned family %q", when, f)
+		}
+	}
+	check("before traffic")
+	runWorkload(t, ts)
+	check("after traffic")
 }
 
 // statsFields is the golden /stats schema: the exact JSON field set the

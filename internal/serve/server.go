@@ -167,6 +167,10 @@ func New(cfg Config) (*Server, error) {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	reg := obs.NewRegistry()
+	viewNames := make([]string, len(views))
+	for i, v := range views {
+		viewNames[i] = v.Name
+	}
 	q := make(chan *commitReq, commitQueueDepth)
 	s := &Server{
 		cfg:     cfg,
@@ -176,7 +180,7 @@ func New(cfg Config) (*Server, error) {
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 		reg:     reg,
-		met:     newMetricsSet(reg),
+		met:     newMetricsSet(reg, viewNames),
 		ring:    obs.NewRing(cfg.TraceRingSize),
 		log:     logger,
 	}
@@ -238,18 +242,30 @@ func (s *Server) Close() {
 // Views returns the number of views served.
 func (s *Server) Views() int { return len(s.views) }
 
+// routes is the public route table: Handler mounts each entry, and the
+// request counter's path label declares exactly these paths.
+var routes = []struct {
+	path   string
+	handle func(*Server, http.ResponseWriter, *http.Request)
+}{
+	{"/query", (*Server).handleQuery},
+	{"/update", (*Server).handleUpdate},
+	{"/healthz", (*Server).handleHealthz},
+	{"/stats", (*Server).handleStats},
+	{"/metrics", (*Server).handleMetrics},
+	{"/debug/traces", (*Server).handleTraces},
+}
+
 // Handler returns the server's HTTP routes. Every route runs inside the
 // instrument middleware: the response carries an X-Request-Id header (the
 // client's, when valid, else generated), the request runs with a trace on
 // its context, and the per-route request counter is observed.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/query", s.instrument("/query", s.handleQuery))
-	mux.HandleFunc("/update", s.instrument("/update", s.handleUpdate))
-	mux.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealthz))
-	mux.HandleFunc("/stats", s.instrument("/stats", s.handleStats))
-	mux.HandleFunc("/metrics", s.instrument("/metrics", s.handleMetrics))
-	mux.HandleFunc("/debug/traces", s.instrument("/debug/traces", s.handleTraces))
+	for _, rt := range routes {
+		handle := rt.handle
+		mux.HandleFunc(rt.path, s.instrument(rt.path, func(w http.ResponseWriter, r *http.Request) { handle(s, w, r) }))
+	}
 	return mux
 }
 
@@ -545,10 +561,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Count only completed executions: the partial duration of an
 	// abandoned or failed run would skew the average operators alert on.
 	s.met.execSeconds.ObserveDuration(execDur)
-	// View names come from the catalog, fixed at startup: one series per
-	// configured view, not per request.
-	//xvlint:boundedlabel view names are catalog-bounded
-	scannedViews(plan, func(name string) { s.met.viewReads.With(name).Inc() })
+	plan.EachScan(func(v *core.View) {
+		if v.Nav != nil {
+			v = v.Nav.Base
+		}
+		s.met.viewReads.With(v.Name).Inc()
+	})
 	s.met.observeExecStats(&xs)
 	execPath := "row"
 	if xs.Vectorized() {
