@@ -1,7 +1,7 @@
 // Benchmarks regenerating the paper's evaluation artifacts (Section 5).
 // One benchmark per table/figure plus the enhanced-summary ablation and
-// the materialization and canonical-model costs; the xvbench command
-// prints the corresponding human-readable tables.
+// the materialization and canonical-model costs; `xv paper` prints the
+// corresponding human-readable tables.
 package xmlviews_test
 
 import (

@@ -1,37 +1,27 @@
-// Command xvbench regenerates the tables and figures of the paper's
-// evaluation (Section 5):
-//
-//	xvbench -exp table1            Table 1: corpora and summary statistics
-//	xvbench -exp fig13a            Figure 13 (top): XMark pattern containment
-//	xvbench -exp fig13b            Figure 13 (bottom): synthetic containment
-//	xvbench -exp fig14             Figure 14: DBLP containment + optional ablation
-//	xvbench -exp fig15             Figure 15: XMark query rewriting
-//	xvbench -exp ablation          Enhanced vs plain summary rewriting
-//	xvbench -exp all               Everything (default)
-//
-// Flags -scale and -views trade runtime for fidelity.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"xmlviews/internal/experiments"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "xvbench:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("xvbench", flag.ContinueOnError)
-	fs.SetOutput(stdout)
+// runPaper regenerates the tables and figures of the paper's evaluation
+// (Section 5):
+//
+//	xv paper -exp table1      Table 1: corpora and summary statistics
+//	xv paper -exp fig13a      Figure 13 (top): XMark pattern containment
+//	xv paper -exp fig13b      Figure 13 (bottom): synthetic containment
+//	xv paper -exp fig14       Figure 14: DBLP containment + optional ablation
+//	xv paper -exp fig15       Figure 15: XMark query rewriting
+//	xv paper -exp ablation    Enhanced vs plain summary rewriting
+//	xv paper -exp all         Everything (default)
+//
+// Flags -scale, -views and -persize trade runtime for fidelity.
+func runPaper(c cli, args []string) error {
+	fs := c.flags("paper")
 	exp := fs.String("exp", "all", "experiment: table1, fig13a, fig13b, fig14, fig15, ablation, all")
 	scale := fs.Int("scale", 1, "document scale multiplier for table1")
 	views := fs.Int("views", 100, "random views for fig15 (paper: 100)")
@@ -39,29 +29,40 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	switch {
+	case *scale < 0:
+		return fmt.Errorf("negative scale %d", *scale)
+	case *views < 0:
+		return fmt.Errorf("negative views %d", *views)
+	case *perSize < 1:
+		return fmt.Errorf("persize %d is not positive", *perSize)
+	}
 
-	experimentsByName := map[string]func(io.Writer) error{
-		"table1":   func(w io.Writer) error { return table1(w, *scale) },
-		"fig13a":   fig13a,
-		"fig13b":   func(w io.Writer) error { return fig13b(w, *perSize) },
-		"fig14":    func(w io.Writer) error { return fig14(w, *perSize) },
-		"fig15":    func(w io.Writer) error { return fig15(w, *views) },
-		"ablation": ablation,
+	all := []struct {
+		name string
+		run  func(io.Writer) error
+	}{
+		{"table1", func(w io.Writer) error { return table1(w, *scale) }},
+		{"fig13a", fig13a},
+		{"fig13b", func(w io.Writer) error { return fig13b(w, *perSize) }},
+		{"fig14", func(w io.Writer) error { return fig14(w, *perSize) }},
+		{"fig15", func(w io.Writer) error { return fig15(w, *views) }},
+		{"ablation", ablation},
 	}
-	if *exp != "all" {
-		if _, ok := experimentsByName[*exp]; !ok {
-			return fmt.Errorf("unknown experiment %q", *exp)
-		}
-	}
-	for _, name := range []string{"table1", "fig13a", "fig13b", "fig14", "fig15", "ablation"} {
-		if *exp != "all" && *exp != name {
+	ran := false
+	for _, e := range all {
+		if *exp != "all" && *exp != e.name {
 			continue
 		}
-		fmt.Fprintf(stdout, "== %s ==\n", name)
-		if err := experimentsByName[name](stdout); err != nil {
-			return fmt.Errorf("%s: %v", name, err)
+		ran = true
+		fmt.Fprintf(c.stdout, "== %s ==\n", e.name)
+		if err := e.run(c.stdout); err != nil {
+			return fmt.Errorf("%s: %v", e.name, err)
 		}
-		fmt.Fprintln(stdout)
+		fmt.Fprintln(c.stdout)
+	}
+	if !ran {
+		return fmt.Errorf("unknown experiment %q", *exp)
 	}
 	return nil
 }
@@ -125,10 +126,12 @@ func fig14(w io.Writer, perSize int) error {
 		var pos, neg time.Duration
 		var np, nn int
 		for _, r := range orows {
-			pos += r.Positive * time.Duration(boolInt(r.PosCount > 0))
-			neg += r.Negative * time.Duration(boolInt(r.NegCount > 0))
-			np += boolInt(r.PosCount > 0)
-			nn += boolInt(r.NegCount > 0)
+			if r.PosCount > 0 {
+				pos, np = pos+r.Positive, np+1
+			}
+			if r.NegCount > 0 {
+				neg, nn = neg+r.Negative, nn+1
+			}
 		}
 		if np > 0 {
 			pos /= time.Duration(np)
@@ -140,13 +143,6 @@ func fig14(w io.Writer, perSize int) error {
 			pos.Round(time.Microsecond), neg.Round(time.Microsecond))
 	}
 	return nil
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 func printSynthetic(w io.Writer, rows []experiments.SyntheticRow) {

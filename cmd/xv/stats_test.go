@@ -55,10 +55,10 @@ func statsDaemon(t *testing.T) *httptest.Server {
 	return ts
 }
 
-func TestRunStatsSummary(t *testing.T) {
+func TestStatsSummary(t *testing.T) {
 	ts := statsDaemon(t)
 	var out strings.Builder
-	if err := run([]string{"stats", "-addr", ts.URL}, &out); err != nil {
+	if err := run([]string{"stats", "-addr", ts.URL}, nil, &out); err != nil {
 		t.Fatalf("stats: %v\n%s", err, out.String())
 	}
 	got := out.String()
@@ -79,12 +79,12 @@ func TestRunStatsSummary(t *testing.T) {
 	}
 }
 
-func TestRunStatsRawMetrics(t *testing.T) {
+func TestStatsRawMetrics(t *testing.T) {
 	ts := statsDaemon(t)
 	var out strings.Builder
 	// The bare host:port form (no scheme) must work too.
 	addr := strings.TrimPrefix(ts.URL, "http://")
-	if err := run([]string{"stats", "-addr", addr, "-metrics"}, &out); err != nil {
+	if err := run([]string{"stats", "-addr", addr, "-metrics"}, nil, &out); err != nil {
 		t.Fatalf("stats -metrics: %v", err)
 	}
 	got := out.String()
@@ -113,9 +113,9 @@ func TestQuantileStringOverflow(t *testing.T) {
 	}
 }
 
-func TestRunStatsUnreachable(t *testing.T) {
+func TestStatsUnreachable(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"stats", "-addr", "127.0.0.1:1"}, &out); err == nil {
+	if err := run([]string{"stats", "-addr", "127.0.0.1:1"}, nil, &out); err == nil {
 		t.Fatal("unreachable daemon not reported")
 	}
 }

@@ -1,19 +1,7 @@
-// Command xvstore builds, maintains and inspects persistent view stores:
-// directories of columnar segment files plus a catalog manifest, served by
-// xvserve.
-//
-//	xvstore build -doc auction.xml -out store/ \
-//	    -v 'V1=site(//item[id](/name[v]))' -v 'V2=site(//name[id,v])'
-//	xvstore apply -dir store/ -u '{"op":"insert","parent":"1","subtree":"item(name \"x\")"}'
-//	xvstore apply -dir store/ -f updates.json
-//	xvstore compact -dir store/
-//	xvstore info -dir store/
-//	xvstore stats -addr localhost:8080
 package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"math"
@@ -24,50 +12,16 @@ import (
 	"strings"
 	"time"
 
-	"xmlviews/internal/core"
 	"xmlviews/internal/maintain"
 	"xmlviews/internal/obs"
-	"xmlviews/internal/pattern"
 	"xmlviews/internal/store"
 	"xmlviews/internal/summary"
 	"xmlviews/internal/view"
-	"xmlviews/internal/xmltree"
 )
 
-type viewFlags []string
-
-func (v *viewFlags) String() string     { return strings.Join(*v, "; ") }
-func (v *viewFlags) Set(s string) error { *v = append(*v, s); return nil }
-
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "xvstore:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, stdout io.Writer) error {
-	if len(args) == 0 {
-		return fmt.Errorf("usage: xvstore build|apply|compact|info|stats [flags]")
-	}
-	switch args[0] {
-	case "build":
-		return runBuild(args[1:], stdout)
-	case "apply":
-		return runApply(args[1:], stdout)
-	case "compact":
-		return runCompact(args[1:], stdout)
-	case "info":
-		return runInfo(args[1:], stdout)
-	case "stats":
-		return runStats(args[1:], stdout)
-	}
-	return fmt.Errorf("unknown subcommand %q (want build, apply, compact, info or stats)", args[0])
-}
-
-func runBuild(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("xvstore build", flag.ContinueOnError)
-	fs.SetOutput(stdout)
+// runBuild materializes views over a document into a new store directory.
+func runBuild(c cli, args []string) error {
+	fs := c.flags("build")
 	docFile := fs.String("doc", "", "XML document to materialize the views over")
 	out := fs.String("out", "", "store directory to create")
 	var vdefs viewFlags
@@ -78,14 +32,9 @@ func runBuild(args []string, stdout io.Writer) error {
 	if *docFile == "" || *out == "" || len(vdefs) == 0 {
 		return fmt.Errorf("build needs -doc, -out and at least one -v")
 	}
-	f, err := os.Open(*docFile)
+	doc, err := c.readDocument(*docFile)
 	if err != nil {
 		return err
-	}
-	doc, perr := xmltree.ParseXML(f)
-	f.Close()
-	if perr != nil {
-		return perr
 	}
 	doc.Name = *docFile
 	views, err := parseViews(vdefs)
@@ -98,17 +47,17 @@ func runBuild(args []string, stdout io.Writer) error {
 	}
 	var total int64
 	for _, e := range cat.Views {
-		fmt.Fprintf(stdout, "%s: %d rows, %d bytes (%s)\n", e.Name, e.Rows, e.Bytes, e.Segment)
+		fmt.Fprintf(c.stdout, "%s: %d rows, %d bytes (%s)\n", e.Name, e.Rows, e.Bytes, e.Segment)
 		total += e.Bytes
 	}
-	fmt.Fprintf(stdout, "wrote %d view(s), %d bytes total, summary hash %s\n",
+	fmt.Fprintf(c.stdout, "wrote %d view(s), %d bytes total, summary hash %s\n",
 		len(cat.Views), total, cat.SummaryHash[:12])
 	return nil
 }
 
-func runApply(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("xvstore apply", flag.ContinueOnError)
-	fs.SetOutput(stdout)
+// runApply commits one update batch to a store directory offline.
+func runApply(c cli, args []string) error {
+	fs := c.flags("apply")
 	dir := fs.String("dir", "", "store directory")
 	file := fs.String("f", "", "JSON file holding the update batch ('-' for stdin)")
 	var inline viewFlags
@@ -123,7 +72,7 @@ func runApply(args []string, stdout io.Writer) error {
 	switch {
 	case *file == "-":
 		var err error
-		if data, err = io.ReadAll(os.Stdin); err != nil {
+		if data, err = io.ReadAll(c.stdin); err != nil {
 			return err
 		}
 	case *file != "":
@@ -142,17 +91,17 @@ func runApply(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	for _, c := range res.Changed {
-		fmt.Fprintf(stdout, "%s: +%d -%d rows (now %d)\n", c.Name, c.Adds, c.Dels, c.Rows)
+	for _, ch := range res.Changed {
+		fmt.Fprintf(c.stdout, "%s: +%d -%d rows (now %d)\n", ch.Name, ch.Adds, ch.Dels, ch.Rows)
 	}
-	fmt.Fprintf(stdout, "applied %d update(s): %d view(s) changed, %d unaffected; epoch %d\n",
+	fmt.Fprintf(c.stdout, "applied %d update(s): %d view(s) changed, %d unaffected; epoch %d\n",
 		len(updates), len(res.Changed), res.Skipped, res.Epoch)
 	return nil
 }
 
-func runCompact(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("xvstore compact", flag.ContinueOnError)
-	fs.SetOutput(stdout)
+// runCompact runs a store's checkpoint offline.
+func runCompact(c cli, args []string) error {
+	fs := c.flags("compact")
 	dir := fs.String("dir", "", "store directory")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -168,14 +117,15 @@ func runCompact(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "checkpoint at epoch %d: wrote %d file(s), %d byte(s); removed %d superseded file(s), reclaimed %d byte(s)\n",
+	fmt.Fprintf(c.stdout, "checkpoint at epoch %d: wrote %d file(s), %d byte(s); removed %d superseded file(s), reclaimed %d byte(s)\n",
 		cat.Epoch, res.FilesWritten, res.BytesWritten, res.FilesRemoved, res.BytesReclaimed)
 	return nil
 }
 
-func runInfo(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("xvstore info", flag.ContinueOnError)
-	fs.SetOutput(stdout)
+// runInfo describes a store directory: catalog, epochs, update log,
+// statistics and views.
+func runInfo(c cli, args []string) error {
+	fs := c.flags("info")
 	dir := fs.String("dir", "", "store directory")
 	showStats := fs.Bool("stats", false, "list per-path cardinality statistics")
 	if err := fs.Parse(args); err != nil {
@@ -189,50 +139,50 @@ func runInfo(args []string, stdout io.Writer) error {
 		return err
 	}
 	if cat.Document != "" {
-		fmt.Fprintf(stdout, "document: %s\n", cat.Document)
+		fmt.Fprintf(c.stdout, "document: %s\n", cat.Document)
 	}
-	fmt.Fprintf(stdout, "summary hash: %s\n", cat.SummaryHash)
-	fmt.Fprintf(stdout, "epoch: %d\n", cat.Epoch)
+	fmt.Fprintf(c.stdout, "summary hash: %s\n", cat.SummaryHash)
+	fmt.Fprintf(c.stdout, "epoch: %d\n", cat.Epoch)
 	// What a restart reads back: the base segments and the document as of
 	// the base epoch, then the log's records for the epochs after it (the
 	// catalog epoch is the durable one).
-	fmt.Fprintf(stdout, "base epoch: %d\n", cat.DocEpoch)
+	fmt.Fprintf(c.stdout, "base epoch: %d\n", cat.DocEpoch)
 	if cat.DocSegment != "" {
-		fmt.Fprintf(stdout, "document checkpoint: %s (epoch %d)\n", cat.DocSegment, cat.DocEpoch)
+		fmt.Fprintf(c.stdout, "document checkpoint: %s (epoch %d)\n", cat.DocSegment, cat.DocEpoch)
 		recs, valid, tail, err := store.ReadUpdateLog(*dir)
 		switch {
 		case err != nil:
-			fmt.Fprintf(stdout, "update log: unreadable (%v)\n", err)
+			fmt.Fprintf(c.stdout, "update log: unreadable (%v)\n", err)
 		case cat.Epoch == cat.DocEpoch:
-			fmt.Fprintf(stdout, "update log: %d record(s), %d byte(s), nothing to replay\n", len(recs), valid)
+			fmt.Fprintf(c.stdout, "update log: %d record(s), %d byte(s), nothing to replay\n", len(recs), valid)
 		default:
-			fmt.Fprintf(stdout, "update log: %d record(s), %d byte(s), replayed for epochs %d..%d\n",
+			fmt.Fprintf(c.stdout, "update log: %d record(s), %d byte(s), replayed for epochs %d..%d\n",
 				len(recs), valid, cat.DocEpoch+1, cat.Epoch)
 		}
 		if tail != nil {
-			fmt.Fprintf(stdout, "  followed by an unacknowledged tail the next update drops: %v\n", tail)
+			fmt.Fprintf(c.stdout, "  followed by an unacknowledged tail the next update drops: %v\n", tail)
 		}
 	}
 	// info is a diagnostic tool: an unparseable summary (suspect or
 	// newer-format store) must not hide the rest of the catalog.
 	switch sum, err := summary.Parse(cat.Summary); {
 	case err != nil:
-		fmt.Fprintf(stdout, "statistics: unavailable (catalog summary does not parse: %v)\n", err)
+		fmt.Fprintf(c.stdout, "statistics: unavailable (catalog summary does not parse: %v)\n", err)
 	case sum.HasStats():
-		fmt.Fprintf(stdout, "statistics: %d summary node(s), %d document node(s), %d text byte(s)\n",
+		fmt.Fprintf(c.stdout, "statistics: %d summary node(s), %d document node(s), %d text byte(s)\n",
 			sum.Size(), sum.DocNodes(), sum.TextBytes())
 		if *showStats {
 			for _, id := range sum.NodeIDs() {
 				n := sum.Node(id)
-				fmt.Fprintf(stdout, "  %s: %d node(s), avg fanout %.2f, avg text %.1fB\n",
+				fmt.Fprintf(c.stdout, "  %s: %d node(s), avg fanout %.2f, avg text %.1fB\n",
 					sum.PathString(id), n.Count, sum.AvgFanout(id), sum.AvgTextBytes(id))
 			}
 		}
 	default:
-		fmt.Fprintln(stdout, "statistics: none (store built before statistics; cost model uses uniform estimates)")
+		fmt.Fprintln(c.stdout, "statistics: none (store built before statistics; cost model uses uniform estimates)")
 	}
 	for _, e := range cat.Views {
-		fmt.Fprintf(stdout, "%s: %s — %d rows, base %s (%d bytes), columns %s\n",
+		fmt.Fprintf(c.stdout, "%s: %s — %d rows, base %s (%d bytes), columns %s\n",
 			e.Name, e.Pattern, e.Rows, e.Segment, e.Bytes, strings.Join(e.Columns, ","))
 	}
 	return nil
@@ -255,9 +205,8 @@ var statsQuantiles = []struct{ metric, label string }{
 
 // runStats scrapes a live xvserve daemon: the /stats JSON counters plus
 // per-phase latency quantiles estimated from the /metrics histograms.
-func runStats(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("xvstore stats", flag.ContinueOnError)
-	fs.SetOutput(stdout)
+func runStats(c cli, args []string) error {
+	fs := c.flags("stats")
 	addr := fs.String("addr", "localhost:8080", "address (or base URL) of a running xvserve")
 	raw := fs.Bool("metrics", false, "dump the raw Prometheus exposition instead of the summary")
 	if err := fs.Parse(args); err != nil {
@@ -288,7 +237,7 @@ func runStats(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		_, err = stdout.Write(body)
+		_, err = c.stdout.Write(body)
 		return err
 	}
 	statsBody, err := get("/stats")
@@ -305,7 +254,7 @@ func runStats(args []string, stdout io.Writer) error {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Fprintf(stdout, "%s: %v\n", k, stats[k])
+		fmt.Fprintf(c.stdout, "%s: %v\n", k, stats[k])
 	}
 	metricsBody, err := get("/metrics")
 	if err != nil {
@@ -315,20 +264,20 @@ func runStats(args []string, stdout io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("parsing /metrics: %w", err)
 	}
-	fmt.Fprintln(stdout, "\nphase latencies (from histogram buckets):")
+	fmt.Fprintln(c.stdout, "\nphase latencies (from histogram buckets):")
 	for _, q := range statsQuantiles {
 		h, ok := hists[q.metric]
 		if !ok || h.Count == 0 {
 			continue
 		}
-		fmt.Fprintf(stdout, "  %-17s n=%-7d p50=%-10s p90=%-10s p99=%s\n",
+		fmt.Fprintf(c.stdout, "  %-17s n=%-7d p50=%-10s p90=%-10s p99=%s\n",
 			q.label, h.Count,
 			quantileString(h, 0.50), quantileString(h, 0.90), quantileString(h, 0.99))
 	}
 	// Group-commit batching: the group-size histogram counts requests per
 	// committed group (a size distribution, not a latency).
 	if h, ok := hists["xvserve_commit_group_size"]; ok && h.Count > 0 {
-		fmt.Fprintf(stdout, "\ncommit groups: n=%d size p50=%s p90=%s p99=%s\n",
+		fmt.Fprintf(c.stdout, "\ncommit groups: n=%d size p50=%s p90=%s p99=%s\n",
 			h.Count, sizeString(h, 0.50), sizeString(h, 0.90), sizeString(h, 0.99))
 	}
 	return nil
@@ -356,20 +305,4 @@ func quantileString(h obs.HistogramSnapshot, q float64) string {
 		return ">" + s
 	}
 	return s
-}
-
-func parseViews(defs []string) ([]*core.View, error) {
-	var views []*core.View
-	for _, def := range defs {
-		name, src, ok := strings.Cut(def, "=")
-		if !ok {
-			return nil, fmt.Errorf("view definition %q is not name=pattern", def)
-		}
-		p, err := pattern.Parse(src)
-		if err != nil {
-			return nil, err
-		}
-		views = append(views, &core.View{Name: name, Pattern: p, DerivableParentIDs: true})
-	}
-	return views, nil
 }

@@ -11,7 +11,7 @@ import (
 	"xmlviews/internal/serve"
 )
 
-func TestRunBuildAndInfo(t *testing.T) {
+func TestBuildAndInfo(t *testing.T) {
 	dir := t.TempDir()
 	docPath := filepath.Join(dir, "doc.xml")
 	xml := `<site><item><name>pen</name></item><item><name>ink</name></item></site>`
@@ -22,7 +22,7 @@ func TestRunBuildAndInfo(t *testing.T) {
 
 	var buildOut strings.Builder
 	err := run([]string{"build", "-doc", docPath, "-out", out,
-		"-v", `v1=site(/item[id](/name[v]))`}, &buildOut)
+		"-v", `v1=site(/item[id](/name[v]))`}, nil, &buildOut)
 	if err != nil {
 		t.Fatalf("build: %v\n%s", err, buildOut.String())
 	}
@@ -34,7 +34,7 @@ func TestRunBuildAndInfo(t *testing.T) {
 	}
 
 	var infoOut strings.Builder
-	if err := run([]string{"info", "-dir", out}, &infoOut); err != nil {
+	if err := run([]string{"info", "-dir", out}, nil, &infoOut); err != nil {
 		t.Fatalf("info: %v", err)
 	}
 	got := infoOut.String()
@@ -43,7 +43,7 @@ func TestRunBuildAndInfo(t *testing.T) {
 	}
 }
 
-func TestRunApplyCompactInfo(t *testing.T) {
+func TestApplyCompactInfo(t *testing.T) {
 	dir := t.TempDir()
 	docPath := filepath.Join(dir, "doc.xml")
 	xml := `<site><item><name>pen</name></item><item><name>ink</name></item></site>`
@@ -53,13 +53,13 @@ func TestRunApplyCompactInfo(t *testing.T) {
 	out := filepath.Join(dir, "store")
 	var sb strings.Builder
 	if err := run([]string{"build", "-doc", docPath, "-out", out,
-		"-v", `v1=site(/item[id](/name[v]))`}, &sb); err != nil {
+		"-v", `v1=site(/item[id](/name[v]))`}, nil, &sb); err != nil {
 		t.Fatal(err)
 	}
 
 	var applyOut strings.Builder
 	err := run([]string{"apply", "-dir", out,
-		"-u", `{"op":"insert","parent":"1","subtree":"item(name \"dry\")"}`}, &applyOut)
+		"-u", `{"op":"insert","parent":"1","subtree":"item(name \"dry\")"}`}, nil, &applyOut)
 	if err != nil {
 		t.Fatalf("apply: %v\n%s", err, applyOut.String())
 	}
@@ -74,7 +74,7 @@ func TestRunApplyCompactInfo(t *testing.T) {
 		t.Fatal(err)
 	}
 	applyOut.Reset()
-	if err := run([]string{"apply", "-dir", out, "-f", batch}, &applyOut); err != nil {
+	if err := run([]string{"apply", "-dir", out, "-f", batch}, nil, &applyOut); err != nil {
 		t.Fatalf("apply -f: %v\n%s", err, applyOut.String())
 	}
 	if !strings.Contains(applyOut.String(), "epoch 2") {
@@ -86,15 +86,15 @@ func TestRunApplyCompactInfo(t *testing.T) {
 	// appended. Retexting the name of the item epoch 1 inserted (1.5.1
 	// exists nowhere else) only resolves if that replay ran.
 	applyOut.Reset()
-	if err := run([]string{"apply", "-dir", out, "-u", `{"op":"settext","target":"1.5.1","value":"bone dry"}`}, &applyOut); err != nil {
+	if err := run([]string{"apply", "-dir", out, "-u", `{"op":"settext","target":"1.5.1","value":"bone dry"}`}, nil, &applyOut); err != nil {
 		t.Fatalf("apply on a logged node: %v\n%s", err, applyOut.String())
 	}
-	if err := run([]string{"apply", "-dir", out, "-u", `{"op":"delete","target":"1.7"}`}, &applyOut); err == nil {
+	if err := run([]string{"apply", "-dir", out, "-u", `{"op":"delete","target":"1.7"}`}, nil, &applyOut); err == nil {
 		t.Fatal("apply on a node no epoch created succeeded")
 	}
 
 	var infoOut strings.Builder
-	if err := run([]string{"info", "-dir", out}, &infoOut); err != nil {
+	if err := run([]string{"info", "-dir", out}, nil, &infoOut); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"epoch: 3", "base epoch: 0", "document checkpoint: document.xvt (epoch 0)",
@@ -105,7 +105,7 @@ func TestRunApplyCompactInfo(t *testing.T) {
 	}
 
 	var compactOut strings.Builder
-	if err := run([]string{"compact", "-dir", out}, &compactOut); err != nil {
+	if err := run([]string{"compact", "-dir", out}, nil, &compactOut); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(compactOut.String(), "checkpoint at epoch 3: wrote 2 file(s)") ||
@@ -113,7 +113,7 @@ func TestRunApplyCompactInfo(t *testing.T) {
 		t.Fatalf("compact output wrong:\n%s", compactOut.String())
 	}
 	infoOut.Reset()
-	if err := run([]string{"info", "-dir", out}, &infoOut); err != nil {
+	if err := run([]string{"info", "-dir", out}, nil, &infoOut); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"epoch: 3", "base epoch: 3", "document checkpoint: document.c0003.xvt (epoch 3)",
@@ -160,7 +160,7 @@ func TestRunApplyCompactInfo(t *testing.T) {
 		t.Fatalf("barrier update status %d", ur.StatusCode)
 	}
 	var statsOut strings.Builder
-	if err := run([]string{"stats", "-addr", ts.URL}, &statsOut); err != nil {
+	if err := run([]string{"stats", "-addr", ts.URL}, nil, &statsOut); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(statsOut.String(), "  checkpoint        n=1 ") || strings.Contains(statsOut.String(), "compact") {
@@ -168,44 +168,43 @@ func TestRunApplyCompactInfo(t *testing.T) {
 	}
 }
 
-func TestRunBadUsage(t *testing.T) {
+func TestStoreBadUsage(t *testing.T) {
 	var out strings.Builder
-	err := run(nil, &out)
-	if err == nil {
+	if err := run(nil, nil, &out); err == nil {
 		t.Fatal("empty args not rejected")
 	}
 	for _, sub := range []string{"build", "apply", "compact", "info", "stats"} {
-		if !strings.Contains(err.Error(), sub) {
-			t.Errorf("usage error %q does not name subcommand %s", err, sub)
+		if !strings.Contains(out.String(), "\n  "+sub+" ") {
+			t.Errorf("usage does not list subcommand %s:\n%s", sub, out.String())
 		}
 	}
-	if err := run([]string{"frobnicate"}, &out); err == nil {
+	if err := run([]string{"frobnicate"}, nil, &out); err == nil {
 		t.Fatal("unknown subcommand not rejected")
 	}
-	if err := run([]string{"build"}, &out); err == nil {
+	if err := run([]string{"build"}, nil, &out); err == nil {
 		t.Fatal("build without flags not rejected")
 	}
-	if err := run([]string{"build", "-doc", "x", "-out", "y", "-v", "no-equals-sign"}, &out); err == nil {
+	if err := run([]string{"build", "-doc", "x", "-out", "y", "-v", "no-equals-sign"}, nil, &out); err == nil {
 		t.Fatal("bad view definition not rejected")
 	}
-	if err := run([]string{"info", "-dir", "/nonexistent"}, &out); err == nil {
+	if err := run([]string{"info", "-dir", "/nonexistent"}, nil, &out); err == nil {
 		t.Fatal("missing store not reported")
 	}
-	if err := run([]string{"apply", "-dir", "/nonexistent"}, &out); err == nil {
+	if err := run([]string{"apply", "-dir", "/nonexistent"}, nil, &out); err == nil {
 		t.Fatal("apply without updates not rejected")
 	}
-	if err := run([]string{"apply", "-dir", "/nonexistent", "-u", `{"op":"delete","target":"1.1"}`}, &out); err == nil {
+	if err := run([]string{"apply", "-dir", "/nonexistent", "-u", `{"op":"delete","target":"1.1"}`}, nil, &out); err == nil {
 		t.Fatal("apply on missing store not reported")
 	}
-	if err := run([]string{"apply", "-dir", "/nonexistent", "-u", `nope`}, &out); err == nil {
+	if err := run([]string{"apply", "-dir", "/nonexistent", "-u", `nope`}, nil, &out); err == nil {
 		t.Fatal("bad update JSON not rejected")
 	}
-	if err := run([]string{"compact"}, &out); err == nil {
+	if err := run([]string{"compact"}, nil, &out); err == nil {
 		t.Fatal("compact without -dir not rejected")
 	}
 }
 
-func TestRunInfoStats(t *testing.T) {
+func TestInfoStats(t *testing.T) {
 	dir := t.TempDir()
 	docPath := filepath.Join(dir, "doc.xml")
 	xml := `<site><item><name>pen</name></item><item><name>ink</name></item></site>`
@@ -215,12 +214,12 @@ func TestRunInfoStats(t *testing.T) {
 	out := filepath.Join(dir, "store")
 	var buildOut strings.Builder
 	if err := run([]string{"build", "-doc", docPath, "-out", out,
-		"-v", `v1=site(/item[id](/name[v]))`}, &buildOut); err != nil {
+		"-v", `v1=site(/item[id](/name[v]))`}, nil, &buildOut); err != nil {
 		t.Fatalf("build: %v\n%s", err, buildOut.String())
 	}
 
 	var infoOut strings.Builder
-	if err := run([]string{"info", "-dir", out, "-stats"}, &infoOut); err != nil {
+	if err := run([]string{"info", "-dir", out, "-stats"}, nil, &infoOut); err != nil {
 		t.Fatalf("info: %v", err)
 	}
 	got := infoOut.String()

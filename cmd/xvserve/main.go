@@ -1,5 +1,5 @@
 // Command xvserve is the query daemon: it loads a persistent view store
-// built by xvstore and answers tree-pattern (and XQuery) queries over HTTP
+// built by `xv build` and answers tree-pattern (and XQuery) queries over HTTP
 // without ever touching the source document.
 //
 //	xvserve -dir store/ -addr :8080

@@ -48,7 +48,7 @@ func TestRunMissingDir(t *testing.T) {
 }
 
 // TestRunServes boots the daemon on a loopback port and round-trips one
-// query end to end: xvstore-built directory in, JSON rows out.
+// query end to end: a built store directory in, JSON rows out.
 func TestRunServes(t *testing.T) {
 	dir := t.TempDir()
 	doc := xmltree.MustParseParen(`site(item(name "pen") item(name "ink"))`)

@@ -178,7 +178,7 @@ func TestUnionAdditive(t *testing.T) {
 }
 
 // TestContentViewPricedWithoutCatalog reproduces the fat-vs-slim choice
-// through the summary-only statistics path (what xvrewrite -cost uses): a
+// through the summary-only statistics path (what `xv rewrite -cost` uses): a
 // view storing content subtrees must cost more than a structurally
 // identical slim view even when no catalog byte counts exist.
 func TestContentViewPricedWithoutCatalog(t *testing.T) {

@@ -1,5 +1,5 @@
 // Package experiments implements the paper's Section 5 evaluation: one
-// driver per table/figure, shared by cmd/xvbench and the root benchmark
+// driver per table/figure, shared by `xv paper` and the root benchmark
 // suite. Each driver returns structured rows so callers can print the same
 // series the paper plots.
 package experiments

@@ -9,7 +9,7 @@ import (
 )
 
 // UpdateJSON is the wire form of one update, used by the xvserve /update
-// endpoint and the xvstore apply subcommand:
+// endpoint and the `xv apply` subcommand:
 //
 //	{"op":"insert","parent":"1.3","before":"1.3.5","subtree":"name \"pen\""}
 //	{"op":"delete","target":"1.3.5"}

@@ -10,7 +10,7 @@ import (
 
 // ParseHistograms extracts the unlabeled histogram series from a
 // Prometheus text exposition (the format WritePrometheus emits), keyed by
-// family name. It is the scrape side of the registry: xvstore's `stats`
+// family name. It is the scrape side of the registry: the `xv stats`
 // subcommand uses it to estimate latency quantiles from a live daemon's
 // /metrics, and the tests use it to round-trip the exposition.
 //

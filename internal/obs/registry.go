@@ -3,8 +3,8 @@
 // latency histograms) with Prometheus text exposition, per-request traces
 // carried through contexts, a bounded ring of recent traces, and runtime
 // gauges. The daemon (internal/serve) threads one Registry and one trace
-// per request through the whole query and update pipeline; xvstore's
-// `stats` subcommand scrapes the exposition back with ParseHistograms.
+// per request through the whole query and update pipeline; the `xv
+// stats` subcommand scrapes the exposition back with ParseHistograms.
 //
 // Everything here is safe for concurrent use. Exposition output is
 // deterministic: metric families render in sorted name order and labeled

@@ -1,6 +1,6 @@
 // Package serve implements the xvserve query daemon: an HTTP server that
 // answers tree-pattern (and XQuery-translated) queries from a persistent
-// view store built by xvstore, without ever touching the source document.
+// view store built by `xv build`, without ever touching the source document.
 //
 // A server loads the store directory's catalog, parses the recorded
 // summary (with its cardinality statistics) and view definitions,

@@ -367,7 +367,7 @@ func AttachDocument(dir string, cat *store.Catalog, st *Store) error {
 // UpdateStore applies an update batch to a store directory offline: open
 // as the writer (replaying the update log), maintain, persist, and
 // checkpoint when the log has grown to CheckpointEvery epochs. It is the
-// engine behind `xvstore apply`.
+// engine behind `xv apply`.
 func UpdateStore(dir string, updates []xmltree.Update) (*UpdateResult, error) {
 	cat, st, err := OpenUpdatableStore(dir)
 	if err != nil {

@@ -10,7 +10,9 @@
 #   - the slow-query log captured structured lines (threshold 1ns);
 #   - the debug listener serves /debug/pprof/ and /debug/traces,
 #     and the public listener does NOT serve the profiler;
-#   - `xvstore stats` scrapes the live daemon.
+#   - `xv stats` scrapes the live daemon;
+#   - `xv gen | xv summary` works as a pipe, and `xv contain` exits 1 on a
+#     negative verdict and 2 on a usage error (the CLI's exit-status rule).
 #
 # CI runs this after the unit tests; it needs nothing beyond the Go
 # toolchain, curl and a POSIX shell.
@@ -26,11 +28,28 @@ cleanup() {
 trap cleanup EXIT
 
 mkdir -p "$tmp/bin"
-go build -o "$tmp/bin" ./cmd/xvgen ./cmd/xvstore ./cmd/xvserve
+go build -o "$tmp/bin" ./cmd/xv ./cmd/xvserve
+xv="$tmp/bin/xv"
 
-"$tmp/bin/xvgen" -corpus xmark -scale 1 >"$tmp/doc.xml"
-"$tmp/bin/xvstore" build -doc "$tmp/doc.xml" -out "$tmp/store" \
+"$xv" gen -corpus xmark -scale 1 >"$tmp/doc.xml"
+"$xv" build -doc "$tmp/doc.xml" -out "$tmp/store" \
     -v 'VNAME=site(//item[id](/name[v]))' >/dev/null
+
+# The offline tools compose over a pipe: a summary read from stdin.
+piped=$("$xv" gen -scale 1 | "$xv" summary)
+case "$piped" in
+'<stdin>: '*'|S| = '*) ;;
+*) echo "obs_smoke: xv gen | xv summary printed: $piped"; exit 1 ;;
+esac
+
+# Exit statuses: 0 yes, 1 a negative verdict, 2 a usage error.
+status() { "$@" >/dev/null 2>&1 && echo 0 || echo $?; }
+got=$(status "$xv" contain -summary 'a(b(c))' -p 'a(/b[id])' -q 'a(//b[id])')
+[ "$got" -eq 0 ] || { echo "obs_smoke: contained pair exited $got, want 0"; exit 1; }
+got=$(status "$xv" contain -summary 'a(b c)' -p 'a(/b[id] /c)' -q 'a(/b[id](/c))')
+[ "$got" -eq 1 ] || { echo "obs_smoke: non-contained pair exited $got, want 1"; exit 1; }
+got=$(status "$xv" contain -summary 'a(b c)' -p 'a(/b[id] /c)')
+[ "$got" -eq 2 ] || { echo "obs_smoke: contain without -q exited $got, want 2"; exit 1; }
 
 "$tmp/bin/xvserve" -dir "$tmp/store" -addr 127.0.0.1:0 \
     -debugaddr 127.0.0.1:0 -slowquery 1ns -log "$tmp/slow.log" \
@@ -125,10 +144,10 @@ fi
 
 # The CLI scraper summarizes the same daemon. (Capture, then grep: under
 # pipefail a quitting `grep -q` would SIGPIPE the scraper.)
-summary=$("$tmp/bin/xvstore" stats -addr "$addr")
+summary=$("$xv" stats -addr "$addr")
 printf '%s\n' "$summary" | grep -q 'phase latencies' \
-    || { echo "obs_smoke: xvstore stats printed no quantiles"; exit 1; }
+    || { echo "obs_smoke: xv stats printed no quantiles"; exit 1; }
 printf '%s\n' "$summary" | grep -q 'commit groups:' \
-    || { echo "obs_smoke: xvstore stats printed no commit-group summary"; exit 1; }
+    || { echo "obs_smoke: xv stats printed no commit-group summary"; exit 1; }
 
 echo "obs_smoke: OK"
