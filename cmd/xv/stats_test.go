@@ -57,15 +57,25 @@ func statsDaemon(t *testing.T) *httptest.Server {
 
 func TestStatsSummary(t *testing.T) {
 	ts := statsDaemon(t)
+	// A second run of the warm-up query is a plan-cache hit: one hit in two
+	// lookups.
+	resp, err := http.Get(ts.URL + "/query?q=" + "site(/item[id](/name[v]))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
 	var out strings.Builder
 	if err := run([]string{"stats", "-addr", ts.URL}, nil, &out); err != nil {
 		t.Fatalf("stats: %v\n%s", err, out.String())
 	}
 	got := out.String()
 	for _, want := range []string{
-		"queries: 1",
-		"plan_cache_misses: 1",
-		"epoch: 1",
+		"xvserve_queries_total: 2\n",
+		"xvserve_plan_cache_misses_total: 1\n",
+		"xvserve_epoch: 1\n",
+		"xvserve_rewrite_seconds_sum: ",
+		"plan hit rate: 0.500\n",
 		"phase latencies",
 		"rewrite",
 		"commit/queue-wait",

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -203,8 +202,9 @@ var statsQuantiles = []struct{ metric, label string }{
 	{"xvserve_doc_checkpoint_seconds", "checkpoint"},
 }
 
-// runStats scrapes a live xvserve daemon: the /stats JSON counters plus
-// per-phase latency quantiles estimated from the /metrics histograms.
+// runStats scrapes a live xvserve daemon's /metrics once: every
+// unlabelled xvserve_* sample, the plan-cache hit rate, and per-phase
+// latency quantiles estimated from the histograms.
 func runStats(c cli, args []string) error {
 	fs := c.flags("stats")
 	addr := fs.String("addr", "localhost:8080", "address (or base URL) of a running xvserve")
@@ -217,50 +217,43 @@ func runStats(c cli, args []string) error {
 		base = "http://" + base
 	}
 	client := &http.Client{Timeout: 10 * time.Second}
-	get := func(path string) ([]byte, error) {
-		resp, err := client.Get(base + path)
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("GET %s: %s: %s", path, resp.Status, strings.TrimSpace(string(body)))
-		}
-		return body, nil
+	resp, err := client.Get(base + "/metrics")
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET /metrics: %s: %s", resp.Status, strings.TrimSpace(string(body)))
 	}
 	if *raw {
-		body, err := get("/metrics")
-		if err != nil {
-			return err
-		}
 		_, err = c.stdout.Write(body)
 		return err
 	}
-	statsBody, err := get("/stats")
+	samples, err := obs.ParseSamples(body)
 	if err != nil {
-		return err
+		return fmt.Errorf("parsing /metrics: %w", err)
 	}
-	var stats map[string]any
-	if err := json.Unmarshal(statsBody, &stats); err != nil {
-		return fmt.Errorf("decoding /stats: %w", err)
+	var names []string
+	for name := range samples {
+		if strings.HasPrefix(name, "xvserve_") && !strings.Contains(name, "{") {
+			names = append(names, name)
+		}
 	}
-	keys := make([]string, 0, len(stats))
-	for k := range stats {
-		keys = append(keys, k)
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Fprintf(c.stdout, "%s: %s\n", name, strconv.FormatFloat(samples[name], 'f', -1, 64))
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(c.stdout, "%s: %v\n", k, stats[k])
+	hits, misses := samples["xvserve_plan_cache_hits_total"], samples["xvserve_plan_cache_misses_total"]
+	rate := 0.0
+	if hits+misses > 0 {
+		rate = hits / (hits + misses)
 	}
-	metricsBody, err := get("/metrics")
-	if err != nil {
-		return err
-	}
-	hists, err := obs.ParseHistograms(metricsBody)
+	fmt.Fprintf(c.stdout, "plan hit rate: %.3f\n", rate)
+	hists, err := obs.ParseHistograms(body)
 	if err != nil {
 		return fmt.Errorf("parsing /metrics: %w", err)
 	}

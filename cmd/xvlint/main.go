@@ -1,5 +1,5 @@
-// Command xvlint runs the project's three invariant analyzers (detorder,
-// ctxpoll, errclose) over the given packages and exits non-zero when any
+// Command xvlint runs the project's two invariant analyzers (detorder and
+// ctxpoll) over the given packages and exits non-zero when any
 // diagnostic is found.
 //
 // Usage:

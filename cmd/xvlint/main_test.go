@@ -55,13 +55,13 @@ func TestSelectAnalyzers(t *testing.T) {
 		}
 	}
 
-	rest, err := selectAnalyzers("", "errclose")
+	rest, err := selectAnalyzers("", "ctxpoll")
 	if err != nil || len(rest) != len(lint.All())-1 {
 		t.Fatalf("-disable selection: %v, got %d analyzers", err, len(rest))
 	}
 	for _, a := range rest {
-		if a.Name == "errclose" {
-			t.Errorf("-disable kept errclose")
+		if a.Name == "ctxpoll" {
+			t.Errorf("-disable kept ctxpoll")
 		}
 	}
 

@@ -6,7 +6,6 @@
 //	curl 'localhost:8080/query?q=site(/item[id](/name[v]))'
 //	curl 'localhost:8080/query?q=site(/item[id](/name[v]))&explain=1'
 //	curl 'localhost:8080/healthz'
-//	curl 'localhost:8080/stats'
 //	curl 'localhost:8080/metrics'          # Prometheus text exposition
 //	curl 'localhost:8080/debug/traces'     # recent request traces
 //
@@ -47,7 +46,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("xvserve", flag.ContinueOnError)
 	fs.SetOutput(stdout)
-	dir := fs.String("dir", "", "store directory built by xvstore")
+	dir := fs.String("dir", "", "store directory built by xv build")
 	addr := fs.String("addr", ":8080", "listen address")
 	fs.Int("workers", 0, "ignored; accepted for compatibility (queries execute on the request's goroutine)")
 	planCache := fs.Int("plancache", 0, "plan cache capacity (0: default 256)")
@@ -67,7 +66,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	if *dir == "" {
-		return fmt.Errorf("missing -dir (a store directory built by xvstore)")
+		return fmt.Errorf("missing -dir (a store directory built by xv build)")
 	}
 	logger, logClose, err := openLogger(*logDest, stdout)
 	if err != nil {

@@ -39,8 +39,8 @@ func (l *lockedBuf) String() string {
 
 func TestRunMissingDir(t *testing.T) {
 	var out strings.Builder
-	if err := run(nil, &out); err == nil {
-		t.Fatal("missing -dir not rejected")
+	if err := run(nil, &out); err == nil || !strings.Contains(err.Error(), "xv build") {
+		t.Fatalf("missing -dir: %v, want an error naming xv build", err)
 	}
 	if err := run([]string{"-dir", "/nonexistent"}, &out); err == nil {
 		t.Fatal("missing store not reported")

@@ -1,4 +1,4 @@
-// Package lint implements xvlint, the project's invariant checker: three
+// Package lint implements xvlint, the project's invariant checker: two
 // static analyzers that machine-check whole-codebase rules no type
 // boundary can express.
 //
@@ -8,9 +8,6 @@
 //     runs; Go randomizes map iteration order).
 //   - ctxpoll: tuple/row loops in the rewrite/execution/maintenance engines
 //     must poll cancellation, so an abandoned request stops burning CPU.
-//   - errclose: error returns from Close/Sync/WriteFile on the persist path
-//     must not be discarded; a dropped error can silently violate the
-//     write-catalog-last durability protocol.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer, Pass, diagnostics, testdata fixtures with "// want"
@@ -53,7 +50,7 @@ type Analyzer struct {
 
 // All returns the full xvlint suite in the order diagnostics are grouped.
 func All() []*Analyzer {
-	return []*Analyzer{DetOrder, CtxPoll, ErrClose}
+	return []*Analyzer{DetOrder, CtxPoll}
 }
 
 // AppliesTo reports whether the analyzer checks the given import path.
@@ -161,8 +158,8 @@ func Run(prog *Program, analyzers []*Analyzer, opts RunOptions) []Diagnostic {
 	return diags
 }
 
-// A directive is one //xvlint:<name> annotation (orderindependent, nopoll,
-// errok), optionally followed by free text — the justification lives on
+// A directive is one //xvlint:<name> annotation (orderindependent or
+// nopoll), optionally followed by free text — the justification lives on
 // the same line as the suppression it explains. Every suppression in the
 // codebase is one of these, so every exception to an invariant is a
 // greppable, reviewed decision.

@@ -22,10 +22,6 @@ func TestCtxPollFixtures(t *testing.T) {
 	linttest.Run(t, "testdata/ctxpoll", lint.CtxPoll)
 }
 
-func TestErrCloseFixtures(t *testing.T) {
-	linttest.Run(t, "testdata/errclose", lint.ErrClose)
-}
-
 // TestRepoIsClean runs the full suite over the real codebase: the tree
 // must carry zero outstanding diagnostics, so a change that violates an
 // invariant fails `go test` even before the CI lint job runs.

@@ -34,27 +34,19 @@ func ParseHistograms(data []byte) (map[string]HistogramSnapshot, error) {
 		}
 		return a
 	}
-	for ln, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		series, value, ok := splitSample(line)
-		if !ok {
-			return nil, fmt.Errorf("obs: line %d: malformed sample %q", ln+1, line)
-		}
+	err := eachSample(data, func(ln int, series string, value float64) error {
 		switch {
 		case strings.Contains(series, "_bucket{"):
 			name, le, ok := bucketParts(series)
 			if !ok {
-				continue // labeled beyond le; not ours
+				return nil // labeled beyond le; not ours
 			}
 			a := get(name)
 			bound := math.Inf(1)
 			if le != "+Inf" {
 				b, err := strconv.ParseFloat(le, 64)
 				if err != nil {
-					return nil, fmt.Errorf("obs: line %d: bad le %q", ln+1, le)
+					return fmt.Errorf("obs: line %d: bad le %q", ln, le)
 				}
 				bound = b
 			}
@@ -69,6 +61,10 @@ func ParseHistograms(data []byte) (map[string]HistogramSnapshot, error) {
 			a.count = value
 			a.hasCnt = true
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	out := map[string]HistogramSnapshot{}
 	var names []string
@@ -102,6 +98,45 @@ func ParseHistograms(data []byte) (map[string]HistogramSnapshot, error) {
 		out[name] = s
 	}
 	return out, nil
+}
+
+// ParseSamples returns every sample of a Prometheus text exposition keyed
+// by its series text as exposed: the name plus any label set, e.g.
+// `xvserve_queries_total` or `xvserve_rewrite_seconds_bucket{le="0.001"}`.
+// A series that appears twice is an error.
+func ParseSamples(data []byte) (map[string]float64, error) {
+	out := map[string]float64{}
+	err := eachSample(data, func(ln int, series string, value float64) error {
+		if _, dup := out[series]; dup {
+			return fmt.Errorf("obs: line %d: duplicate series %s", ln, series)
+		}
+		out[series] = value
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// eachSample calls fn with the 1-based line number, series and value of
+// every sample line, skipping blanks and comments, and stops at the first
+// line that does not scan or the first error fn returns.
+func eachSample(data []byte, fn func(ln int, series string, value float64) error) error {
+	for ln, line := range strings.Split(string(data), "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		series, value, ok := splitSample(line)
+		if !ok {
+			return fmt.Errorf("obs: line %d: malformed sample %q", ln+1, line)
+		}
+		if err := fn(ln+1, series, value); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // splitSample splits "series value" (the trailing float) on the last

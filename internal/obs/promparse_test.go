@@ -64,3 +64,42 @@ func TestParseHistogramsErrors(t *testing.T) {
 		t.Fatalf("benign input: %v %v", hs, err)
 	}
 }
+
+// TestParseSamples scrapes back every sample WritePrometheus emitted,
+// labelled ones under their full series text.
+func TestParseSamples(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("plain_total", "counter").Add(3)
+	r.Gauge("g", "gauge").Set(-1.5)
+	r.CounterVec("req_total", "by code", Label{Name: "code", Values: []string{"200"}}).With("200").Inc()
+	r.Histogram("h_seconds", "latency", []float64{1}).Observe(0.5)
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ParseSamples([]byte(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for series, want := range map[string]float64{
+		"plain_total":              3,
+		"g":                        -1.5,
+		`req_total{code="200"}`:    1,
+		`h_seconds_bucket{le="1"}`: 1,
+		"h_seconds_sum":            0.5,
+		"h_seconds_count":          1,
+	} {
+		if v, ok := got[series]; !ok || v != want {
+			t.Errorf("%s = %v (present %v), want %v", series, v, ok, want)
+		}
+	}
+	for name, in := range map[string]string{
+		"bad-sample": "x notanumber\n",
+		"no-value":   "x\n",
+		"duplicate":  "x 1\nx 2\n",
+	} {
+		if _, err := ParseSamples([]byte(in)); err == nil {
+			t.Errorf("%s: no error", name)
+		}
+	}
+}

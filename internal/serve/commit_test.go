@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -60,16 +58,15 @@ func TestServeGroupCommitSurvivesClientDisconnect(t *testing.T) {
 	// and the insert is applied, even though nobody is listening.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		var st Stats
-		getJSON(t, ts.URL+"/stats", &st)
-		if st.Epoch == 1 && st.UpdatesApplied == 1 {
-			if st.ClientDisconnects < 1 {
-				t.Fatalf("disconnect not counted: %+v", st)
+		m := mustScrape(t, ts)
+		if m.get(t, "xvserve_epoch") == 1 && m.get(t, "xvserve_updates_applied_total") == 1 {
+			if m.get(t, "xvserve_client_disconnects_total") < 1 {
+				t.Fatal("disconnect not counted")
 			}
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("abandoned group never committed: %+v", st)
+			t.Fatalf("abandoned group never committed: epoch %v", m["xvserve_epoch"])
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -123,14 +120,13 @@ func TestServeGroupCommitRejectsBadMemberOnly(t *testing.T) {
 
 	// Both good inserts landed; the bad delete left no trace. The two good
 	// requests may have merged into one group or committed as two.
-	var st Stats
-	getJSON(t, ts.URL+"/stats", &st)
-	if st.UpdatesApplied != 2 {
-		t.Fatalf("updates_applied = %d, want 2: %+v", st.UpdatesApplied, st)
+	m := mustScrape(t, ts)
+	if got := m.get(t, "xvserve_updates_applied_total"); got != 2 {
+		t.Fatalf("updates applied = %v, want 2", got)
 	}
 	epochs := map[int64]bool{results[0].up.Epoch: true, results[2].up.Epoch: true}
-	if int(st.Epoch) != len(epochs) {
-		t.Fatalf("epoch %d, want %d (one per group)", st.Epoch, len(epochs))
+	if got := m.get(t, "xvserve_epoch"); int(got) != len(epochs) {
+		t.Fatalf("epoch %v, want %d (one per group)", got, len(epochs))
 	}
 	var resp QueryResponse
 	q := url.QueryEscape(`site(/item[id](/name[v]))`)
@@ -142,33 +138,9 @@ func TestServeGroupCommitRejectsBadMemberOnly(t *testing.T) {
 	}
 }
 
-// metricValue scrapes GET /metrics for one sample line and returns its
-// value (0 if the family never fired).
-func metricValue(t *testing.T, ts *httptest.Server, name string) float64 {
-	t.Helper()
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, name+" ") {
-			continue
-		}
-		v, err := strconv.ParseFloat(strings.Fields(line)[1], 64)
-		if err != nil {
-			t.Fatalf("bad sample %q: %v", line, err)
-		}
-		return v
-	}
-	return 0
-}
-
 // TestServeSoakGroupCommit is the race-enabled group-commit soak: 8
 // concurrent HTTP writers push 200 update batches through the daemon while
-// 3 readers query and scrape stats. It asserts the epoch advances exactly
+// 3 readers query and scrape /metrics. It asserts the epoch advances exactly
 // one per committed group (the acked epochs form a contiguous 1..E with no
 // gaps), every ack matches its outcome, MVCC retention stays bounded, and
 // the persisted store reopens with extents identical to a from-scratch
@@ -276,8 +248,13 @@ func TestServeSoakGroupCommit(t *testing.T) {
 					return
 				}
 				// MVCC retention must hold while readers pin snapshots.
-				if v := int(metricValue(t, ts, "xvserve_store_versions")); v > maxVersions {
-					errs <- fmt.Errorf("retention bound broken: %d versions (max %d)", v, maxVersions)
+				m, err := scrape(ts.URL)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if v, ok := m["xvserve_store_versions"]; !ok || v > maxVersions {
+					errs <- fmt.Errorf("retention bound broken: %v versions (present %v, max %d)", v, ok, maxVersions)
 					return
 				}
 			}
@@ -295,36 +272,35 @@ func TestServeSoakGroupCommit(t *testing.T) {
 	// Epoch contiguity: every member of a group is acked with the group's
 	// epoch, so the acked epochs must cover exactly 1..E with no gaps — the
 	// epoch advanced precisely one per committed group.
-	var st Stats
-	getJSON(t, ts.URL+"/stats", &st)
-	if st.UpdatesApplied != writers*perWriter {
-		t.Fatalf("updates_applied = %d, want %d", st.UpdatesApplied, writers*perWriter)
+	m := mustScrape(t, ts)
+	if got := m.get(t, "xvserve_updates_applied_total"); got != writers*perWriter {
+		t.Fatalf("updates applied = %v, want %d", got, writers*perWriter)
 	}
+	finalEpoch := int64(m.get(t, "xvserve_epoch"))
 	distinct := map[int64]bool{}
 	for _, e := range epochs {
 		distinct[e] = true
 	}
-	if int64(len(distinct)) != st.Epoch {
-		t.Fatalf("%d distinct acked epochs but final epoch %d", len(distinct), st.Epoch)
+	if int64(len(distinct)) != finalEpoch {
+		t.Fatalf("%d distinct acked epochs but final epoch %d", len(distinct), finalEpoch)
 	}
-	for e := int64(1); e <= st.Epoch; e++ {
+	for e := int64(1); e <= finalEpoch; e++ {
 		if !distinct[e] {
-			t.Fatalf("epoch %d skipped (final epoch %d)", e, st.Epoch)
+			t.Fatalf("epoch %d skipped (final epoch %d)", e, finalEpoch)
 		}
 	}
-	if groups := metricValue(t, ts, "xvserve_group_commits_total"); int64(groups) != st.Epoch {
-		t.Fatalf("group_commits_total %v, want %d (one per epoch)", groups, st.Epoch)
+	if groups := m.get(t, "xvserve_group_commits_total"); int64(groups) != finalEpoch {
+		t.Fatalf("group_commits_total %v, want %d (one per epoch)", groups, finalEpoch)
 	}
-	if n := metricValue(t, ts, "xvserve_commit_group_size_count"); int64(n) != st.Epoch {
-		t.Fatalf("group size histogram observed %v groups, want %d", n, st.Epoch)
+	if n := m.get(t, "xvserve_commit_group_size_count"); int64(n) != finalEpoch {
+		t.Fatalf("group size histogram observed %v groups, want %d", n, finalEpoch)
 	}
-	if sum := metricValue(t, ts, "xvserve_commit_group_size_sum"); int(sum) != writers*perWriter {
+	if sum := m.get(t, "xvserve_commit_group_size_sum"); int(sum) != writers*perWriter {
 		t.Fatalf("group size histogram sum %v, want %d (every request in exactly one group)", sum, writers*perWriter)
 	}
-	if st.Epoch >= writers*perWriter {
-		t.Logf("warning: no batching happened (epoch %d for %d requests)", st.Epoch, writers*perWriter)
+	if finalEpoch >= writers*perWriter {
+		t.Logf("warning: no batching happened (epoch %d for %d requests)", finalEpoch, writers*perWriter)
 	}
-	finalEpoch := st.Epoch
 	srv.Close() // flush the committer before inspecting the directory
 
 	// Reopen parity: the persisted store must match a from-scratch rebuild

@@ -112,7 +112,7 @@ func TestCompactionIsACommitterStep(t *testing.T) {
 		if got := strings.Join(dirFiles(t, dir), " "); got != want {
 			t.Fatalf("after update %d the directory holds %s, want %s", k, got, want)
 		}
-		if got, wantRuns := metricValue(t, ts, "xvserve_doc_checkpoints_total"), float64(k/view.CheckpointEvery); got != wantRuns {
+		if got, wantRuns := mustScrape(t, ts).get(t, "xvserve_doc_checkpoints_total"), float64(k/view.CheckpointEvery); got != wantRuns {
 			t.Fatalf("after update %d: %v checkpoint(s), want %v", k, got, wantRuns)
 		}
 	}
@@ -143,7 +143,7 @@ func TestFailedCompactionIsLogged(t *testing.T) {
 		t.Fatalf("update: status %d, epoch %d", code, up.Epoch)
 	}
 	barrier(t, ts) // the log reached CheckpointEvery: the failed checkpoint has run
-	if got := metricValue(t, ts, "xvserve_doc_checkpoint_errors_total"); got != 1 {
+	if got := mustScrape(t, ts).get(t, "xvserve_doc_checkpoint_errors_total"); got != 1 {
 		t.Fatalf("xvserve_doc_checkpoint_errors_total = %v, want 1", got)
 	}
 	var errs []map[string]any
@@ -169,10 +169,10 @@ func TestFailedCompactionIsLogged(t *testing.T) {
 	if code := postUpdate(t, ts, `[{"op":"settext","target":"1.3.1","value":"n3"}]`, &up); code != http.StatusOK || up.Epoch != view.CheckpointEvery+1 {
 		t.Fatalf("update after the failed checkpoint: status %d, epoch %d", code, up.Epoch)
 	}
-	var st Stats
-	getJSON(t, ts.URL+"/stats", &st)
-	if st.Degraded || st.DurableEpoch != view.CheckpointEvery+1 || st.DocEpoch != 0 {
-		t.Fatalf("after the failed checkpoint: degraded %v, durable_epoch %d, doc_epoch %d", st.Degraded, st.DurableEpoch, st.DocEpoch)
+	m := mustScrape(t, ts)
+	if m.get(t, "xvserve_degraded") != 0 || m.get(t, "xvserve_durable_epoch") != view.CheckpointEvery+1 || m.get(t, "xvserve_doc_epoch") != 0 {
+		t.Fatalf("after the failed checkpoint: degraded %v, durable epoch %v, doc epoch %v",
+			m["xvserve_degraded"], m["xvserve_durable_epoch"], m["xvserve_doc_epoch"])
 	}
 }
 
@@ -194,11 +194,10 @@ func TestOverThresholdStoreFoldedBeforeFirstCommit(t *testing.T) {
 	if code := postUpdate(t, ts, `[{"op":"settext","target":"1.1.1","value":"new"}]`, &up); code != http.StatusOK || up.Epoch != view.CheckpointEvery+1 {
 		t.Fatalf("first update: status %d, epoch %d", code, up.Epoch)
 	}
-	var st Stats
-	getJSON(t, ts.URL+"/stats", &st)
-	if st.DocEpoch != view.CheckpointEvery || st.UpdateLogRecords != 1 {
-		t.Fatalf("doc_epoch %d, update_log_records %d; want %d, 1 (checkpoint first, then commit)",
-			st.DocEpoch, st.UpdateLogRecords, view.CheckpointEvery)
+	m := mustScrape(t, ts)
+	if doc, recs := m.get(t, "xvserve_doc_epoch"), m.get(t, "xvserve_update_log_records"); doc != view.CheckpointEvery || recs != 1 {
+		t.Fatalf("doc epoch %v, update log records %v; want %d, 1 (checkpoint first, then commit)",
+			doc, recs, view.CheckpointEvery)
 	}
 	if recs, _, tail, err := store.ReadUpdateLog(dir); err != nil || tail != nil || len(recs) != 1 || recs[0].Epoch != view.CheckpointEvery+1 {
 		t.Fatalf("log after the first commit: %d record(s), tail %v, err %v", len(recs), tail, err)
@@ -422,9 +421,9 @@ func TestCloseRefusesQueueAndLeaksNothing(t *testing.T) {
 	}
 	// Reads keep working on a closed server.
 	rec = httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	if rec.Code != http.StatusOK {
-		t.Fatalf("/stats after Close: %d", rec.Code)
+		t.Fatalf("/metrics after Close: %d", rec.Code)
 	}
 }
 
@@ -539,10 +538,15 @@ func TestHandlersCannotReachLiveStore(t *testing.T) {
 // after a barrier — and the durability gauges say so throughout.
 func TestCheckpointIsACommitterStep(t *testing.T) {
 	ts, dir := newUpdatableServer(t, Config{})
-	var st Stats
-	getJSON(t, ts.URL+"/stats", &st)
-	if st.Epoch != 0 || st.DurableEpoch != 0 || st.DocEpoch != 0 || st.UpdateLogRecords != 0 || st.UpdateLogBytes != 0 {
-		t.Fatalf("fresh store: %+v", st)
+	// durability reads, from one scrape, the gauges a commit and a
+	// checkpoint move.
+	durability := func() (epoch, durable, doc, records, logBytes int64) {
+		m := mustScrape(t, ts)
+		return int64(m.get(t, "xvserve_epoch")), int64(m.get(t, "xvserve_durable_epoch")), int64(m.get(t, "xvserve_doc_epoch")),
+			int64(m.get(t, "xvserve_update_log_records")), int64(m.get(t, "xvserve_update_log_bytes"))
+	}
+	if epoch, durable, doc, records, logBytes := durability(); epoch != 0 || durable != 0 || doc != 0 || records != 0 || logBytes != 0 {
+		t.Fatalf("fresh store: epoch %d durable %d doc_epoch %d log records %d log bytes %d", epoch, durable, doc, records, logBytes)
 	}
 	for k := int64(1); k <= view.CheckpointEvery+2; k++ {
 		var up UpdateResponse
@@ -551,14 +555,14 @@ func TestCheckpointIsACommitterStep(t *testing.T) {
 			t.Fatalf("update %d: status %d, epoch %d", k, code, up.Epoch)
 		}
 		barrier(t, ts)
-		getJSON(t, ts.URL+"/stats", &st)
+		epoch, durable, doc, records, logBytes := durability()
 		wantDoc := k / view.CheckpointEvery * view.CheckpointEvery
-		if st.Epoch != k || st.DurableEpoch != k || st.DocEpoch != wantDoc || st.UpdateLogRecords != k-wantDoc {
+		if epoch != k || durable != k || doc != wantDoc || records != k-wantDoc {
 			t.Fatalf("after update %d: epoch %d durable %d doc_epoch %d log records %d; want %d %d %d %d",
-				k, st.Epoch, st.DurableEpoch, st.DocEpoch, st.UpdateLogRecords, k, k, wantDoc, k-wantDoc)
+				k, epoch, durable, doc, records, k, k, wantDoc, k-wantDoc)
 		}
-		if st.UpdateLogBytes != store.UpdateLogSize(dir) || (st.UpdateLogBytes == 0) != (k == wantDoc) {
-			t.Fatalf("after update %d: update_log_bytes %d, file has %d", k, st.UpdateLogBytes, store.UpdateLogSize(dir))
+		if logBytes != store.UpdateLogSize(dir) || (logBytes == 0) != (k == wantDoc) {
+			t.Fatalf("after update %d: update log bytes %d, file has %d", k, logBytes, store.UpdateLogSize(dir))
 		}
 		cat, err := store.OpenCatalog(dir)
 		if err != nil {
@@ -575,6 +579,7 @@ func TestCheckpointIsACommitterStep(t *testing.T) {
 			t.Fatalf("after update %d: doc_segment unreadable: %v", k, err)
 		}
 	}
+	m := mustScrape(t, ts)
 	for name, want := range map[string]float64{
 		"xvserve_doc_checkpoints_total":        1,
 		"xvserve_doc_checkpoint_errors_total":  0,
@@ -583,7 +588,7 @@ func TestCheckpointIsACommitterStep(t *testing.T) {
 		"xvserve_doc_epoch":                    view.CheckpointEvery,
 		"xvserve_update_log_records":           2,
 	} {
-		if got := metricValue(t, ts, name); got != want {
+		if got := m.get(t, name); got != want {
 			t.Errorf("%s = %v, want %v", name, got, want)
 		}
 	}
@@ -617,10 +622,13 @@ func TestRestartMidLog(t *testing.T) {
 	t.Cleanup(srv.Close)
 	ts2 := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts2.Close)
-	var st Stats
-	getJSON(t, ts2.URL+"/stats", &st)
-	if st.Epoch != 3 || st.DurableEpoch != 3 || st.DocEpoch != 0 || st.UpdateLogRecords != 3 {
-		t.Fatalf("restarted daemon: epoch %d durable %d doc_epoch %d log records %d", st.Epoch, st.DurableEpoch, st.DocEpoch, st.UpdateLogRecords)
+	m := mustScrape(t, ts2)
+	for series, want := range map[string]float64{
+		"xvserve_epoch": 3, "xvserve_durable_epoch": 3, "xvserve_doc_epoch": 0, "xvserve_update_log_records": 3,
+	} {
+		if got := m.get(t, series); got != want {
+			t.Fatalf("restarted daemon: %s = %v, want %v", series, got, want)
+		}
 	}
 	// Addressing a node the log inserted proves the replay ran: 1.5 exists
 	// only in the replayed document.
@@ -666,15 +674,15 @@ func TestFailedCheckpointIsRetried(t *testing.T) {
 			continue
 		}
 		barrier(t, ts)
-		var st Stats
-		getJSON(t, ts.URL+"/stats", &st)
+		m := mustScrape(t, ts)
 		failed, wantDoc := 1.0, int64(0)
 		if k > view.CheckpointEvery {
 			wantDoc = k // the retry, under the next epoch's name
 		}
-		if got := metricValue(t, ts, "xvserve_doc_checkpoint_errors_total"); got != failed || st.Degraded || st.DocEpoch != wantDoc {
-			t.Fatalf("after update %d: %v checkpoint error(s), degraded %v, doc_epoch %d; want %v, false, %d",
-				k, got, st.Degraded, st.DocEpoch, failed, wantDoc)
+		got, degraded, doc := m.get(t, "xvserve_doc_checkpoint_errors_total"), m.get(t, "xvserve_degraded"), m.get(t, "xvserve_doc_epoch")
+		if got != failed || degraded != 0 || int64(doc) != wantDoc {
+			t.Fatalf("after update %d: %v checkpoint error(s), degraded %v, doc epoch %v; want %v, 0, %d",
+				k, got, degraded, doc, failed, wantDoc)
 		}
 		cat, err := store.OpenCatalog(dir)
 		if err != nil {

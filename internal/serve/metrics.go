@@ -9,9 +9,7 @@ import (
 )
 
 // metricsSet bundles every metric family the daemon maintains, registered
-// on one obs.Registry that GET /metrics exposes. The /stats JSON body is
-// derived from the same instruments, so the two endpoints can never
-// disagree about a count.
+// on one obs.Registry that GET /metrics exposes.
 type metricsSet struct {
 	// Per-route request counts by final status code; the instrument
 	// middleware observes every response, so error-rate dashboards need no
@@ -29,7 +27,7 @@ type metricsSet struct {
 	vecBlocksScanned *obs.Counter
 	vecBlocksSkipped *obs.Counter
 
-	// Query-path counters (the former /stats atomics).
+	// Query-path counters.
 	queries     *obs.Counter
 	rewritesRun *obs.Counter
 	clientsGone *obs.Counter
@@ -55,7 +53,7 @@ type metricsSet struct {
 
 	// Per-phase latency histograms, in seconds. rewriteSeconds observes
 	// only requests that ran or directly hit a search (singleflight
-	// followers are excluded, mirroring the /stats rewrite time); the
+	// followers are excluded); the
 	// maintain family splits the end-to-end batch latency into the
 	// in-memory apply and the disk persist.
 	rewriteSeconds  *obs.Histogram

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -45,19 +44,79 @@ func runWorkload(t *testing.T, ts *httptest.Server) {
 	}
 }
 
-// expositionSamples parses a Prometheus text page line by line, failing
-// the test when a sample appears before its family's # HELP and # TYPE
-// lines or a line does not scan. It returns every sample keyed by its
-// full series text (name plus label set).
-func expositionSamples(t *testing.T, body string) map[string]float64 {
+// metricsPage is one scrape of GET /metrics: every sample keyed by its
+// series text, as obs.ParseSamples returns it.
+type metricsPage map[string]float64
+
+// scrape fetches and parses base's /metrics. It reports failure as an
+// error rather than through a *testing.T, so reader goroutines can call it.
+func scrape(base string) (metricsPage, error) {
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("GET /metrics: status %d: %s", resp.StatusCode, body)
+	}
+	return obs.ParseSamples(body)
+}
+
+// mustScrape is scrape on the test goroutine.
+func mustScrape(t *testing.T, ts *httptest.Server) metricsPage {
+	t.Helper()
+	page, err := scrape(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return page
+}
+
+// get returns series' value, failing t when the page lacks it, so a
+// misspelt name cannot read as 0.
+func (p metricsPage) get(t testing.TB, series string) float64 {
+	t.Helper()
+	v, ok := p[series]
+	if !ok {
+		t.Fatalf("/metrics has no series %s", series)
+	}
+	return v
+}
+
+// fatalRecorder is a testing.TB whose Fatalf only records the failure.
+type fatalRecorder struct {
+	testing.TB
+	failed bool
+}
+
+func (r *fatalRecorder) Helper()               {}
+func (r *fatalRecorder) Fatalf(string, ...any) { r.failed = true }
+
+func TestMetricsPageGetRejectsMissingSeries(t *testing.T) {
+	ts, _ := newUpdatableServer(t, Config{})
+	page := mustScrape(t, ts)
+	if page.get(t, "xvserve_queries_total") != 0 {
+		t.Fatal("queries before any query")
+	}
+	rec := &fatalRecorder{TB: t}
+	page.get(rec, "xvserve_querys_total")
+	if !rec.failed {
+		t.Fatal("a misspelt series read as a value instead of failing")
+	}
+}
+
+// expositionSamples checks a Prometheus text page's framing — every
+// sample follows its family's # HELP and # TYPE lines, and every type is
+// one the registry emits — and returns its samples.
+func expositionSamples(t *testing.T, body []byte) metricsPage {
 	t.Helper()
 	helped := map[string]bool{}
 	typed := map[string]bool{}
-	samples := map[string]float64{}
-	for ln, line := range strings.Split(body, "\n") {
-		if line == "" {
-			continue
-		}
+	for ln, line := range strings.Split(string(body), "\n") {
 		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
 			name, _, _ := strings.Cut(rest, " ")
 			helped[name] = true
@@ -82,31 +141,17 @@ func expositionSamples(t *testing.T, body string) map[string]float64 {
 		if strings.HasPrefix(line, "#") {
 			t.Fatalf("line %d: unexpected comment %q", ln+1, line)
 		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp < 0 {
-			t.Fatalf("line %d: malformed sample %q", ln+1, line)
+		fam, _, _ := strings.Cut(line, " ")
+		fam, _, _ = strings.Cut(fam, "{")
+		// Histogram samples carry the family name plus a suffix.
+		base := strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(fam, "_bucket"), "_sum"), "_count")
+		if line != "" && !typed[fam] && !typed[base] {
+			t.Fatalf("line %d: sample %s before (or without) its HELP/TYPE header", ln+1, fam)
 		}
-		series, valStr := line[:sp], line[sp+1:]
-		v, err := strconv.ParseFloat(valStr, 64)
-		if err != nil {
-			t.Fatalf("line %d: sample value %q does not parse: %v", ln+1, valStr, err)
-		}
-		fam := series
-		if i := strings.IndexByte(fam, '{'); i >= 0 {
-			fam = fam[:i]
-		}
-		if !typed[fam] {
-			// Histogram samples carry the family name plus a suffix.
-			base := strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(fam,
-				"_bucket"), "_sum"), "_count")
-			if !typed[base] {
-				t.Fatalf("line %d: sample %s before (or without) its HELP/TYPE header", ln+1, series)
-			}
-		}
-		if _, dup := samples[series]; dup {
-			t.Fatalf("line %d: duplicate series %s", ln+1, series)
-		}
-		samples[series] = v
+	}
+	samples, err := obs.ParseSamples(body)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return samples
 }
@@ -131,7 +176,7 @@ func TestServeMetricsExposition(t *testing.T) {
 		t.Fatalf("content type %q", ct)
 	}
 
-	samples := expositionSamples(t, string(body))
+	samples := expositionSamples(t, body)
 	// ParseHistograms re-validates bucket monotonicity and +Inf == _count
 	// for every histogram family on the page.
 	hists, err := obs.ParseHistograms(body)
@@ -157,8 +202,15 @@ func TestServeMetricsExposition(t *testing.T) {
 		{`xvserve_epoch`, 1},
 		{`go_goroutines`, 1},
 	} {
-		if got := samples[want.series]; got < want.min {
+		if got := samples.get(t, want.series); got < want.min {
 			t.Errorf("%s = %v, want >= %v", want.series, got, want.min)
+		}
+	}
+	// The latency sums are exact seconds: after real work they are > 0
+	// even when every request was sub-millisecond.
+	for _, series := range []string{"xvserve_rewrite_seconds_sum", "xvserve_maintain_seconds_sum"} {
+		if got := samples.get(t, series); got <= 0 {
+			t.Errorf("%s = %v, want > 0 (sub-ms work must not truncate away)", series, got)
 		}
 	}
 	for _, h := range []struct {
@@ -232,7 +284,7 @@ func TestServeMetricsExposition(t *testing.T) {
 	}
 	body3, _ := io.ReadAll(resp3.Body)
 	resp3.Body.Close()
-	for series := range expositionSamples(t, string(body3)) {
+	for series := range expositionSamples(t, body3) {
 		if strings.Contains(series, `="`+obs.Overflow+`"`) {
 			t.Errorf("undeclared label value counted: %s", series)
 		}
@@ -240,8 +292,7 @@ func TestServeMetricsExposition(t *testing.T) {
 }
 
 // metricFamilies is the golden /metrics surface: every family's # TYPE
-// line. A family is added, renamed or retyped only by changing this list,
-// the way statsFields pins /stats.
+// line. A family is added, renamed or retyped only by changing this list.
 var metricFamilies = []string{
 	"go_gc_cycles_total gauge",
 	"go_gc_pause_seconds_total gauge",
@@ -327,77 +378,6 @@ func TestMetricFamiliesPinned(t *testing.T) {
 	check("before traffic")
 	runWorkload(t, ts)
 	check("after traffic")
-}
-
-// statsFields is the golden /stats schema: the exact JSON field set the
-// endpoint has always served. New observability data goes to /metrics;
-// this list only changes when the /stats contract deliberately does.
-var statsFields = []string{
-	"uptime_seconds", "views", "epoch", "degraded",
-	"queries", "rewrites_run", "client_disconnects", "errors", "rows_served",
-	"plan_cache_hits", "plan_cache_misses", "plan_cache_size", "plan_hit_rate",
-	"subsume_cache_entries", "rewrite_ms_total", "exec_ms_total",
-	"updates_applied", "tuples_added", "tuples_deleted", "cache_invalidations",
-	"maintain_ms_total",
-	// The durability contract (docs/concurrency.md): how far the disk is
-	// behind memory and how much log a restart replays.
-	"durable_epoch", "doc_epoch", "update_log_records", "update_log_bytes",
-}
-
-func TestServeStatsFieldIdentity(t *testing.T) {
-	ts, _ := newUpdatableServer(t, Config{PlanCacheSize: 8})
-	runWorkload(t, ts)
-
-	var stats map[string]any
-	if code := getJSON(t, ts.URL+"/stats", &stats); code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	for _, f := range statsFields {
-		if _, ok := stats[f]; !ok {
-			t.Errorf("/stats lost field %q", f)
-		}
-	}
-	for k := range stats {
-		found := false
-		for _, f := range statsFields {
-			if k == f {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("/stats grew unexpected field %q (new data belongs on /metrics)", k)
-		}
-	}
-
-	// /stats and /metrics are views of the same registry: shared counters
-	// must agree exactly.
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	samples := expositionSamples(t, string(body))
-	for stat, series := range map[string]string{
-		"queries":         "xvserve_queries_total",
-		"rewrites_run":    "xvserve_rewrites_run_total",
-		"updates_applied": "xvserve_updates_applied_total",
-		"tuples_added":    "xvserve_tuples_added_total",
-	} {
-		if stats[stat] != samples[series] { // both float64 after JSON decoding
-			t.Errorf("%s: /stats says %v, /metrics says %v", stat, stats[stat], samples[series])
-		}
-	}
-
-	// The latency totals are fractional milliseconds now: after real work
-	// they must be > 0 even when every request was sub-millisecond.
-	if v, ok := stats["rewrite_ms_total"].(float64); !ok || v <= 0 {
-		t.Errorf("rewrite_ms_total = %v, want > 0 (sub-ms work must not truncate away)", stats["rewrite_ms_total"])
-	}
-	if v, ok := stats["maintain_ms_total"].(float64); !ok || v <= 0 {
-		t.Errorf("maintain_ms_total = %v, want > 0", stats["maintain_ms_total"])
-	}
 }
 
 func TestServeRequestID(t *testing.T) {
@@ -668,7 +648,7 @@ func TestServeMetricsConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 10; j++ {
-				for _, p := range []string{"/metrics", "/stats", "/debug/traces"} {
+				for _, p := range []string{"/metrics", "/debug/traces"} {
 					resp, err := http.Get(ts.URL + p)
 					if err == nil {
 						io.Copy(io.Discard, resp.Body)

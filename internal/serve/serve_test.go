@@ -85,15 +85,13 @@ func TestServeQueryAndPlanCache(t *testing.T) {
 		t.Fatal("cached plan answered differently")
 	}
 
-	var st Stats
-	if code := getJSON(t, ts.URL+"/stats", &st); code != http.StatusOK {
-		t.Fatalf("stats status %d", code)
+	m := mustScrape(t, ts)
+	if m.get(t, "xvserve_plan_cache_hits_total") < 1 || m.get(t, "xvserve_plan_cache_misses_total") < 1 || m.get(t, "xvserve_queries_total") < 2 {
+		t.Fatalf("metrics not counting: hits %v, misses %v, queries %v",
+			m["xvserve_plan_cache_hits_total"], m["xvserve_plan_cache_misses_total"], m["xvserve_queries_total"])
 	}
-	if st.PlanCacheHits < 1 || st.PlanCacheMisses < 1 || st.Queries < 2 {
-		t.Fatalf("stats not counting: %+v", st)
-	}
-	if st.Views != 2 || st.PlanCacheSize != 1 {
-		t.Fatalf("stats wrong: %+v", st)
+	if m.get(t, "xvserve_views") != 2 || m.get(t, "xvserve_plan_cache_entries") != 1 {
+		t.Fatalf("views %v, plan cache entries %v; want 2, 1", m["xvserve_views"], m["xvserve_plan_cache_entries"])
 	}
 }
 
@@ -210,10 +208,8 @@ func TestServeErrors(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/query?q="+q, &e); code != http.StatusUnprocessableEntity {
 		t.Fatalf("unsatisfiable query: status %d (%+v)", code, e)
 	}
-	var st Stats
-	getJSON(t, ts.URL+"/stats", &st)
-	if st.PlanCacheHits < 1 {
-		t.Fatalf("negative rewriting not cached: %+v", st)
+	if hits := mustScrape(t, ts).get(t, "xvserve_plan_cache_hits_total"); hits < 1 {
+		t.Fatalf("negative rewriting not cached: %v plan cache hits", hits)
 	}
 }
 
@@ -275,15 +271,15 @@ func TestServeConcurrentQueries(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	var st Stats
-	getJSON(t, ts.URL+"/stats", &st)
+	m := mustScrape(t, ts)
 	// First encounters of each query may miss concurrently (up to one per
 	// goroutine per query shape); everything else must hit the plan cache.
-	minHits := int64(48 - 8*len(queries))
-	if st.Queries != 48 || st.PlanCacheHits < minHits || st.PlanCacheHits+st.PlanCacheMisses != 48 {
-		t.Fatalf("stats after concurrent run: %+v", st)
+	minHits := float64(48 - 8*len(queries))
+	served, hits, misses := m.get(t, "xvserve_queries_total"), m.get(t, "xvserve_plan_cache_hits_total"), m.get(t, "xvserve_plan_cache_misses_total")
+	if served != 48 || hits < minHits || hits+misses != 48 {
+		t.Fatalf("after concurrent run: %v queries, %v hits, %v misses", served, hits, misses)
 	}
-	if st.PlanCacheSize != len(queries) {
-		t.Fatalf("plan cache size = %d, want %d", st.PlanCacheSize, len(queries))
+	if got := m.get(t, "xvserve_plan_cache_entries"); int(got) != len(queries) {
+		t.Fatalf("plan cache entries = %v, want %d", got, len(queries))
 	}
 }

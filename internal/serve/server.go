@@ -134,9 +134,8 @@ type Server struct {
 	closeOnce sync.Once
 
 	// Observability: one registry holds every instrument (counters,
-	// gauges, per-phase latency histograms) and backs both GET /metrics
-	// and the /stats JSON; the ring keeps the most recent request traces
-	// for GET /debug/traces.
+	// gauges, per-phase latency histograms) and backs GET /metrics; the
+	// ring keeps the most recent request traces for GET /debug/traces.
 	reg  *obs.Registry
 	met  *metricsSet
 	ring *obs.Ring
@@ -251,7 +250,6 @@ var routes = []struct {
 	{"/query", (*Server).handleQuery},
 	{"/update", (*Server).handleUpdate},
 	{"/healthz", (*Server).handleHealthz},
-	{"/stats", (*Server).handleStats},
 	{"/metrics", (*Server).handleMetrics},
 	{"/debug/traces", (*Server).handleTraces},
 }
@@ -780,88 +778,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"status": "ok",
 		"views":  len(s.views),
 		"epoch":  s.epoch(),
-	})
-}
-
-// Stats is the JSON body of /stats.
-type Stats struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	Views         int     `json:"views"`
-	Epoch         int64   `json:"epoch"`
-	// Degraded reports that an update batch was applied in memory but not
-	// persisted; /update is disabled until restart.
-	Degraded bool  `json:"degraded"`
-	Queries  int64 `json:"queries"`
-	// RewritesRun counts actual rewriting searches: plan-cache hits and
-	// singleflight followers don't run one.
-	RewritesRun int64 `json:"rewrites_run"`
-	// ClientDisconnects counts 499 answers (client gone mid-request);
-	// they are not server errors and are excluded from Errors.
-	ClientDisconnects int64   `json:"client_disconnects"`
-	Errors            int64   `json:"errors"`
-	RowsServed        int64   `json:"rows_served"`
-	PlanCacheHits     int64   `json:"plan_cache_hits"`
-	PlanCacheMisses   int64   `json:"plan_cache_misses"`
-	PlanCacheSize     int     `json:"plan_cache_size"`
-	PlanHitRate       float64 `json:"plan_hit_rate"`
-	SubsumeEntries    int     `json:"subsume_cache_entries"`
-	// RewriteMillis and ExecMillis are fractional since the histograms
-	// behind them keep exact sums: sub-millisecond requests used to
-	// truncate to 0 and vanish from the totals.
-	RewriteMillis float64 `json:"rewrite_ms_total"`
-	ExecMillis    float64 `json:"exec_ms_total"`
-	// Update-path counters. CacheInvalidations counts epoch advances that
-	// dropped the plan and subsume caches: those whose commit changed the
-	// summary's shape.
-	UpdatesApplied     int64   `json:"updates_applied"`
-	TuplesAdded        int64   `json:"tuples_added"`
-	TuplesDeleted      int64   `json:"tuples_deleted"`
-	CacheInvalidations int64   `json:"cache_invalidations"`
-	MaintainMillis     float64 `json:"maintain_ms_total"`
-	// Durability state: DurableEpoch is the last epoch whose catalog write
-	// completed (Epoch is ahead of it while a persist is in flight);
-	// DocEpoch is the document checkpoint's epoch, and the update log
-	// carries the UpdateLogRecords epochs between the two.
-	DurableEpoch     int64 `json:"durable_epoch"`
-	DocEpoch         int64 `json:"doc_epoch"`
-	UpdateLogRecords int64 `json:"update_log_records"`
-	UpdateLogBytes   int64 `json:"update_log_bytes"`
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	hits, misses := s.met.planHits.Value(), s.met.planMisses.Value()
-	rate := 0.0
-	if hits+misses > 0 {
-		rate = float64(hits) / float64(hits+misses)
-	}
-	es := s.snapshot()
-	defer es.st.Release()
-	writeJSON(w, http.StatusOK, &Stats{
-		UptimeSeconds:      time.Since(s.started).Seconds(),
-		Views:              len(s.views),
-		Epoch:              es.epoch,
-		Degraded:           s.degraded.Load(),
-		Queries:            s.met.queries.Value(),
-		RewritesRun:        s.met.rewritesRun.Value(),
-		ClientDisconnects:  s.met.clientsGone.Value(),
-		Errors:             s.met.errors.Value(),
-		RowsServed:         s.met.rowsServed.Value(),
-		PlanCacheHits:      hits,
-		PlanCacheMisses:    misses,
-		PlanCacheSize:      es.plans.len(),
-		PlanHitRate:        rate,
-		SubsumeEntries:     es.subsume.Len(),
-		RewriteMillis:      s.met.rewriteSeconds.Sum() * 1e3,
-		ExecMillis:         s.met.execSeconds.Sum() * 1e3,
-		UpdatesApplied:     s.met.updates.Value(),
-		TuplesAdded:        s.met.tuplesAdded.Value(),
-		TuplesDeleted:      s.met.tuplesDeleted.Value(),
-		CacheInvalidations: s.met.invalidations.Value(),
-		MaintainMillis:     s.met.maintainSeconds.Sum() * 1e3,
-		DurableEpoch:       int64(s.met.durableEpoch.Value()),
-		DocEpoch:           int64(s.met.docEpoch.Value()),
-		UpdateLogRecords:   int64(s.met.logRecords.Value()),
-		UpdateLogBytes:     int64(s.met.logBytes.Value()),
 	})
 }
 

@@ -54,10 +54,9 @@ func TestServeUpdateStatusCodesPinned(t *testing.T) {
 	}
 	// None of the rejected batches may have advanced any epoch.
 	for _, srv := range []*httptest.Server{ts, small, ro} {
-		var st Stats
-		getJSON(t, srv.URL+"/stats", &st)
-		if st.Epoch != 0 || st.UpdatesApplied != 0 {
-			t.Fatalf("rejected batches advanced the epoch: %+v", st)
+		m := mustScrape(t, srv)
+		if m.get(t, "xvserve_epoch") != 0 || m.get(t, "xvserve_updates_applied_total") != 0 {
+			t.Fatalf("rejected batches advanced the epoch to %v", m["xvserve_epoch"])
 		}
 	}
 }
@@ -131,7 +130,7 @@ func TestServeSoakAutoCompaction(t *testing.T) {
 		}
 	}()
 
-	// Readers: query and watch /stats while the writer runs; the log never
+	// Readers: query and watch /metrics while the writer runs; the log never
 	// outgrows the checkpoint policy. Failures go through errs — t.Fatal
 	// must not be called off the test goroutine.
 	fetch := func(url string, out any) error {
@@ -174,13 +173,13 @@ func TestServeSoakAutoCompaction(t *testing.T) {
 					errs <- fmt.Errorf("traced query returned no spans: %+v", resp.Trace)
 					return
 				}
-				var st Stats
-				if err := fetch(ts.URL+"/stats", &st); err != nil {
+				m, err := scrape(ts.URL)
+				if err != nil {
 					errs <- err
 					return
 				}
-				if st.UpdateLogRecords > view.CheckpointEvery {
-					errs <- fmt.Errorf("log ran away: %+v", st)
+				if n, ok := m["xvserve_update_log_records"]; !ok || n > view.CheckpointEvery {
+					errs <- fmt.Errorf("log ran away: %v record(s) (present %v)", n, ok)
 					return
 				}
 			}
@@ -195,14 +194,18 @@ func TestServeSoakAutoCompaction(t *testing.T) {
 
 	// Every batch is acked, so the checkpoint at CheckpointEvery has run:
 	// the log holds exactly the epochs after it.
-	var st Stats
-	getJSON(t, ts.URL+"/stats", &st)
-	if st.Epoch != batches || st.UpdatesApplied != batches || st.DocEpoch != view.CheckpointEvery ||
-		st.UpdateLogRecords != batches-view.CheckpointEvery || st.Degraded {
-		t.Fatalf("final state: %+v", st)
-	}
-	if got := metricValue(t, ts, "xvserve_doc_checkpoint_errors_total"); got != 0 {
-		t.Fatalf("%v checkpoint error(s)", got)
+	m := mustScrape(t, ts)
+	for series, want := range map[string]float64{
+		"xvserve_epoch":                       batches,
+		"xvserve_updates_applied_total":       batches,
+		"xvserve_doc_epoch":                   view.CheckpointEvery,
+		"xvserve_update_log_records":          batches - view.CheckpointEvery,
+		"xvserve_degraded":                    0,
+		"xvserve_doc_checkpoint_errors_total": 0,
+	} {
+		if got := m.get(t, series); got != want {
+			t.Errorf("final %s = %v, want %v", series, got, want)
+		}
 	}
 	srv.Close() // stop the committer before inspecting the directory
 

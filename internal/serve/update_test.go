@@ -125,13 +125,13 @@ func TestServeUpdateEndToEnd(t *testing.T) {
 		t.Fatalf("plan cache dropped by shape-preserving commits: %+v", after)
 	}
 
-	var st Stats
-	getJSON(t, ts.URL+"/stats", &st)
-	if st.Epoch != 2 || st.UpdatesApplied != 2 || st.CacheInvalidations != 0 {
-		t.Fatalf("stats not epoch-aware: %+v", st)
+	m := mustScrape(t, ts)
+	if m.get(t, "xvserve_epoch") != 2 || m.get(t, "xvserve_updates_applied_total") != 2 || m.get(t, "xvserve_cache_invalidations_total") != 0 {
+		t.Fatalf("metrics not epoch-aware: epoch %v, updates %v, invalidations %v",
+			m["xvserve_epoch"], m["xvserve_updates_applied_total"], m["xvserve_cache_invalidations_total"])
 	}
-	if st.TuplesAdded < 2 {
-		t.Fatalf("tuples_added = %d, want >= 2", st.TuplesAdded)
+	if got := m.get(t, "xvserve_tuples_added_total"); got < 2 {
+		t.Fatalf("tuples added = %v, want >= 2", got)
 	}
 }
 
@@ -187,10 +187,8 @@ func TestServeUpdateErrors(t *testing.T) {
 		t.Fatalf("missing target: status %d (%+v)", code, e)
 	}
 	// A failed batch must not advance the epoch.
-	var st Stats
-	getJSON(t, ts.URL+"/stats", &st)
-	if st.Epoch != 0 || st.UpdatesApplied != 0 {
-		t.Fatalf("failed updates advanced the epoch: %+v", st)
+	if m := mustScrape(t, ts); m.get(t, "xvserve_epoch") != 0 || m.get(t, "xvserve_updates_applied_total") != 0 {
+		t.Fatalf("failed updates advanced the epoch to %v", m["xvserve_epoch"])
 	}
 
 	rts, _ := newUpdatableServer(t, Config{ReadOnly: true})
@@ -282,7 +280,7 @@ func TestServeConcurrentQueriesAndUpdates(t *testing.T) {
 // TestServeDegradedOnPersistFailure: when a batch applies in memory but
 // cannot be persisted (here: the store directory vanishes), the server
 // must answer 500, keep serving the applied batch from memory, report
-// degraded on /stats, and refuse further updates with 503 — never
+// degraded on /metrics, and refuse further updates with 503 — never
 // persisting a later batch over a hole in the update log.
 func TestServeDegradedOnPersistFailure(t *testing.T) {
 	ts, dir := newUpdatableServer(t, Config{})
@@ -313,10 +311,8 @@ func TestServeDegradedOnPersistFailure(t *testing.T) {
 		t.Fatalf("memory state not served: %d rows at epoch %d", len(resp.Rows), resp.Epoch)
 	}
 
-	var st Stats
-	getJSON(t, ts.URL+"/stats", &st)
-	if !st.Degraded {
-		t.Fatalf("stats not degraded: %+v", st)
+	if got := mustScrape(t, ts).get(t, "xvserve_degraded"); got != 1 {
+		t.Fatalf("xvserve_degraded = %v, want 1", got)
 	}
 	if code := postUpdate(t, ts,
 		`[{"op":"settext","target":"1.1.1","value":"x"}]`, &e); code != http.StatusServiceUnavailable {

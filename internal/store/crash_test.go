@@ -1,11 +1,14 @@
 package store_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -236,8 +239,9 @@ func copyDir(t testing.TB, src, dst string) {
 	}
 }
 
-func TestCrashPoints(t *testing.T) {
-	docs, probed := oracleDocs(t)
+// crashTemplate builds the script's starting store in a fresh directory.
+func crashTemplate(t *testing.T) string {
+	t.Helper()
 	template := t.TempDir()
 	doc, err := xmltree.ParseXMLString(crashDoc)
 	if err != nil {
@@ -246,9 +250,16 @@ func TestCrashPoints(t *testing.T) {
 	if _, err := view.BuildStore(template, doc, crashViews(t)); err != nil {
 		t.Fatal(err)
 	}
+	return template
+}
+
+// scriptOps runs the script without a fault and returns its operation
+// trace, failing t unless every kind of file-system operation occurs in
+// it: a table over the trace covers exactly the kinds it performs.
+func scriptOps(t *testing.T, template string) []string {
+	t.Helper()
 	ref, _, _ := runCrashScript(t, template, -1, false)
-	total := ref.Ops
-	t.Logf("script performs %d file-system operations", total)
+	t.Logf("script performs %d file-system operations", ref.Ops)
 	seen := map[string]bool{}
 	for _, op := range ref.Trace {
 		seen[strings.Fields(op)[0]] = true
@@ -258,6 +269,13 @@ func TestCrashPoints(t *testing.T) {
 			t.Errorf("script never performs %s: the table does not cover it", op)
 		}
 	}
+	return ref.Trace
+}
+
+func TestCrashPoints(t *testing.T) {
+	docs, probed := oracleDocs(t)
+	template := crashTemplate(t)
+	total := len(scriptOps(t, template))
 	for _, tear := range []bool{false, true} {
 		for limit := 0; limit <= total; limit++ {
 			fs, at, allowed := runCrashScript(t, template, limit, tear)
@@ -281,6 +299,91 @@ func TestCrashPoints(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestWriteErrorsSurface is the write-error table beside the crash-point
+// table: the same script, run once for every operation N it performs, with
+// operation N failing (store.ErrInjected) and every other succeeding. A
+// commit must return the failure as a *view.PersistError, which is what
+// makes the server refuse the ack. A checkpoint must return it too, and
+// leave the catalog object as it was when the failure came at or before
+// its catalog write. The only failures a step may absorb are removals of
+// superseded files, each of which then stays on disk. A Sync or Close
+// error dropped anywhere on the write path shows up here as a step that
+// returned nil; a power cut cannot show it.
+func TestWriteErrorsSurface(t *testing.T) {
+	template := crashTemplate(t)
+	trace := scriptOps(t, template)
+	surfaced := 0
+	var absorbed []string
+	for n := range trace {
+		t.Run(fmt.Sprintf("op=%d", n), func(t *testing.T) {
+			dir := t.TempDir()
+			copyDir(t, template, dir)
+			cat, st, err := view.OpenUpdatableStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs, restore := store.InstallCrashFS(t, dir, -1, false)
+			defer restore()
+			fs.FailAt = n
+			for _, step := range crashScript(t) {
+				first := fs.Ops
+				before, err := json.Marshal(cat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = step.run(dir, cat, st)
+				if n < first || n >= fs.Ops {
+					if err != nil {
+						t.Fatalf("%s failed with operation %d (%s) outside it: %v", step.name, n, trace[n], err)
+					}
+					continue
+				}
+				op := fs.Trace[n]
+				if err == nil {
+					name, ok := strings.CutPrefix(op, "remove ")
+					if !ok {
+						t.Fatalf("%s absorbed a failed %s", step.name, op)
+					}
+					if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+						t.Fatalf("%s absorbed a failed %s, but the file is gone: %v", step.name, op, err)
+					}
+					absorbed = append(absorbed, op)
+					continue
+				}
+				if !errors.Is(err, store.ErrInjected) {
+					t.Fatalf("%s: failed %s surfaced as %v, not the injected error", step.name, op, err)
+				}
+				surfaced++
+				if step.epochs > 0 {
+					var pe *view.PersistError
+					if !errors.As(err, &pe) {
+						t.Fatalf("%s: failed %s surfaced as %T, not *view.PersistError: %v", step.name, op, err, err)
+					}
+					return
+				}
+				// The catalog write ends with the directory sync after its
+				// rename; a failure up to there must leave cat as it was.
+				done := fs.Trace[first:n]
+				r := slices.Index(done, "rename → "+store.ManifestName)
+				if r < 0 || r+1 == len(done) {
+					after, err := json.Marshal(cat)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(before, after) {
+						t.Fatalf("%s: failed %s changed the catalog object:\n%s\nwas\n%s", step.name, op, after, before)
+					}
+				}
+				return
+			}
+			if fs.Ops <= n {
+				t.Fatalf("the script ended after %d operations, before operation %d", fs.Ops, n)
+			}
+		})
+	}
+	t.Logf("%d operations: %d surfaced the injected error, %d absorbed: %v", len(trace), surfaced, len(absorbed), absorbed)
 }
 
 func lastOps(trace []string, n int) []string {

@@ -19,14 +19,19 @@ import (
 // before the cut leaves the first half of its bytes behind, as a short
 // write does.
 //
+// In fail-once mode (FailAt >= 0, Limit < 0) nothing crashes: operation
+// number FailAt (counting from 0, as Ops does) returns ErrInjected
+// without taking effect, and every other operation proceeds.
+//
 // The model is the strict one: nothing unsynced survives, and a removed
 // file is gone at once. A real disk may keep more (any unsynced write or
 // rename may have reached the platter), but every such state is one this
 // model produces at a later crash point or a superset of garbage files,
 // so enumerating all Limits covers them.
 type CrashFS struct {
-	Limit int // operations allowed before the crash; < 0: never crash
-	Tear  bool
+	Limit  int // operations allowed before the crash; < 0: never crash
+	Tear   bool
+	FailAt int // the operation that fails once; < 0: none
 	// Ops counts operations performed; Trace names them in order.
 	Ops   int
 	Trace []string
@@ -43,6 +48,10 @@ type CrashFS struct {
 // ErrCrashed is returned by every operation after the crash point.
 var ErrCrashed = errors.New("crashfs: crashed")
 
+// ErrInjected is returned by the one operation that fails in fail-once
+// mode.
+var ErrInjected = errors.New("crashfs: injected write error")
+
 type inode struct {
 	data   []byte // what a reader sees now
 	synced []byte // what stable storage holds
@@ -54,7 +63,7 @@ type inode struct {
 // stores.
 func InstallCrashFS(t testing.TB, dir string, limit int, tear bool) (c *CrashFS, restore func()) {
 	t.Helper()
-	c = &CrashFS{Limit: limit, Tear: tear, dir: dir, live: map[string]*inode{}, durable: map[string]*inode{}}
+	c = &CrashFS{Limit: limit, Tear: tear, FailAt: -1, dir: dir, live: map[string]*inode{}, durable: map[string]*inode{}}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +96,9 @@ func (c *CrashFS) Materialize(t testing.TB, dst string) {
 }
 
 // step accounts for one operation, or reports that the crash point has
-// been reached (applying the torn write, if any, on first arrival).
+// been reached (applying the torn write, if any, on first arrival) or that
+// this is the operation that fails once. Either error means the operation
+// must not take effect.
 func (c *CrashFS) step(op string) error {
 	if !c.crashed && c.Limit >= 0 && c.Ops >= c.Limit {
 		c.crashed = true
@@ -101,6 +112,9 @@ func (c *CrashFS) step(op string) error {
 	c.Ops++
 	c.Trace = append(c.Trace, op)
 	c.tornIno = nil
+	if c.Ops-1 == c.FailAt {
+		return ErrInjected
+	}
 	return nil
 }
 
@@ -216,8 +230,8 @@ func (f *crashFile) Sync() error {
 	return nil
 }
 
-// Close releases the real handle even after the crash, so a crashed run
-// leaks no descriptors.
+// Close releases the real handle even when the operation fails, so a
+// crashed run leaks no descriptors.
 func (f *crashFile) Close() error {
 	err := f.fs.step("close")
 	if cerr := f.real.Close(); err == nil {

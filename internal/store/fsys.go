@@ -60,11 +60,7 @@ func (osFS) syncDir(dir string) error {
 	if err != nil {
 		return err
 	}
-	if err := d.Sync(); err != nil {
-		d.Close() //xvlint:errok primary error wins; the directory handle is read-only
-		return err
-	}
-	return d.Close()
+	return syncClose(d)
 }
 
 // RemoveFile deletes a superseded store file (a folded delta, an old base

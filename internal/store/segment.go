@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -46,14 +47,15 @@ func writeFileAtomic(path string, data []byte) error {
 // before a catalog that depends on them is written.
 func writeSyncClose(f file, data []byte) error {
 	if _, err := f.Write(data); err != nil {
-		f.Close() //xvlint:errok primary error wins; the caller discards or truncates the file
-		return err
+		return errors.Join(err, f.Close())
 	}
-	if err := f.Sync(); err != nil {
-		f.Close() //xvlint:errok primary error wins; the caller discards or truncates the file
-		return err
-	}
-	return f.Close()
+	return syncClose(f)
+}
+
+// syncClose flushes f to stable storage and closes it, reporting both
+// errors: f is closed whatever Sync returned.
+func syncClose(f file) error {
+	return errors.Join(f.Sync(), f.Close())
 }
 
 // ReadFile loads a segment file into memory, verifying every block

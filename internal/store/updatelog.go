@@ -143,12 +143,7 @@ func TruncateUpdateLog(dir string, size int64) error {
 		return err
 	}
 	if err := f.Truncate(size); err != nil {
-		f.Close() //xvlint:errok primary error wins; nothing was written through this handle
-		return err
+		return errors.Join(err, f.Close())
 	}
-	if err := f.Sync(); err != nil {
-		f.Close() //xvlint:errok primary error wins; nothing was written through this handle
-		return err
-	}
-	return f.Close()
+	return syncClose(f)
 }

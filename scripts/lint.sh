@@ -7,10 +7,10 @@
 #   XVLINT_ONLY=1 scripts/lint.sh        skip the external tools
 #   XVLINT_SARIF=out.sarif scripts/lint.sh   also write xvlint findings as SARIF
 #
-# xvlint (cmd/xvlint) is the in-repo invariant checker — determinism,
-# cancellation polls and persist-path errors; see docs/lint.md. It builds
-# with the standard library alone and must be run from inside the module
-# (its loader type-checks from source).
+# xvlint (cmd/xvlint) is the in-repo invariant checker — determinism and
+# cancellation polls; see docs/lint.md. It builds with the standard
+# library alone and must be run from inside the module (its loader
+# type-checks from source).
 #
 # staticcheck and govulncheck are version-pinned below. They are not
 # vendored: when a binary is absent locally we warn and skip, but CI

@@ -10,7 +10,8 @@
 #   - the slow-query log captured structured lines (threshold 1ns);
 #   - the debug listener serves /debug/pprof/ and /debug/traces,
 #     and the public listener does NOT serve the profiler;
-#   - `xv stats` scrapes the live daemon;
+#   - `xv stats` scrapes the live daemon's /metrics (the only counter
+#     surface: GET /stats answers 404);
 #   - `xv gen | xv summary` works as a pipe, and `xv contain` exits 1 on a
 #     negative verdict and 2 on a usage error (the CLI's exit-status rule).
 #
@@ -149,5 +150,13 @@ printf '%s\n' "$summary" | grep -q 'phase latencies' \
     || { echo "obs_smoke: xv stats printed no quantiles"; exit 1; }
 printf '%s\n' "$summary" | grep -q 'commit groups:' \
     || { echo "obs_smoke: xv stats printed no commit-group summary"; exit 1; }
+queries=$(printf '%s\n' "$summary" | sed -n 's/^xvserve_queries_total: //p')
+case "$queries" in
+'' | 0) echo "obs_smoke: xv stats printed xvserve_queries_total '$queries', want non-zero"; exit 1 ;;
+esac
+printf '%s\n' "$summary" | grep -q '^plan hit rate: ' \
+    || { echo "obs_smoke: xv stats printed no plan hit rate"; exit 1; }
+code=$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/stats")
+[ "$code" = 404 ] || { echo "obs_smoke: GET /stats answered $code, want 404"; exit 1; }
 
 echo "obs_smoke: OK"

@@ -239,7 +239,7 @@ type Server = serve.Server
 func NewServer(cfg ServeConfig) (*Server, error) { return serve.New(cfg) }
 
 // NewServerHandler is a convenience returning just the daemon's routes
-// (/query, /update, /healthz, /stats).
+// (/query, /update, /healthz, /metrics, /debug/traces).
 func NewServerHandler(cfg ServeConfig) (http.Handler, error) {
 	s, err := serve.New(cfg)
 	if err != nil {
