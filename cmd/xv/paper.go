@@ -84,9 +84,9 @@ func fig13a(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%-6s %12s %14s\n", "query", "|modS(p)|", "containment")
+	fmt.Fprintf(w, "%-6s %12s %14s %6s\n", "query", "|modS(p)|", "containment", "p⊆p")
 	for _, r := range rows {
-		fmt.Fprintf(w, "Q%-5d %12d %14s\n", r.Query, r.ModelSize, r.Time.Round(time.Microsecond))
+		fmt.Fprintf(w, "Q%-5d %12d %14s %6v\n", r.Query, r.ModelSize, r.Time.Round(time.Microsecond), r.SelfContained)
 	}
 	return nil
 }

@@ -75,15 +75,17 @@ func DBLPSummary() *summary.Summary {
 }
 
 // Fig13QueryRow is one bar of Figure 13 (top): an XMark query pattern, its
-// canonical model size, and its self-containment decision time.
+// canonical model size, and its self-containment verdict and decision time.
 type Fig13QueryRow struct {
-	Query     int
-	ModelSize int
-	Time      time.Duration
+	Query         int
+	ModelSize     int
+	SelfContained bool
+	Time          time.Duration
 }
 
 // Fig13XMarkQueries measures canonical model size and self-containment
-// time for the 20 XMark queries (Figure 13, top).
+// time for the 20 XMark queries (Figure 13, top). Every query should be
+// self-contained; the row reports the verdict rather than failing on it.
 func Fig13XMarkQueries(s *summary.Summary) ([]Fig13QueryRow, error) {
 	rows := make([]Fig13QueryRow, 0, xmark.Count)
 	// One summary-implication cache across the 20 decisions (one summary).
@@ -100,10 +102,7 @@ func Fig13XMarkQueries(s *summary.Summary) ([]Fig13QueryRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("Q%d: %v", i, err)
 		}
-		if !ok {
-			return nil, fmt.Errorf("Q%d not self-contained", i)
-		}
-		rows = append(rows, Fig13QueryRow{Query: i, ModelSize: len(model), Time: time.Since(start)})
+		rows = append(rows, Fig13QueryRow{Query: i, ModelSize: len(model), SelfContained: ok, Time: time.Since(start)})
 	}
 	return rows, nil
 }
