@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"xmlviews/internal/pattern"
-	"xmlviews/internal/predicate"
 	"xmlviews/internal/summary"
 )
 
@@ -33,7 +32,9 @@ func Model(p *pattern.Pattern, s *summary.Summary) ([]*Tree, error) {
 // ModelWith computes mod_S(p): one canonical tree per embedding of p into
 // S (Section 2.4), extended with
 //
-//   - strong-edge closure for enhanced summaries (Section 4.1),
+//   - strong-edge closure for enhanced summaries (Section 4.1), implied
+//     under every node rather than stored (see Tree): a tree holds the
+//     nodes the embedding put there, less those its closure stands for,
 //   - node formulas for decorated patterns (Section 4.2),
 //   - erased-subtree variants for optional edges, kept only when the
 //     resulting ⊥ tuple is realizable (Section 4.3), and
@@ -139,6 +140,7 @@ func buildTree(p *pattern.Pattern, s *summary.Summary, assign []int, erased []bo
 		return nil
 	}
 	t := NewTree(s)
+	t.closed = opts.Enhanced
 	t.Nodes[0].Pred = p.Root.Pred
 	t.Slots = make([]Slot, p.Arity())
 	slotOf := map[int]int{}
@@ -171,13 +173,10 @@ func buildTree(p *pattern.Pattern, s *summary.Summary, assign []int, erased []bo
 	if !build(p.Root, 0, nil) {
 		return nil
 	}
-	if opts.Enhanced {
-		applyStrongClosure(t)
-	}
 	if !t.Satisfiable() {
 		return nil
 	}
-	return t
+	return t.normalized()
 }
 
 // markBottom sets ⊥ slots for all return nodes in an erased subtree.
@@ -187,23 +186,6 @@ func markBottom(p *pattern.Pattern, n *pattern.Node, slotOf map[int]int, t *Tree
 	}
 	for _, c := range n.Children {
 		markBottom(p, c, slotOf, t)
-	}
-}
-
-// applyStrongClosure adds, under every tree node, the summary children
-// reachable by strong edges that are not already present (Section 4.1): a
-// conforming document is guaranteed to contain them.
-func applyStrongClosure(t *Tree) {
-	for i := 0; i < len(t.Nodes); i++ { // t.Nodes grows during the loop
-		have := map[int]bool{}
-		for _, c := range t.Nodes[i].Children {
-			have[t.Nodes[c].SID] = true
-		}
-		for _, sc := range t.Sum.Node(t.Nodes[i].SID).Children {
-			if t.Sum.Node(sc).Strong && !have[sc] {
-				t.AddNode(i, sc, predicate.True())
-			}
-		}
 	}
 }
 

@@ -114,7 +114,7 @@ func TestModelStrongClosure(t *testing.T) {
 	if len(trees) != 1 {
 		t.Fatal("want 1 tree")
 	}
-	tr := trees[0]
+	tr := Materialize(trees[0])
 	// Tree must contain a, b (slot), and d (strong child of a); c is not
 	// strong under b so it is absent.
 	if tr.Size() != 3 {
@@ -141,7 +141,7 @@ func TestModelStrongClosure(t *testing.T) {
 func TestModelStrongClosureChains(t *testing.T) {
 	s := summary.MustParse("a(!b(!c(!d)))")
 	trees := mustModel(t, "a[id]", s)
-	if len(trees) != 1 || trees[0].Size() != 4 {
+	if len(trees) != 1 || Materialize(trees[0]).Size() != 4 {
 		t.Fatalf("strong chain closure failed: %v", modelKeys(t, "a[id]", s))
 	}
 }

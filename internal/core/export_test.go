@@ -2,6 +2,7 @@ package core
 
 import (
 	"xmlviews/internal/pattern"
+	"xmlviews/internal/predicate"
 	"xmlviews/internal/summary"
 )
 
@@ -19,4 +20,36 @@ func SearchSeeds(q *pattern.Pattern, views []*View, s *summary.Summary, opts Rew
 		models = append(models, e.model)
 	}
 	return models, func() (*RewriteResult, error) { return rw.run(m0) }, nil
+}
+
+// Materialize returns a copy of t with its implied strong closure added as
+// explicit nodes: under every node, in index order, one T node per strong
+// summary child the node has no child for. That is the full tree the
+// closure stands for, with t's own nodes keeping their indexes.
+func Materialize(t *Tree) *Tree {
+	out := t.clone(0)
+	out.closed = false
+	if !t.closed {
+		return out
+	}
+	for i := 0; i < len(out.Nodes); i++ { // out.Nodes grows during the loop
+		for _, sc := range t.Sum.Node(out.Nodes[i].SID).Children {
+			if t.Sum.Node(sc).Strong && (i >= len(t.Nodes) || !t.hasChildTagged(i, sc)) {
+				out.AddNode(i, sc, predicate.True())
+			}
+		}
+	}
+	return out
+}
+
+// BareNodes counts the materialized nodes of t that its implied closure
+// already stands for: zero on every normalized tree.
+func BareNodes(t *Tree) int {
+	n := 0
+	for _, d := range t.bareNodes() {
+		if d {
+			n++
+		}
+	}
+	return n
 }

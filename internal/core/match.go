@@ -38,7 +38,8 @@ type match struct {
 
 // matchPattern enumerates the embeddings of p into canonical tree t under
 // the given ⊥ policy. Pattern edges follow tree parent-child edges for /
-// and tree ancestry for //.
+// and tree ancestry for //, into implied nodes too: a match may bind any
+// node of the tree's closure, by its implied id.
 func matchPattern(p *pattern.Pattern, t *Tree, pol bottomPolicy) []match {
 	if !p.Root.MatchesLabel(t.Label(0)) {
 		return nil
@@ -105,7 +106,7 @@ func nestOf(rn *pattern.Node, a map[int]int, t *Tree) []int {
 	for cur := rn; cur.Parent != nil; cur = cur.Parent {
 		if cur.Nested {
 			px := a[cur.Parent.Index]
-			rev = append(rev, t.Nodes[px].SID)
+			rev = append(rev, t.sid(px))
 		}
 	}
 	out := make([]int, len(rev))
@@ -168,25 +169,22 @@ func markErased(n *pattern.Node, a map[int]int) {
 // satisfiable formula.
 func matchCandidates(c *pattern.Node, x int, t *Tree) []int {
 	var out []int
-	consider := func(y int) {
-		if !c.MatchesLabel(t.Label(y)) {
-			return
+	eachStep(c, x, t, func(y int) {
+		if c.MatchesLabel(t.Label(y)) && !t.pred(y).And(c.Pred).IsFalse() {
+			out = append(out, y)
 		}
-		if t.Nodes[y].Pred.And(c.Pred).IsFalse() {
-			return
-		}
-		out = append(out, y)
-	}
-	if c.Axis == pattern.Child {
-		for _, y := range t.Nodes[x].Children {
-			consider(y)
-		}
-		return out
-	}
-	for _, y := range t.Descendants(x) {
-		consider(y)
-	}
+	})
 	return out
+}
+
+// eachStep calls f on every tree node, materialized or implied, that
+// pattern node c's axis reaches from node x.
+func eachStep(c *pattern.Node, x int, t *Tree, f func(y int)) {
+	if c.Axis == pattern.Child {
+		t.eachChild(x, f)
+	} else {
+		t.eachDescendant(x, f)
+	}
 }
 
 // forcedMatchExists reports whether the tree forces a match for the
@@ -197,34 +195,19 @@ func matchCandidates(c *pattern.Node, x int, t *Tree) []int {
 func forcedMatchExists(c *pattern.Node, x int, t *Tree) bool {
 	var forced func(n *pattern.Node, px int) bool
 	forced = func(n *pattern.Node, px int) bool {
-		var cands []int
-		if n.Axis == pattern.Child {
-			cands = t.Nodes[px].Children
-		} else {
-			cands = t.Descendants(px)
-		}
-		for _, y := range cands {
-			if !n.MatchesLabel(t.Label(y)) {
-				continue
+		found := false
+		eachStep(n, px, t, func(y int) {
+			if found || !n.MatchesLabel(t.Label(y)) || !t.pred(y).Implies(n.Pred) {
+				return
 			}
-			if !t.Nodes[y].Pred.Implies(n.Pred) {
-				continue
-			}
-			ok := true
 			for _, cc := range n.Children {
-				if cc.Optional {
-					continue
-				}
-				if !forced(cc, y) {
-					ok = false
-					break
+				if !cc.Optional && !forced(cc, y) {
+					return
 				}
 			}
-			if ok {
-				return true
-			}
-		}
-		return false
+			found = true
+		})
+		return found
 	}
 	return forced(c, x)
 }

@@ -68,7 +68,8 @@ func editModel(p *Plan, model []*Tree, s *summary.Summary) []*Tree {
 
 // edit applies the unary operator p to one canonical tree, returning nil
 // when p drops the tree's tuple. The input tree is never modified: slot
-// edits share its nodes, a value selection copies the node array.
+// edits share its nodes, a value selection copies the node array, and a
+// projection that leaves a node bare drops it into the implied closure.
 func (p *Plan) edit(t *Tree, s *summary.Summary) *Tree {
 	switch p.Op {
 	case OpProject:
@@ -76,7 +77,7 @@ func (p *Plan) edit(t *Tree, s *summary.Summary) *Tree {
 		for i, k := range p.Keep {
 			slots[i] = t.Slots[k]
 		}
-		return t.withSlots(slots)
+		return t.withSlots(slots).normalized()
 	case OpSelectLabel:
 		if sl := t.Slots[p.Slot]; sl.Node < 0 || t.Label(sl.Node) != p.Label {
 			return nil // σ on ⊥ drops the tuple
@@ -213,6 +214,11 @@ func mergeJoinPair(t1, t2 *Tree, p *Plan, s *summary.Summary) *Tree {
 // document nodes even when they share a summary tag. Formulas of unified
 // nodes are conjoined; nil is returned when a conjunction is unsatisfiable.
 // The returned mapping translates t2 node indexes to merged indexes.
+//
+// A unified node keeps both sides' closures. Where both sides imply a tag,
+// one implied copy stands for the two. Where one side implies a tag that
+// the other side has a materialized child for, the implied copy becomes a
+// T sibling of that child, since the merged node no longer implies it.
 func mergeTrees(t1, t2 *Tree, x1, x2 int) (*Tree, []int) {
 	if t1.Nodes[x1].SID != t2.Nodes[x2].SID {
 		return nil, nil
@@ -222,7 +228,10 @@ func mergeTrees(t1, t2 *Tree, x1, x2 int) (*Tree, []int) {
 	for i := range mapping {
 		mapping[i] = -1
 	}
-	// Unify the ancestor chains (same depth ⇒ same summary tag).
+	// Unify the ancestor chains (same depth ⇒ same summary tag), noting
+	// the closure copies each side loses to the other's materialized
+	// children.
+	var bare [][2]int // (merged node, summary tag)
 	d := t1.Depth(x1)
 	for depth := 1; depth <= d; depth++ {
 		a := t1.AncestorAtDepth(x1, depth)
@@ -231,6 +240,13 @@ func mergeTrees(t1, t2 *Tree, x1, x2 int) (*Tree, []int) {
 		out.Nodes[a].Pred = out.Nodes[a].Pred.And(t2.Nodes[b].Pred)
 		if out.Nodes[a].Pred.IsFalse() {
 			return nil, nil
+		}
+		if out.closed {
+			for _, sc := range t1.Sum.Node(t1.Nodes[a].SID).Children {
+				if t1.Sum.Node(sc).Strong && t1.hasChildTagged(a, sc) != t2.hasChildTagged(b, sc) {
+					bare = append(bare, [2]int{a, sc})
+				}
+			}
 		}
 	}
 	// Copy the remaining t2 nodes in index order (parents precede
@@ -247,6 +263,9 @@ func mergeTrees(t1, t2 *Tree, x1, x2 int) (*Tree, []int) {
 		}
 		mapping[i] = out.AddNode(mapping[parent], t2.Nodes[i].SID, t2.Nodes[i].Pred)
 	}
+	for _, b := range bare {
+		out.AddNode(b[0], b[1], predicate.True())
+	}
 	// Carry t2's erased-subtree records.
 	for _, e := range t2.Erased {
 		out.Erased = append(out.Erased, ErasedSub{Parent: mapping[e.Parent], Root: e.Root})
@@ -259,6 +278,11 @@ func mergeTrees(t1, t2 *Tree, x1, x2 int) (*Tree, []int) {
 // (implied), jointly satisfiable formulas. Used to decide q ⊆S plan: a
 // tuple of the plan appears on every document realizing tq exactly when
 // some plan tree maps into tq on the right slots.
+//
+// Only te's materialized nodes are mapped, onto tq's materialized or
+// implied nodes. te's implied nodes always have an image, since tq
+// implies the same closure under every node of the same tag, and being T
+// and slotless they add nothing to the slots or the box.
 type treeHom struct {
 	Map []int // te node -> tq node
 	Box predicate.Box
@@ -289,17 +313,13 @@ func treeHoms(te, tq *Tree) []treeHom {
 			rec(i + 1)
 			return
 		}
-		parentImg := mapping[te.Nodes[i].Parent]
-		for _, c := range tq.Nodes[parentImg].Children {
-			if tq.Nodes[c].SID != te.Nodes[i].SID {
-				continue
+		n := &te.Nodes[i]
+		tq.eachChild(mapping[n.Parent], func(c int) {
+			if tq.sid(c) == n.SID && !tq.pred(c).And(n.Pred).IsFalse() {
+				mapping[i] = c
+				rec(i + 1)
 			}
-			if tq.Nodes[c].Pred.And(te.Nodes[i].Pred).IsFalse() {
-				continue
-			}
-			mapping[i] = c
-			rec(i + 1)
-		}
+		})
 	}
 	rec(0)
 	return out

@@ -27,6 +27,20 @@ import (
 // patterns (Section 4.2) and for the join merges of the rewriting algorithm
 // (Figure 5), and it is what makes canonical trees exact witness documents.
 //
+// The strong-edge closure of an enhanced summary (Section 4.1) is implied,
+// not stored. In a tree built with it, every node stands for its closure:
+// under a node tagged x, a summary child c of x is implied iff the edge
+// into c is strong and the node has no materialized child tagged c. An
+// implied node has formula T, no slot, no erased record and only implied
+// children. Nodes holds the materialized nodes only: those the pattern, a
+// join or a plan edit gave a formula, a slot, an erased record or an
+// explicit child. Readers that walk the tree (matching, homomorphisms)
+// reach the implied nodes through the summary; they address them by ids
+// past the end of Nodes (see implied). Trees are kept normalized, so that
+// equal models render equal keys: a node that is T, carries no slot and no
+// erased record, has no materialized child, hangs off a strong edge, and
+// is its parent's only child with its tag is never materialized.
+//
 // A published tree (one returned by a model or plan-model computation, or
 // held by the search) is never mutated: its key is cached, and other trees
 // share its parts. A derivative that only edits slots (withSlots) shares
@@ -46,7 +60,8 @@ type Tree struct {
 	// match as the one recorded here (see erasedCompatible).
 	Erased []ErasedSub
 
-	key string // cached canonical form
+	closed bool   // the strong-edge closure is implied under every node
+	key    string // cached canonical form
 }
 
 // ErasedSub is one erased optional subtree.
@@ -120,7 +135,7 @@ func (t *Tree) AddChain(parent, sid int, pred predicate.Formula) int {
 	return cur
 }
 
-// Size returns the number of tree nodes.
+// Size returns the number of materialized tree nodes.
 func (t *Tree) Size() int { return len(t.Nodes) }
 
 // Arity returns the number of return slots.
@@ -158,8 +173,81 @@ func (t *Tree) IsAncestor(a, b int) bool {
 	return false
 }
 
-// Label returns the label of tree node i (its summary tag's label).
-func (t *Tree) Label(i int) string { return t.Sum.Node(t.Nodes[i].SID).Label }
+// Label returns the label of tree node i (its summary tag's label); i may
+// address an implied node.
+func (t *Tree) Label(i int) string { return t.Sum.Node(t.sid(i)).Label }
+
+// Implied nodes are addressed by ids past the end of Nodes: the implied
+// node tagged sid below the materialized node anchor (its nearest
+// materialized ancestor) is len(Nodes) + sid·len(Nodes) + anchor. The id
+// is unique, since the summary chain from the anchor's tag to sid is the
+// node's only path, and it never equals a materialized index.
+func (t *Tree) impliedID(anchor, sid int) int {
+	n := len(t.Nodes)
+	return n + sid*n + anchor
+}
+
+// implied decodes an implied node's id; ok is false for a materialized
+// node.
+func (t *Tree) implied(i int) (anchor, sid int, ok bool) {
+	n := len(t.Nodes)
+	if i < n {
+		return i, t.Nodes[i].SID, false
+	}
+	return (i - n) % n, (i - n) / n, true
+}
+
+// sid returns the summary tag of node i, materialized or implied.
+func (t *Tree) sid(i int) int {
+	_, sid, _ := t.implied(i)
+	return sid
+}
+
+// pred returns the formula of node i: T for an implied node.
+func (t *Tree) pred(i int) predicate.Formula {
+	if i < len(t.Nodes) {
+		return t.Nodes[i].Pred
+	}
+	return predicate.True()
+}
+
+// eachChild calls f on every child of node i: its materialized children,
+// then its implied ones in summary order.
+func (t *Tree) eachChild(i int, f func(c int)) {
+	anchor, sid, isImplied := t.implied(i)
+	if !isImplied {
+		for _, c := range t.Nodes[i].Children {
+			f(c)
+		}
+	}
+	if !t.closed {
+		return
+	}
+	for _, sc := range t.Sum.Node(sid).Children {
+		if t.Sum.Node(sc).Strong && (isImplied || !t.hasChildTagged(i, sc)) {
+			f(t.impliedID(anchor, sc))
+		}
+	}
+}
+
+// eachDescendant calls f on every proper descendant of node i in preorder.
+func (t *Tree) eachDescendant(i int, f func(d int)) {
+	t.eachChild(i, func(c int) {
+		f(c)
+		t.eachDescendant(c, f)
+	})
+}
+
+// hasChildTagged reports whether materialized node i has a materialized
+// child tagged sid.
+func (t *Tree) hasChildTagged(i, sid int) bool {
+	for _, c := range t.Nodes[i].Children {
+		if t.Nodes[c].SID == sid {
+			return true
+		}
+	}
+	return false
+}
 
 // Box returns the tree's formula conjunction φ_te as a box over tree node
 // indexes; nodes with T are omitted.
@@ -181,20 +269,6 @@ func (t *Tree) Satisfiable() bool {
 		}
 	}
 	return true
-}
-
-// Descendants returns the proper descendants of tree node i in preorder.
-func (t *Tree) Descendants(i int) []int {
-	var out []int
-	var walk func(int)
-	walk = func(cur int) {
-		for _, c := range t.Nodes[cur].Children {
-			out = append(out, c)
-			walk(c)
-		}
-	}
-	walk(i)
-	return out
 }
 
 // Key returns a canonical serialization of the tree: structure, tags,
@@ -372,7 +446,7 @@ func (t *Tree) String() string {
 // length so that AddNode reallocates the one it appends to. Nesting
 // sequences are shared: no tree writes into one.
 func (t *Tree) clone(n int) *Tree {
-	out := &Tree{Sum: t.Sum, Slots: slices.Clone(t.Slots), Erased: slices.Clone(t.Erased)}
+	out := &Tree{Sum: t.Sum, Slots: slices.Clone(t.Slots), Erased: slices.Clone(t.Erased), closed: t.closed}
 	out.Nodes = make([]TNode, len(t.Nodes), len(t.Nodes)+n)
 	kids := make([]int, 0, len(t.Nodes))
 	for i, nd := range t.Nodes {
@@ -389,7 +463,7 @@ func (t *Tree) clone(n int) *Tree {
 // withSlots returns a tree with t's nodes and erased records (shared, not
 // copied) and the given slots.
 func (t *Tree) withSlots(slots []Slot) *Tree {
-	return &Tree{Sum: t.Sum, Nodes: t.Nodes, Slots: slots, Erased: t.Erased}
+	return &Tree{Sum: t.Sum, Nodes: t.Nodes, Slots: slots, Erased: t.Erased, closed: t.closed}
 }
 
 // withPred returns a tree equal to t except that node i carries pred. The
@@ -397,7 +471,106 @@ func (t *Tree) withSlots(slots []Slot) *Tree {
 func (t *Tree) withPred(i int, pred predicate.Formula) *Tree {
 	nodes := slices.Clone(t.Nodes)
 	nodes[i].Pred = pred
-	return &Tree{Sum: t.Sum, Nodes: nodes, Slots: t.Slots, Erased: t.Erased}
+	return &Tree{Sum: t.Sum, Nodes: nodes, Slots: t.Slots, Erased: t.Erased, closed: t.closed}
+}
+
+// normalized returns t without the nodes its implied closure already
+// stands for (the normalization rule of Tree), or t itself when there are
+// none. The kept nodes stay in order; slots and erased records follow
+// their renumbering.
+func (t *Tree) normalized() *Tree {
+	drop := t.bareNodes()
+	if drop == nil {
+		return t
+	}
+	at := make([]int, len(t.Nodes))
+	kept := 0
+	for i := range t.Nodes {
+		if !drop[i] {
+			at[i] = kept
+			kept++
+		}
+	}
+	out := &Tree{Sum: t.Sum, Nodes: make([]TNode, 0, kept), Slots: slices.Clone(t.Slots), Erased: slices.Clone(t.Erased), closed: true}
+	kids := make([]int, 0, kept)
+	for i, nd := range t.Nodes {
+		if drop[i] {
+			continue
+		}
+		if nd.Parent >= 0 {
+			nd.Parent = at[nd.Parent]
+		}
+		start := len(kids)
+		for _, c := range nd.Children {
+			if !drop[c] {
+				kids = append(kids, at[c])
+			}
+		}
+		nd.Children = nil
+		if len(kids) > start {
+			nd.Children = kids[start:len(kids):len(kids)]
+		}
+		out.Nodes = append(out.Nodes, nd)
+	}
+	for k := range out.Slots {
+		if n := out.Slots[k].Node; n >= 0 {
+			out.Slots[k].Node = at[n]
+		}
+	}
+	for k := range out.Erased {
+		out.Erased[k].Parent = at[out.Erased[k].Parent]
+	}
+	return out
+}
+
+// bareNodes marks the materialized nodes the normalization drops, nil when
+// there are none. Children follow their parent in Nodes, so one backward
+// pass sees a node's children decided before the node.
+func (t *Tree) bareNodes() []bool {
+	if !t.closed {
+		return nil
+	}
+	var drop []bool
+	for i := len(t.Nodes) - 1; i > 0; i-- {
+		if t.bare(i, drop) {
+			if drop == nil {
+				drop = make([]bool, len(t.Nodes))
+			}
+			drop[i] = true
+		}
+	}
+	return drop
+}
+
+// bare reports whether node i is T, carries no slot and no erased record,
+// has only dropped children, hangs off a strong edge, and is its parent's
+// only child with its tag.
+func (t *Tree) bare(i int, drop []bool) bool {
+	n := &t.Nodes[i]
+	if !n.Pred.IsTrue() || !t.Sum.Node(n.SID).Strong {
+		return false
+	}
+	for _, c := range n.Children {
+		if drop == nil || !drop[c] {
+			return false
+		}
+	}
+	for _, sl := range t.Slots {
+		if sl.Node == i {
+			return false
+		}
+	}
+	for _, e := range t.Erased {
+		if e.Parent == i {
+			return false
+		}
+	}
+	for _, c := range t.Nodes[n.Parent].Children {
+		if c != i && t.Nodes[c].SID == n.SID {
+			return false
+		}
+	}
+	return true
 }
 
 // canonNest maps every element of a nesting sequence to the top of its
