@@ -182,7 +182,11 @@ func runRewrite(c cli, args []string) error {
 		res.ViewsKept, res.ViewsTotal, res.PlansExplored,
 		res.Setup.Round(time.Microsecond), res.Total.Round(time.Microsecond))
 	if len(res.Rewritings) == 0 {
-		fmt.Fprintln(c.stdout, "no equivalent rewriting found")
+		if res.Exhausted {
+			fmt.Fprintln(c.stdout, "search budget exhausted")
+		} else {
+			fmt.Fprintln(c.stdout, "no equivalent rewriting found")
+		}
 		return errNo
 	}
 

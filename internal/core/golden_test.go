@@ -312,3 +312,33 @@ func BenchmarkRewriteCold(b *testing.B) {
 		})
 	}
 }
+
+// TestRewriteExhausted: a search the budget cut off says so, unless it
+// already found MaxResults rewritings; a search that ran out of plans
+// before the budget did not give up. The rows are the golden's.
+func TestRewriteExhausted(t *testing.T) {
+	want := map[string]bool{
+		"id-join/budget=7":    true,  // no rewriting yet: gave up
+		"id-join/budget=4000": true,  // 18 of 64 rewritings at the budget
+		"figure5/budget=800":  false, // the whole space took 8 merges
+		"cold1/max=1":         false, // stopped at its one rewriting
+	}
+	for _, row := range allGoldenRows() {
+		exhausted, ok := want[row.name]
+		if !ok {
+			continue
+		}
+		res, err := row.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Exhausted != exhausted {
+			t.Errorf("%s: Exhausted = %v after %d merges and %d rewritings, want %v",
+				row.name, res.Exhausted, res.PlansExplored, len(res.Rewritings), exhausted)
+		}
+		delete(want, row.name)
+	}
+	if len(want) > 0 {
+		t.Fatalf("rows not found: %v", want)
+	}
+}

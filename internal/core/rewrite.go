@@ -85,6 +85,12 @@ type RewriteResult struct {
 	ViewsTotal, ViewsKept int
 	// PlansExplored counts the plan-model pairs examined.
 	PlansExplored int
+	// Exhausted reports that a budget ended the search before it found
+	// MaxResults rewritings (or its first one, under FirstOnly): a join
+	// merge was refused at MaxExplored, or a candidate was dropped from
+	// the working set at MaxPlans. With no rewriting, it means the search
+	// gave up, not that none exists.
+	Exhausted bool
 }
 
 // entry is one plan–model pair of the working set.
@@ -206,6 +212,7 @@ func (rw *rewriter) run(m0 []entry) (*RewriteResult, error) {
 		// answer, so report the cancellation instead.
 		return nil, rw.opts.Ctx.Err()
 	}
+	rw.res.Exhausted = rw.cut && !rw.done()
 	rw.res.Total = time.Since(rw.start)
 	return rw.res, nil
 }
@@ -234,8 +241,9 @@ func (rw *rewriter) search(m0 []entry) {
 			continue
 		}
 		for _, lj := range m0 {
-			cands, attempts := rw.genJoinCandidates(li, lj, rw.budgetLeft())
+			cands, attempts, cut := rw.genJoinCandidates(li, lj, rw.budgetLeft())
 			rw.res.PlansExplored += attempts
+			rw.cut = rw.cut || cut
 			for _, e := range cands {
 				if !rw.seenAdd(e.key) {
 					continue
@@ -246,6 +254,8 @@ func (rw *rewriter) search(m0 []entry) {
 				}
 				if len(work) < rw.opts.MaxPlans {
 					work = append(work, e)
+				} else {
+					rw.cut = true
 				}
 			}
 		}
@@ -317,6 +327,9 @@ type rewriter struct {
 	// partials are adapted plans contained in q but not equivalent,
 	// kept for the union phase.
 	partials []entry
+	// cut records that a budget (MaxExplored, MaxPlans) left part of the
+	// search space unexplored.
+	cut bool
 }
 
 func (rw *rewriter) done() bool {
@@ -369,11 +382,9 @@ func (rw *rewriter) budgetLeft() int {
 // the cached slot path sets as a cheap compatibility pre-check. Every
 // nested/outer variant costs one attempt whether or not it yields a
 // candidate; generation stops once limit attempts were made (limit < 0 =
-// unlimited). Candidates that merely re-derive one child (Proposition 3.5)
-// are dropped here.
-func (rw *rewriter) genJoinCandidates(li, lj entry, limit int) ([]entry, int) {
-	var out []entry
-	attempts := 0
+// unlimited), and cut reports that an attempt was refused. Candidates that
+// merely re-derive one child (Proposition 3.5) are dropped here.
+func (rw *rewriter) genJoinCandidates(li, lj entry, limit int) (out []entry, attempts int, cut bool) {
 	ls, rs := li.plan.OutSlots(), lj.plan.OutSlots()
 	for lslot, lps := range ls {
 		if !lps.Attrs.Has(pattern.AttrID) {
@@ -389,7 +400,7 @@ func (rw *rewriter) genJoinCandidates(li, lj entry, limit int) ([]entry, int) {
 				}
 				for _, variant := range joinVariants(kind, lj.plan) {
 					if limit >= 0 && attempts >= limit {
-						return out, attempts
+						return out, attempts, true
 					}
 					attempts++
 					plan := NewJoin(kind, variant.nested, li.plan, lslot, lj.plan, rslot)
@@ -409,7 +420,7 @@ func (rw *rewriter) genJoinCandidates(li, lj entry, limit int) ([]entry, int) {
 			}
 		}
 	}
-	return out, attempts
+	return out, attempts, false
 }
 
 // joinFeasible checks whether any summary-node pair of the two slots can

@@ -242,20 +242,26 @@ func randomUpdate(rng *rand.Rand, doc *xmltree.Document, step int) xmltree.Updat
 }
 
 // outcome is a query's answer reduced to what the cache decides: the
-// status, and for a 200 the plan, its cost and the alternatives count.
+// status, for a 200 the plan, its cost and the alternatives count, and for
+// a 422 whether the search gave up at its budget.
 type outcome struct {
-	status int
-	plan   string
-	cost   float64
-	alts   int
+	status    int
+	plan      string
+	cost      float64
+	alts      int
+	exhausted bool
 }
 
 // served asks the daemon to explain q.
 func (s *shadowServer) served(q string) (outcome, bool) {
 	s.t.Helper()
-	var ex ExplainResponse
+	var ex struct {
+		ExplainResponse
+		Error string `json:"error"`
+	}
 	code := getJSON(s.t, s.ts.URL+"/query?explain=1&q="+url.QueryEscape(q), &ex)
-	return outcome{code, ex.Plan, ex.Cost, ex.Alternatives}, ex.PlanCached
+	exhausted := strings.HasPrefix(ex.Error, "search budget exceeded for ")
+	return outcome{code, ex.Plan, ex.Cost, ex.Alternatives, exhausted}, ex.PlanCached
 }
 
 // fresh runs the search the daemon would run on a miss, against the
@@ -279,20 +285,23 @@ func (s *shadowServer) fresh(q string) (outcome, map[string]bool) {
 		s.t.Fatal(err)
 	}
 	if v.plan == nil {
-		return outcome{status: http.StatusUnprocessableEntity}, nil
+		return outcome{status: http.StatusUnprocessableEntity, exhausted: v.exhausted}, nil
 	}
 	plans := map[string]bool{}
 	for _, p := range v.res.Rewritings {
 		plans[p.String()] = true
 	}
-	return outcome{http.StatusOK, v.plan.String(), v.cost, v.alternatives}, plans
+	return outcome{http.StatusOK, v.plan.String(), v.cost, v.alternatives, false}, plans
 }
 
 // TestCarriedVerdictEqualsFreshSearch is the caches' contract: after every
 // commit of a seeded update sequence, each pool query's served verdict —
 // carried or recomputed — equals a fresh search's, and searches run only
-// after commits that changed the summary's shape.
+// after commits that changed the summary's shape. A search that gave up
+// at its budget is the exception: its verdict answers only its own epoch.
 func TestCarriedVerdictEqualsFreshSearch(t *testing.T) {
+	checkExhaustedNotCarried(t)
+
 	s := newShadowServer(t, carryDoc, carryViews)
 	for _, q := range carryPool {
 		s.served(q) // warm: the sequence below counts searches from here
@@ -334,6 +343,40 @@ func TestCarriedVerdictEqualsFreshSearch(t *testing.T) {
 	}
 	if n := s.srv.met.invalidations.Value(); n != shapeChanges {
 		t.Fatalf("cache invalidations = %d, want %d", n, shapeChanges)
+	}
+}
+
+// checkExhaustedNotCarried serves the id-join rewriting golden row
+// (internal/core testdata/rewrite.golden) with its smallest budget, 7 join
+// merges, where the search gives up before its first rewriting. The
+// answer is 422 "search budget exceeded", cached for the epoch, and
+// searched again after a shape-preserving commit.
+func checkExhaustedNotCarried(t *testing.T) {
+	t.Helper()
+	s := newShadowServer(t, `a(b(c "1" d "2") b(c "3") b(d "4"))`, []*core.View{
+		{Name: "vc", Pattern: pattern.MustParse(`a(//b[id](/c[v]))`), DerivableParentIDs: true},
+		{Name: "vd", Pattern: pattern.MustParse(`a(//b[id](/d[v]))`), DerivableParentIDs: true},
+	})
+	s.srv.maxExplored = 7
+	const q = `a(//b[id](/c[v] /d[v]))`
+	for step := 0; step < 3; step++ {
+		if step > 0 {
+			s.post(xmltree.Update{Kind: xmltree.UpdateSetValue, Target: s.doc.Root.Children[0].Children[0].ID, Value: fmt.Sprint(step)})
+		}
+		for i, wantRan := range []int64{1, 0} {
+			before, exhaustedBefore := s.srv.met.rewritesRun.Value(), s.srv.met.searchExhausted.Value()
+			got, _ := s.served(q)
+			ran, exhausted := s.srv.met.rewritesRun.Value()-before, s.srv.met.searchExhausted.Value()-exhaustedBefore
+			if want, _ := s.fresh(q); got != want || !got.exhausted || got.status != http.StatusUnprocessableEntity {
+				t.Fatalf("exhausted search, commit %d, ask %d: served %+v, fresh search %+v; want an exhausted 422", step, i, got, want)
+			}
+			if ran != wantRan || exhausted != wantRan {
+				t.Fatalf("exhausted search, commit %d, ask %d: %d searches, %d counted exhausted; want %d", step, i, ran, exhausted, wantRan)
+			}
+		}
+	}
+	if n := s.srv.met.invalidations.Value(); n != 0 {
+		t.Fatalf("cache invalidations = %d, want 0: the commits kept the shape", n)
 	}
 }
 

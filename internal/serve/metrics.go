@@ -36,6 +36,9 @@ type metricsSet struct {
 	planMisses  *obs.Counter
 	rowsServed  *obs.Counter
 
+	// searchExhausted counts searches a budget cut off.
+	searchExhausted *obs.Counter
+
 	// Update-path counters. groupCommits counts committed groups (one
 	// epoch each); updates counts the member requests, so
 	// updates/groupCommits is the realized batching factor.
@@ -125,6 +128,8 @@ func newMetricsSet(r *obs.Registry, viewNames []string) *metricsSet {
 
 		queries:     r.Counter("xvserve_queries_total", "Queries received on /query."),
 		rewritesRun: r.Counter("xvserve_rewrites_run_total", "Rewriting searches actually run (cache hits and singleflight followers excluded)."),
+		searchExhausted: r.Counter("xvserve_search_exhausted_total",
+			"Rewriting searches a budget ended before they found the rewritings asked for (with none found, the query answers 422 search budget exceeded)."),
 		clientsGone: r.Counter("xvserve_client_disconnects_total", "Requests whose client disconnected before the answer (HTTP 499)."),
 		errors:      r.Counter("xvserve_errors_total", "Requests answered with an error status (client disconnects excluded)."),
 		planHits:    r.Counter("xvserve_plan_cache_hits_total", "Plan cache hits, including singleflight followers."),

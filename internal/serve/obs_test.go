@@ -327,6 +327,7 @@ var metricFamilies = []string{
 	"xvserve_queries_total counter",
 	"xvserve_rewrite_seconds histogram",
 	"xvserve_rewrites_run_total counter",
+	"xvserve_search_exhausted_total counter",
 	"xvserve_rows_served_total counter",
 	"xvserve_snapshot_seconds histogram",
 	"xvserve_store_versions gauge",

@@ -15,9 +15,11 @@ import (
 var errPlanPanic = errors.New("serve: plan computation panicked")
 
 // planCache is a bounded LRU of rewriting results keyed by the query's
-// canonical pattern text. Negatives are cached too — both "no equivalent
-// rewriting exists" (nil plan) and "unsatisfiable under the summary" — so
-// hopeless queries don't re-run the search.
+// canonical pattern text. Negatives are cached too — "no equivalent
+// rewriting exists" (nil plan), "unsatisfiable under the summary", and
+// "the search gave up at its budget" — so hopeless queries don't re-run
+// the search. The last one holds only for the epoch whose search produced
+// it: the search proved nothing, so a later epoch searches again.
 //
 // The cache also deduplicates concurrent misses: compute runs the search
 // once per key while every other request for the same key waits for that
@@ -33,10 +35,14 @@ type planCache struct {
 
 // cachedPlan is one rewriting verdict: the chosen plan with its estimated
 // cost and the number of alternatives the search produced, or one of the
-// two negative outcomes.
+// three negative outcomes.
 type cachedPlan struct {
 	plan          *core.Plan
 	unsatisfiable bool
+	// exhausted marks a search that a budget ended with no rewriting, run
+	// at epoch; it answers only requests at that epoch.
+	exhausted bool
+	epoch     int64
 	// cost is the chosen plan's estimated cost (-1 when no estimate was
 	// possible); alternatives is how many rewritings ChooseBest considered.
 	cost         float64
@@ -75,18 +81,30 @@ func newPlanCache(capacity int) *planCache {
 	return &planCache{m: map[string]*list.Element{}, cap: capacity, flights: map[string]*flightCall{}}
 }
 
-// get returns the cached verdict for the key and whether an entry exists.
-// The entry's plan tree is shared with every other hit on the key:
-// callers must not mutate it (TestCachedPlanServedIdentically).
-func (c *planCache) get(key string) (cachedPlan, bool) {
+// get returns the cached verdict for the key and whether an entry usable
+// at epoch exists. The entry's plan tree is shared with every other hit on
+// the key: callers must not mutate it (TestCachedPlanServedIdentically).
+func (c *planCache) get(key string, epoch int64) (cachedPlan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.lookupLocked(key, epoch)
+}
+
+// lookupLocked returns the entry for key, dropping it instead when it is
+// an exhausted verdict of another epoch.
+func (c *planCache) lookupLocked(key string, epoch int64) (cachedPlan, bool) {
 	el, ok := c.m[key]
 	if !ok {
 		return cachedPlan{}, false
 	}
+	v := el.Value.(*planEntry).val
+	if v.exhausted && v.epoch != epoch {
+		c.lru.Remove(el)
+		delete(c.m, key)
+		return cachedPlan{}, false
+	}
 	c.lru.MoveToFront(el)
-	return el.Value.(*planEntry).val, true
+	return v, true
 }
 
 // putLocked inserts a verdict; the only writer is compute's flight
@@ -113,12 +131,10 @@ func (c *planCache) putLocked(key string, v cachedPlan) {
 // this caller ran fn itself — when a leader's context is cancelled
 // mid-search its waiters receive the cancellation error and may retry
 // (the dead flight is removed first, so a retry elects a new leader).
-func (c *planCache) compute(ctx context.Context, key string, fn func() (cachedPlan, error)) (val cachedPlan, leader bool, err error) {
+func (c *planCache) compute(ctx context.Context, key string, epoch int64, fn func() (cachedPlan, error)) (val cachedPlan, leader bool, err error) {
 	c.mu.Lock()
-	if el, ok := c.m[key]; ok {
+	if v, ok := c.lookupLocked(key, epoch); ok {
 		// Filled while this request was parked on the mutex.
-		c.lru.MoveToFront(el)
-		v := el.Value.(*planEntry).val
 		c.mu.Unlock()
 		return v, false, nil
 	}

@@ -140,6 +140,10 @@ type Server struct {
 	met  *metricsSet
 	ring *obs.Ring
 	log  *slog.Logger
+
+	// maxExplored overrides the search's MaxExplored budget when positive;
+	// tests set it to make a search give up.
+	maxExplored int
 }
 
 // New opens the store directory and builds a ready-to-serve Server.
@@ -454,7 +458,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	tr.Annotate("query", key)
 	tr.Annotate("epoch", strconv.FormatInt(es.epoch, 10))
 	rewriteStart := time.Now()
-	verdict, hit := es.plans.get(key)
+	verdict, hit := es.plans.get(key, es.epoch)
 	cacheHit := hit
 	var leader bool
 	if hit {
@@ -464,7 +468,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			// Per-attempt timer: a retry after a cancelled leader's dead
 			// flight must not bill that wait to the new attempt.
 			rewriteStart = time.Now()
-			verdict, leader, err = es.plans.compute(ctx, key, func() (cachedPlan, error) {
+			verdict, leader, err = es.plans.compute(ctx, key, es.epoch, func() (cachedPlan, error) {
 				return s.rewriteBest(ctx, q, es)
 			})
 			if err == nil {
@@ -520,6 +524,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	plan := verdict.plan
+	if plan == nil && verdict.exhausted {
+		s.fail(w, r, http.StatusUnprocessableEntity, "search budget exceeded for %s", key)
+		return
+	}
 	if plan == nil {
 		s.fail(w, r, http.StatusUnprocessableEntity, "no equivalent rewriting of %s over the stored views", key)
 		return
@@ -738,7 +746,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 // rewriteBest runs the full search (up to MaxResults equivalent
 // rewritings) and picks the cheapest plan under the epoch's cost
 // estimator. An unsatisfiable query is a cacheable negative verdict, not
-// an error; a cancelled search propagates the context error.
+// an error, and so is a search that gave up at its budget with no
+// rewriting, for the epoch that ran it; a cancelled search propagates the
+// context error.
 func (s *Server) rewriteBest(ctx context.Context, q *pattern.Pattern, es epochState) (cachedPlan, error) {
 	s.met.rewritesRun.Inc()
 	opts := core.DefaultRewriteOptions()
@@ -748,6 +758,9 @@ func (s *Server) rewriteBest(ctx context.Context, q *pattern.Pattern, es epochSt
 	if opts.MaxResults <= 0 {
 		opts.MaxResults = defaultMaxRewritings
 	}
+	if s.maxExplored > 0 {
+		opts.MaxExplored = s.maxExplored
+	}
 	res, err := core.Rewrite(q, s.views, es.sum, opts)
 	if errors.Is(err, core.ErrUnsatisfiable) {
 		return cachedPlan{unsatisfiable: true}, nil
@@ -755,7 +768,14 @@ func (s *Server) rewriteBest(ctx context.Context, q *pattern.Pattern, es epochSt
 	if err != nil {
 		return cachedPlan{}, err
 	}
-	return s.pick(ctx, res, es.est), nil
+	if res.Exhausted {
+		s.met.searchExhausted.Inc()
+	}
+	v := s.pick(ctx, res, es.est)
+	if v.plan == nil && res.Exhausted {
+		v.exhausted, v.epoch = true, es.epoch
+	}
+	return v, nil
 }
 
 // pick chooses the cheapest of a search's rewritings under est. The cost
