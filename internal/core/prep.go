@@ -151,13 +151,11 @@ func navViews(v *View, s *summary.Summary, maxDepth int) []*View {
 			continue
 		}
 		anchor := anchors[0]
-		for _, target := range s.Descendants(anchor) {
-			if s.Node(target).Depth-s.Node(anchor).Depth > maxDepth {
-				continue
+		s.WalkDescendants(anchor, func(target int) {
+			if s.Node(target).Depth-s.Node(anchor).Depth <= maxDepth {
+				out = append(out, buildNavView(v, slot, anchor, target, s))
 			}
-			nv := buildNavView(v, slot, anchor, target, s)
-			out = append(out, nv)
-		}
+		})
 	}
 	return out
 }

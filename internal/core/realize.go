@@ -35,4 +35,3 @@ func (t *Tree) Realize() (*xmltree.Document, []*xmltree.Node) {
 	build(0, doc.Root)
 	return doc, nodes
 }
-

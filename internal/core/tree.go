@@ -163,16 +163,6 @@ func (t *Tree) AncestorAtDepth(i, d int) int {
 	return -1
 }
 
-// IsAncestor reports whether tree node a is a proper ancestor of b.
-func (t *Tree) IsAncestor(a, b int) bool {
-	for cur := t.Nodes[b].Parent; cur >= 0; cur = t.Nodes[cur].Parent {
-		if cur == a {
-			return true
-		}
-	}
-	return false
-}
-
 // Label returns the label of tree node i (its summary tag's label); i may
 // address an implied node.
 func (t *Tree) Label(i int) string { return t.Sum.Node(t.sid(i)).Label }
@@ -272,17 +262,19 @@ func (t *Tree) Satisfiable() bool {
 }
 
 // Key returns a canonical serialization of the tree: structure, tags,
-// formulas, slot positions, attributes and nesting sequences. Two trees
-// with equal keys are isomorphic with identical decorations, which is the
-// equality used for canonical-model dedup and for the redundant-join check
-// of Proposition 3.5. Erased records are keyed by the index of their
-// parent node, not by its place in the canonical form, so two isomorphic
-// trees numbered differently may get different keys: dedup is
-// conservative, it never merges distinct trees.
+// formulas, slot positions, erased subtrees, attributes and nesting
+// sequences. Two trees with equal keys are isomorphic with identical
+// decorations, which is the equality used for canonical-model dedup and
+// for the redundant-join check of Proposition 3.5. The implied closure is
+// not rendered: normalized trees describe equal models iff their
+// materialized nodes are isomorphic. Erased records are keyed by their
+// place in the canonical form and also by the index of their parent node,
+// so two isomorphic trees numbered differently may get different keys:
+// dedup is conservative, it never merges distinct trees.
 //
 // The key renders into one byte buffer: each node appends its tag,
-// formula and slot marks, then its children in place, whose byte spans
-// are sorted and written back joined by spaces.
+// formula, slot marks and erased subtrees, then its children in place,
+// whose byte spans are sorted and written back joined by spaces.
 func (t *Tree) Key() string {
 	if t.key != "" {
 		return t.key
@@ -353,6 +345,17 @@ func (r *keyRenderer) node(t *Tree, i int) {
 	}
 	if sep == ',' {
 		r.buf = append(r.buf, ']')
+	}
+	var erased []*pattern.Node
+	for _, e := range t.Erased {
+		if e.Parent == i {
+			erased = append(erased, e.Root)
+		}
+	}
+	if len(erased) > 0 {
+		r.buf = append(r.buf, '<')
+		r.group(len(erased), '!', false, func(j int) { r.sig(erased[j]) })
+		r.buf = append(r.buf, '>')
 	}
 	if len(n.Children) > 0 {
 		r.buf = append(r.buf, '(')

@@ -166,9 +166,7 @@ func (d slotDist) ids() []int {
 func (e *Estimator) subtreeTextBytes(sid int) float64 {
 	s := e.st.Sum
 	total := s.Node(sid).TextBytes
-	for _, d := range s.Descendants(sid) {
-		total += s.Node(d).TextBytes
-	}
+	s.WalkDescendants(sid, func(d int) { total += s.Node(d).TextBytes })
 	c := s.Node(sid).Count
 	if c <= 0 || total <= 0 {
 		return 0

@@ -105,11 +105,11 @@ func addCandidates(s *summary.Summary, sp int, c *Node, set map[int]bool) {
 		}
 		return
 	}
-	for _, sc := range s.Descendants(sp) {
+	s.WalkDescendants(sp, func(sc int) {
 		if c.MatchesLabel(s.Node(sc).Label) {
 			set[sc] = true
 		}
-	}
+	})
 }
 
 // hasCompatible reports whether some candidate of c is a child/descendant

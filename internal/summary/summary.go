@@ -228,17 +228,20 @@ func (s *Summary) FindPath(path string) int {
 }
 
 // Descendants returns all proper descendants of the node, in preorder.
+// Callers that only visit them use WalkDescendants, which builds no slice.
 func (s *Summary) Descendants(id int) []int {
 	var out []int
-	var walk func(int)
-	walk = func(cur int) {
-		for _, c := range s.nodes[cur].Children {
-			out = append(out, c)
-			walk(c)
-		}
-	}
-	walk(id)
+	s.WalkDescendants(id, func(d int) { out = append(out, d) })
 	return out
+}
+
+// WalkDescendants calls f on every proper descendant of the node, in
+// preorder.
+func (s *Summary) WalkDescendants(id int, f func(int)) {
+	for _, c := range s.nodes[id].Children {
+		f(c)
+		s.WalkDescendants(c, f)
+	}
 }
 
 // StrongClosure returns the ids reachable from id by chains of strong edges
