@@ -486,42 +486,23 @@ func (t *Tree) normalized() *Tree {
 	if drop == nil {
 		return t
 	}
+	out := NewTree(t.Sum)
+	out.Nodes[0].Pred, out.closed = t.Nodes[0].Pred, true
 	at := make([]int, len(t.Nodes))
-	kept := 0
-	for i := range t.Nodes {
-		if !drop[i] {
-			at[i] = kept
-			kept++
+	for i, nd := range t.Nodes[1:] {
+		if !drop[i+1] {
+			at[i+1] = out.AddNode(at[nd.Parent], nd.SID, nd.Pred)
 		}
 	}
-	out := &Tree{Sum: t.Sum, Nodes: make([]TNode, 0, kept), Slots: slices.Clone(t.Slots), Erased: slices.Clone(t.Erased), closed: true}
-	kids := make([]int, 0, kept)
-	for i, nd := range t.Nodes {
-		if drop[i] {
-			continue
-		}
-		if nd.Parent >= 0 {
-			nd.Parent = at[nd.Parent]
-		}
-		start := len(kids)
-		for _, c := range nd.Children {
-			if !drop[c] {
-				kids = append(kids, at[c])
-			}
-		}
-		nd.Children = nil
-		if len(kids) > start {
-			nd.Children = kids[start:len(kids):len(kids)]
-		}
-		out.Nodes = append(out.Nodes, nd)
-	}
-	for k := range out.Slots {
-		if n := out.Slots[k].Node; n >= 0 {
-			out.Slots[k].Node = at[n]
+	out.Slots = slices.Clone(t.Slots)
+	for k, sl := range out.Slots {
+		if sl.Node >= 0 {
+			out.Slots[k].Node = at[sl.Node]
 		}
 	}
-	for k := range out.Erased {
-		out.Erased[k].Parent = at[out.Erased[k].Parent]
+	out.Erased = slices.Clone(t.Erased)
+	for k, e := range out.Erased {
+		out.Erased[k].Parent = at[e.Parent]
 	}
 	return out
 }
