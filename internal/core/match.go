@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"xmlviews/internal/pattern"
 	"xmlviews/internal/predicate"
 )
@@ -47,7 +49,7 @@ func matchPattern(p *pattern.Pattern, t *Tree, pol bottomPolicy) []match {
 	if t.Nodes[0].Pred.And(p.Root.Pred).IsFalse() {
 		return nil
 	}
-	assigns := enumMatch(p.Root, 0, t, pol)
+	assigns := enumMatch(p.Root, 0, t, pol, p.Size())
 	out := make([]match, 0, len(assigns))
 	for _, a := range assigns {
 		m := match{
@@ -57,24 +59,27 @@ func matchPattern(p *pattern.Pattern, t *Tree, pol bottomPolicy) []match {
 		}
 		ok := true
 		for _, n := range p.Nodes() {
-			x, bound := a[n.Index]
-			if !bound || x < 0 {
+			x := a[n.Index]
+			if x < 0 || n.Pred.IsTrue() {
 				continue
 			}
-			if !n.Pred.IsTrue() {
-				m.Box = m.Box.Constrain(x, n.Pred)
-				if m.Box.IsEmpty() {
-					ok = false
-					break
-				}
+			// The box is this match's own: constrain it in place.
+			f := n.Pred
+			if cur, found := m.Box[x]; found {
+				f = cur.And(f)
 			}
+			if f.IsFalse() {
+				ok = false
+				break
+			}
+			m.Box[x] = f
 		}
 		if !ok {
 			continue
 		}
 		for k, rn := range p.Returns() {
-			x, bound := a[rn.Index]
-			if !bound || x < 0 {
+			x := a[rn.Index]
+			if x < 0 {
 				m.Slots[k] = -1
 				continue
 			}
@@ -87,10 +92,8 @@ func matchPattern(p *pattern.Pattern, t *Tree, pol bottomPolicy) []match {
 			if n.Parent == nil || !n.Optional {
 				continue
 			}
-			if x, bound := a[n.Index]; bound && x < 0 {
-				if px, pb := a[n.Parent.Index]; pb && px >= 0 {
-					m.Erased = append(m.Erased, ErasedSub{Parent: px, Root: n})
-				}
+			if px := a[n.Parent.Index]; a[n.Index] < 0 && px >= 0 {
+				m.Erased = append(m.Erased, ErasedSub{Parent: px, Root: n})
 			}
 		}
 		out = append(out, m)
@@ -101,7 +104,7 @@ func matchPattern(p *pattern.Pattern, t *Tree, pol bottomPolicy) []match {
 // nestOf computes the nesting sequence of a bound return node under an
 // assignment: the summary ids of the images of its ancestors whose
 // downward edge is nested, root-first.
-func nestOf(rn *pattern.Node, a map[int]int, t *Tree) []int {
+func nestOf(rn *pattern.Node, a []int, t *Tree) []int {
 	var rev []int
 	for cur := rn; cur.Parent != nil; cur = cur.Parent {
 		if cur.Nested {
@@ -116,14 +119,18 @@ func nestOf(rn *pattern.Node, a map[int]int, t *Tree) []int {
 	return out
 }
 
-// enumMatch returns the assignments (pattern index → tree node, -1 = ⊥)
-// for the pattern subtree rooted at n with n bound to tree node x.
-func enumMatch(n *pattern.Node, x int, t *Tree, pol bottomPolicy) []map[int]int {
-	results := []map[int]int{{n.Index: x}}
+// enumMatch returns the assignments for the pattern subtree rooted at n
+// with n bound to tree node x. An assignment maps pattern indexes to tree
+// nodes (-1 = ⊥) and has one entry per node of the pattern (size); only
+// those of n's subtree, a preorder range, are set.
+func enumMatch(n *pattern.Node, x int, t *Tree, pol bottomPolicy, size int) [][]int {
+	first := make([]int, size)
+	first[n.Index] = x
+	results := [][]int{first}
 	for _, c := range n.Children {
-		var childAssigns []map[int]int
+		var childAssigns [][]int
 		for _, cand := range matchCandidates(c, x, t) {
-			childAssigns = append(childAssigns, enumMatch(c, cand, t, pol)...)
+			childAssigns = append(childAssigns, enumMatch(c, cand, t, pol, size)...)
 		}
 		allowBottom := false
 		if len(childAssigns) == 0 {
@@ -134,21 +141,26 @@ func enumMatch(n *pattern.Node, x int, t *Tree, pol bottomPolicy) []map[int]int 
 		} else if c.Optional && pol == bottomUnlessForced && !forcedMatchExists(c, x, t) {
 			allowBottom = true
 		}
+		lo, hi := c.Index, subtreeEnd(c)
 		if allowBottom {
-			erased := map[int]int{}
-			markErased(c, erased)
+			erased := make([]int, size)
+			for i := lo; i < hi; i++ {
+				erased[i] = -1
+			}
 			childAssigns = append(childAssigns, erased)
 		}
-		merged := make([]map[int]int, 0, len(results)*len(childAssigns))
+		if len(childAssigns) == 1 {
+			// Every result is this call's own: extend it in place.
+			for _, r := range results {
+				copy(r[lo:hi], childAssigns[0][lo:hi])
+			}
+			continue
+		}
+		merged := make([][]int, 0, len(results)*len(childAssigns))
 		for _, r := range results {
 			for _, ca := range childAssigns {
-				m := make(map[int]int, len(r)+len(ca))
-				for k, v := range r {
-					m[k] = v
-				}
-				for k, v := range ca {
-					m[k] = v
-				}
+				m := slices.Clone(r)
+				copy(m[lo:hi], ca[lo:hi])
 				merged = append(merged, m)
 			}
 		}
@@ -157,11 +169,12 @@ func enumMatch(n *pattern.Node, x int, t *Tree, pol bottomPolicy) []map[int]int 
 	return results
 }
 
-func markErased(n *pattern.Node, a map[int]int) {
-	a[n.Index] = -1
-	for _, c := range n.Children {
-		markErased(c, a)
+// subtreeEnd returns one past the last preorder index of n's subtree.
+func subtreeEnd(n *pattern.Node) int {
+	for len(n.Children) > 0 {
+		n = n.Children[len(n.Children)-1]
 	}
+	return n.Index + 1
 }
 
 // matchCandidates returns the tree nodes that pattern node c can bind under
