@@ -245,3 +245,36 @@ func TestRealizeProducesConformingDoc(t *testing.T) {
 		t.Fatalf("return tuple not produced on realized doc: %v", tuples)
 	}
 }
+
+// TestJoinKeepsImpliedCopyBesideMaterializedSibling: under a(!b c), v1's
+// tree holds b{v=1} while v2's implies b. The model of their join is the
+// glued full trees, so the root has v1's b and v2's implied one; the
+// merged root no longer implies b, so the merge materializes the implied
+// copy as a T sibling. Both join orders.
+func TestJoinKeepsImpliedCopyBesideMaterializedSibling(t *testing.T) {
+	s := summary.MustParse("a(!b c)")
+	v1 := Scan(&View{Name: "v1", Pattern: pattern.MustParse(`a[id](/b{v=1})`)})
+	v2 := Scan(&View{Name: "v2", Pattern: pattern.MustParse(`a[id](/c[v])`)})
+	for _, join := range []*Plan{NewJoin(JoinID, false, v1, 0, v2, 0), NewJoin(JoinID, false, v2, 0, v1, 0)} {
+		m, err := PlanModel(join, s, DefaultModelOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m) != 1 {
+			t.Fatalf("%s: %d trees, want 1", join, len(m))
+		}
+		tr := m[0]
+		var bs []string
+		for _, c := range tr.Nodes[0].Children {
+			if tr.Label(c) == "b" {
+				bs = append(bs, tr.Nodes[c].Pred.String())
+			}
+		}
+		if len(bs) != 2 || bs[0] == bs[1] {
+			t.Fatalf("%s: root's b children %v in %s, want b{v=1} and a T b", join, bs, tr)
+		}
+		if got := Materialize(tr).Size(); got != 4 {
+			t.Fatalf("%s: materialized tree has %d nodes, want 4 (a, two b, c)", join, got)
+		}
+	}
+}
