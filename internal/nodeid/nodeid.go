@@ -82,19 +82,25 @@ func (id ID) Child(ord uint32) ID {
 // Parent returns the ID of the node's parent, or the null ID for the root
 // (and for the null ID). This is the navfID primitive of Section 4.6. The
 // whole last level is stripped: its terminating odd component and any caret
-// components gluing to it.
-func (id ID) Parent() ID {
-	i := len(id) - 1
-	if i < 0 {
+// components gluing to it. Parent is Ancestor(1).
+func (id ID) Parent() ID { return id.Ancestor(1) }
+
+// Ancestor returns the ID of the node up levels above id (Ancestor(0) is id
+// itself), or the null ID when id has no such ancestor. It is one
+// truncation, not a copy: the result shares id's array with its capacity
+// capped at its length, so an append to it reallocates instead of writing
+// into id. Like every ID, it must not be written in place.
+func (id ID) Ancestor(up int) ID {
+	end := len(id)
+	for ; up > 0 && end > 0; up-- {
+		// Strip the level's terminating component, then its carets.
+		for end--; end > 0 && id[end-1]%2 == 0; end-- {
+		}
+	}
+	if end == 0 {
 		return nil
 	}
-	// Skip the terminating component, then any carets before it.
-	for i--; i >= 0 && id[i]%2 == 0; i-- {
-	}
-	if i < 0 {
-		return nil
-	}
-	return id[:i+1].Clone()
+	return id[:end:end]
 }
 
 // AncestorAtDepth returns the prefix of the ID covering the first depth
@@ -196,17 +202,23 @@ func (id ID) Compare(other ID) int {
 // String renders the ID in dotted form, e.g. "1.3.2". The null ID renders
 // as "⊥".
 func (id ID) String() string {
+	var b [32]byte
+	return string(id.AppendTo(b[:0]))
+}
+
+// AppendTo appends the ID's String form to b and returns the extended
+// buffer.
+func (id ID) AppendTo(b []byte) []byte {
 	if id.IsNull() {
-		return "⊥"
+		return append(b, "⊥"...)
 	}
-	var b strings.Builder
 	for i, c := range id {
 		if i > 0 {
-			b.WriteByte('.')
+			b = append(b, '.')
 		}
-		b.WriteString(strconv.FormatUint(uint64(c), 10))
+		b = strconv.AppendUint(b, uint64(c), 10)
 	}
-	return b.String()
+	return b
 }
 
 // Parse parses a dotted Dewey ID such as "1.3.2". It rejects empty

@@ -3,6 +3,8 @@ package nodeid
 import (
 	"math/rand"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -43,6 +45,62 @@ func TestParentDerivation(t *testing.T) {
 	}
 	if got := New(1, 3, 2, 0, 5).Parent().String(); got != "1.3" {
 		t.Fatalf("Parent(1.3.2.0.5) = %q, want 1.3", got)
+	}
+}
+
+// TestAncestorSharesWithoutAliasing checks that Ancestor is repeated
+// Parent, and that appending to a derived ID, which shares its source's
+// array, leaves the source unchanged.
+func TestAncestorSharesWithoutAliasing(t *testing.T) {
+	id := New(1, 3, 2, 0, 5, 7, 4, 9)
+	for up := 0; up <= 5; up++ {
+		want := id
+		for k := 0; k < up; k++ {
+			want = want.Parent()
+		}
+		if got := id.Ancestor(up); !got.Equal(want) {
+			t.Fatalf("Ancestor(%d) = %v, want %v", up, got, want)
+		}
+	}
+	src := id.Clone()
+	for up := 1; up <= 3; up++ {
+		anc := id.Ancestor(up)
+		grown := append(anc, 99, 101)
+		grown[0] = 42
+		if !id.Equal(src) {
+			t.Fatalf("appending to Ancestor(%d) wrote into its source: %v, want %v", up, id, src)
+		}
+	}
+	if !ID(nil).Ancestor(1).IsNull() || !Root().Ancestor(2).IsNull() {
+		t.Fatal("Ancestor past the root must be null")
+	}
+}
+
+// TestAppendToMatchesString checks AppendTo against the dotted form built
+// component by component, on random IDs with carets, zero and maximal
+// components, after a non-empty prefix.
+func TestAppendToMatchesString(t *testing.T) {
+	ref := func(id ID) string {
+		if id.IsNull() {
+			return "⊥"
+		}
+		parts := make([]string, len(id))
+		for i, c := range id {
+			parts[i] = strconv.FormatUint(uint64(c), 10)
+		}
+		return strings.Join(parts, ".")
+	}
+	prop := func(cs []uint32) bool {
+		id := ID(cs)
+		return string(id.AppendTo([]byte("x:"))) == "x:"+ref(id) && id.String() == ref(id)
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []ID{nil, {}, {0}, {^uint32(0)}, New(1, 0, 2, ^uint32(0), 1)} {
+		if !prop(id) {
+			t.Fatalf("AppendTo(%v) = %q, want %q", []uint32(id), id.AppendTo(nil), ref(id))
+		}
 	}
 }
 

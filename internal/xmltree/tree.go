@@ -8,6 +8,7 @@ package xmltree
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"xmlviews/internal/nodeid"
@@ -137,27 +138,27 @@ func (n *Node) Subtree() *Document {
 
 // String renders the tree in the paper's parenthesized notation, e.g.
 // `a(b "1" c(d))`. Values are quoted after the label.
-func (n *Node) String() string {
-	var b strings.Builder
-	n.write(&b)
-	return b.String()
-}
+func (n *Node) String() string { return string(n.AppendTo(nil)) }
 
-func (n *Node) write(b *strings.Builder) {
-	b.WriteString(n.Label)
+// AppendTo appends the node's String form to b and returns the extended
+// buffer.
+func (n *Node) AppendTo(b []byte) []byte {
+	b = append(b, n.Label...)
 	if n.Value != "" {
-		fmt.Fprintf(b, " %q", n.Value)
+		b = append(b, ' ')
+		b = strconv.AppendQuote(b, n.Value)
 	}
 	if len(n.Children) > 0 {
-		b.WriteByte('(')
+		b = append(b, '(')
 		for i, c := range n.Children {
 			if i > 0 {
-				b.WriteByte(' ')
+				b = append(b, ' ')
 			}
-			c.write(b)
+			b = c.AppendTo(b)
 		}
-		b.WriteByte(')')
+		b = append(b, ')')
 	}
+	return b
 }
 
 // FindByID returns the node with the given Dewey ID, or nil. It descends
