@@ -12,6 +12,8 @@ package algebra
 import (
 	"context"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"xmlviews/internal/core"
@@ -23,12 +25,16 @@ import (
 	"xmlviews/internal/xmltree"
 )
 
-// Result is an executed plan: a flat relation plus per-slot schema. Rel is
-// built for the caller, but its tuples may be shared with the store's
-// extents: read them, do not write into them.
+// Result is an executed plan: a flat relation of distinct rows plus
+// per-slot schema. Rel is built for the caller, but its tuples may be
+// shared with the store's extents: read them, do not write into them.
 type Result struct {
 	Rel   *nrel.Relation
 	Slots []core.PlanSlot
+	// Rendering holds Rel's rows rendered once, in Rel's row order: the
+	// pass that removed the duplicates, kept for the /query response to be
+	// ordered and cut from without rendering a row again.
+	Rendering *nrel.Rendering
 }
 
 // Options tunes execution.
@@ -71,7 +77,8 @@ func ExecuteWith(p *core.Plan, st Reader, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Rel: t.rel.Distinct(), Slots: t.slots}, nil
+	rel, rd := t.rel.RenderDistinct()
+	return &Result{Rel: rel, Slots: t.slots, Rendering: rd}, nil
 }
 
 type executor struct {
@@ -111,7 +118,7 @@ func (ex *executor) run(p *core.Plan) (*table, error) {
 	case core.OpScan:
 		return ex.scan(p.View)
 	case core.OpJoin:
-		return ex.join(p)
+		return ex.buildTable(ex.openJoin(p))
 	case core.OpUnion:
 		return ex.union(p)
 	case core.OpProject:
@@ -119,8 +126,8 @@ func (ex *executor) run(p *core.Plan) (*table, error) {
 	case core.OpSelectLabel, core.OpSelectValue:
 		// Selection chains over a plain view scan run vectorized on the
 		// view's columnar blocks when the store can serve them.
-		if res, ok, err := ex.vectorSelect(p); ok || err != nil {
-			return res, err
+		if src, ok, err := ex.vectorSelect(p); ok || err != nil {
+			return ex.buildTable(src, err)
 		}
 		return ex.selectRows(p)
 	case core.OpUnnest, core.OpGroupBy:
@@ -130,71 +137,223 @@ func (ex *executor) run(p *core.Plan) (*table, error) {
 	return nil, fmt.Errorf("algebra: unknown operator %d", p.Op)
 }
 
+// rowReader reads an operator's output by row and column, whether or not
+// it is built into tuples. nrel.Extent is one.
+type rowReader interface {
+	Len() int
+	At(i, c int) nrel.Value
+}
+
+// source is an operator's output before it is built into tuples: a view
+// scan (scanRows) or a join (joinedRows) that an operator above reads
+// through, building only the columns it keeps, or a built table.
+type source struct {
+	rows  rowReader
+	cols  []string
+	slots []core.PlanSlot
+}
+
+// open returns plan p's output as a source. Scans, joins and vectorized
+// selections come back unbuilt; any other operator runs and is built.
+func (ex *executor) open(p *core.Plan) (*source, error) {
+	if err := ex.cancelled(); err != nil {
+		return nil, err
+	}
+	switch p.Op {
+	case core.OpScan:
+		return ex.openScan(p.View)
+	case core.OpJoin:
+		return ex.openJoin(p)
+	case core.OpSelectLabel, core.OpSelectValue:
+		if src, ok, err := ex.vectorSelect(p); ok || err != nil {
+			return src, err
+		}
+	case core.OpUnnest, core.OpGroupBy:
+		return ex.open(p.Input)
+	}
+	t, err := ex.run(p)
+	if err != nil {
+		return nil, err
+	}
+	return &source{rows: t.rel, cols: t.rel.Cols(), slots: t.slots}, nil
+}
+
 // scan reads a view: base views from the store, navigation views by
 // navigating inside stored content; a view with virtual ID slots then gets
 // its ID columns computed from stored IDs (navfID).
 func (ex *executor) scan(v *core.View) (*table, error) {
-	var rel nrel.Extent
-	if v.Nav != nil {
-		nav, err := ex.scanNav(v)
-		if err != nil {
-			return nil, err
-		}
-		rel = nav.Extent()
-	} else {
-		rel = ex.st.Relation(v)
-	}
-	if len(v.VirtualSlots) > 0 {
-		derived, err := ex.materialize(rel, v, rel.Len(), func(k int) int { return k })
-		if err != nil {
-			return nil, err
-		}
-		rel = derived.Extent()
-	}
-	return &table{rel: rel, slots: core.Scan(v).OutSlots()}, nil
+	return ex.buildTable(ex.openScan(v))
 }
 
-// materialize builds the scan rows of view v from n rows of its stored
-// extent, the k-th being row at(k), in one pass. A plain view's rows share
-// the extent's tuples. A view with virtual ID slots gets each row built
-// once: its stored values, then the derived IDs computed from them.
-func (ex *executor) materialize(rel nrel.Extent, v *core.View, n int, at func(int) int) (*nrel.Relation, error) {
+// openScan returns view v's scan unbuilt: its stored extent, or for a
+// navigation view the rows navigated from its base's contents.
+func (ex *executor) openScan(v *core.View) (*source, error) {
+	if v.Nav == nil {
+		return scanSource(ex.st.Relation(v), v, nil)
+	}
+	nav, err := ex.scanNav(v)
+	if err != nil {
+		return nil, err
+	}
+	return scanSource(nav.Extent(), v, nil)
+}
+
+// scanSource returns the scan of view v over rel, its stored extent, as
+// an unbuilt source: row i is stored row idx[i] (row i when idx is nil),
+// and the virtual ID columns are derived as they are read.
+func scanSource(rel nrel.Extent, v *core.View, idx []int) (*source, error) {
+	sr := &scanRows{rel: rel, idx: idx}
 	cols := rel.Cols()
-	var steps []idStep
 	if len(v.VirtualSlots) > 0 {
 		var err error
-		if steps, cols, err = virtualSteps(cols, v); err != nil {
+		if sr.steps, cols, err = virtualSteps(cols, v); err != nil {
 			return nil, err
 		}
+		sr.from = make([]int, len(cols))
+		for c := range sr.from {
+			sr.from[c] = -1
+		}
+		for k, st := range sr.steps {
+			sr.from[st.dst] = k
+		}
 	}
+	return &source{rows: sr, cols: cols, slots: core.Scan(v).OutSlots()}, nil
+}
+
+// scanRows reads a view scan's rows without building them: row i is
+// stored row idx[i] (row i when idx is nil), and a column a derivation
+// step writes (from[c] is its step, or -1) is derived from its source
+// column as it is read — by one truncation of the source ID.
+type scanRows struct {
+	rel   nrel.Extent
+	idx   []int
+	steps []idStep
+	from  []int
+}
+
+func (s *scanRows) Len() int {
+	if s.idx != nil {
+		return len(s.idx)
+	}
+	return s.rel.Len()
+}
+
+func (s *scanRows) At(i, c int) nrel.Value {
+	if s.idx != nil {
+		i = s.idx[i]
+	}
+	return s.at(i, c)
+}
+
+func (s *scanRows) at(row, c int) nrel.Value {
+	if s.from == nil || s.from[c] < 0 {
+		return s.rel.At(row, c)
+	}
+	st := s.steps[s.from[c]]
+	if v := s.at(row, st.src); !v.IsNull() {
+		return nrel.ID(v.ID.Ancestor(st.up))
+	}
+	return nrel.Null()
+}
+
+// buildTable builds a source, all its columns, into a table.
+func (ex *executor) buildTable(src *source, err error) (*table, error) {
+	if err != nil {
+		return nil, err
+	}
+	rel, err := ex.build(src, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &table{rel: rel, slots: src.slots}, nil
+}
+
+// build builds a source's rows into a relation, in one pass: the columns
+// keep lists, in order (nil: all), named cols (nil: the source's names).
+// Rows that are stored tuples as they are share them, and a whole stored
+// extent under its own header is returned as it is; any other rows are
+// cut from one backing array.
+func (ex *executor) build(src *source, keep []int, cols []string) (nrel.Extent, error) {
+	if keep == nil {
+		keep = make([]int, len(src.cols))
+		for j := range keep {
+			keep[j] = j
+		}
+	}
+	if cols == nil {
+		cols = make([]string, len(keep))
+		for j, c := range keep {
+			cols[j] = src.cols[c]
+		}
+	}
+	n := src.rows.Len()
 	out := nrel.NewRelation(cols...)
-	out.Rows = make([]nrel.Tuple, 0, n)
-	for k := 0; k < n; k++ {
-		if k%cancelCheckEvery == 0 {
-			if err := ex.cancelled(); err != nil {
-				return nil, err
-			}
+	if stored, idx, ok := storedTuples(src.rows, keep); ok {
+		if idx == nil && slices.Equal(cols, src.cols) {
+			return stored, nil
 		}
-		if steps == nil {
-			rel.AppendRow(out, at(k))
-			continue
-		}
-		// Columns past the stored ones start as ⊥, the zero Value.
-		row := rel.AppendValues(make(nrel.Tuple, 0, len(cols)), at(k))[:len(cols)]
-		for _, s := range steps {
-			derived := nrel.Null()
-			if id := row[s.src]; !id.IsNull() {
-				anc := id.ID
-				for up := 0; up < s.up; up++ {
-					anc = anc.Parent()
+		out.Rows = make([]nrel.Tuple, 0, n)
+		for i := 0; i < n; i++ {
+			if i%cancelCheckEvery == 0 {
+				if err := ex.cancelled(); err != nil {
+					return nrel.Extent{}, err
 				}
-				derived = nrel.ID(anc)
 			}
-			row[s.dst] = derived
+			if idx != nil {
+				stored.AppendRow(out, idx[i])
+			} else {
+				stored.AppendRow(out, i)
+			}
 		}
-		out.Rows = append(out.Rows, row)
+		return out.Extent(), nil
 	}
-	return out, nil
+	w := len(keep)
+	out.Rows = make([]nrel.Tuple, n)
+	backing := make([]nrel.Value, n*w)
+	for i := range out.Rows {
+		if i%cancelCheckEvery == 0 {
+			if err := ex.cancelled(); err != nil {
+				return nrel.Extent{}, err
+			}
+		}
+		row := backing[i*w : (i+1)*w : (i+1)*w]
+		for j, c := range keep {
+			row[j] = src.rows.At(i, c)
+		}
+		out.Rows[i] = row
+	}
+	return out.Extent(), nil
+}
+
+// storedTuples reports whether rows, cut to the columns keep lists, are
+// stored tuples as they are: a built extent's, or a scan's when no kept
+// column is derived, with every stored column kept in order. It returns
+// the extent and the scan's row index (nil: every row in order).
+func storedTuples(rows rowReader, keep []int) (nrel.Extent, []int, bool) {
+	var stored nrel.Extent
+	var idx []int
+	switch r := rows.(type) {
+	case nrel.Extent:
+		stored = r
+	case *scanRows:
+		for _, c := range keep {
+			if r.from != nil && r.from[c] >= 0 {
+				return stored, nil, false
+			}
+		}
+		stored, idx = r.rel, r.idx
+	default:
+		return stored, nil, false
+	}
+	if len(keep) != stored.Width() {
+		return stored, nil, false
+	}
+	for j, c := range keep {
+		if c != j {
+			return stored, nil, false
+		}
+	}
+	return stored, idx, true
 }
 
 // idStep derives column dst from column src by up parent steps.
@@ -274,6 +433,7 @@ func (ex *executor) scanNav(v *core.View) (*nrel.Relation, error) {
 		view.SlotCol(k-1, "id"), view.SlotCol(k-1, "v"),
 	)
 	seen := map[string]bool{}
+	var key []byte
 	for i := 0; i < base.Len(); i++ {
 		if i%cancelCheckEvery == 0 {
 			if err := ex.cancelled(); err != nil {
@@ -290,11 +450,10 @@ func (ex *executor) scanNav(v *core.View) (*nrel.Relation, error) {
 			if tnode.Value != "" {
 				val = nrel.String(tnode.Value)
 			}
-			r := nrel.Tuple{anchorID, nrel.ID(tnode.ID), val}
-			key := anchorID.Render() + "|" + tnode.ID.String()
-			if !seen[key] {
-				seen[key] = true
-				out.Append(r)
+			key = tnode.ID.AppendTo(append(nrel.AppendValue(key[:0], anchorID), '|'))
+			if !seen[string(key)] {
+				seen[string(key)] = true
+				out.Append(nrel.Tuple{anchorID, nrel.ID(tnode.ID), val})
 			}
 		}
 	}
@@ -322,8 +481,11 @@ func navigate(root *xmltree.Node, path []string) []*xmltree.Node {
 	return frontier
 }
 
-func (ex *executor) join(p *core.Plan) (*table, error) {
-	left, err := ex.run(p.Left)
+// openJoin runs a join's kernel on its inputs, read unbuilt, and returns
+// the joined pairs unbuilt: the operator above builds only the columns it
+// keeps.
+func (ex *executor) openJoin(p *core.Plan) (*source, error) {
+	left, err := ex.open(p.Left)
 	if err != nil {
 		return nil, err
 	}
@@ -331,8 +493,8 @@ func (ex *executor) join(p *core.Plan) (*table, error) {
 	if err != nil {
 		return nil, err
 	}
-	lid := left.rel.ColIndex(view.SlotCol(p.LeftSlot, "id"))
-	rid := right.rel.ColIndex(view.SlotCol(p.RightSlot, "id"))
+	lid := slices.Index(left.cols, view.SlotCol(p.LeftSlot, "id"))
+	rid := slices.Index(right.cols, view.SlotCol(p.RightSlot, "id"))
 	if lid < 0 || rid < 0 {
 		return nil, fmt.Errorf("algebra: join slots lack id columns (%d,%d)", p.LeftSlot, p.RightSlot)
 	}
@@ -345,40 +507,45 @@ func (ex *executor) join(p *core.Plan) (*table, error) {
 	}
 	var pairs []joinedRow
 	if p.Kind == core.JoinID {
-		pairs = hashJoin(left.rel, lid, right.rel, rid, stop)
+		pairs = hashJoin(left.rows, lid, right.rows, rid, stop)
 	} else {
-		pairs = stackStructuralJoin(left.rel, lid, right.rel, rid, p.Kind == core.JoinParent, stop)
+		pairs = stackStructuralJoin(left.rows, lid, right.rows, rid, p.Kind == core.JoinParent, stop)
 	}
 	if p.Outer {
-		pairs = padOuter(pairs, left.rel.Len(), stop)
+		pairs = padOuter(pairs, left.rows.Len(), stop)
 	}
 	if err := ex.cancelled(); err != nil {
 		return nil, err
 	}
-	// Build the output schema: left slots then right slots, renamed.
+	// The output schema: left slots then right slots, renamed.
 	slots := append(append([]core.PlanSlot{}, left.slots...), right.slots...)
-	cols := left.rel.Cols()
-	offset := len(left.slots)
-	for _, c := range right.rel.Cols() {
-		cols = append(cols, shiftSlotCol(c, offset))
+	cols := append([]string(nil), left.cols...)
+	for _, c := range right.cols {
+		cols = append(cols, shiftSlotCol(c, len(left.slots)))
 	}
-	out := nrel.NewRelation(cols...)
-	out.Rows = make([]nrel.Tuple, 0, len(pairs))
-	for i, jr := range pairs {
-		if i%cancelCheckEvery == 0 {
-			if err := ex.cancelled(); err != nil {
-				return nil, err
-			}
-		}
-		row := left.rel.AppendValues(make(nrel.Tuple, 0, len(cols)), jr.left)
-		if jr.right < 0 {
-			row = row[:len(cols)] // padded with ⊥, the zero Value
-		} else {
-			row = right.rel.AppendValues(row, jr.right)
-		}
-		out.Rows = append(out.Rows, row)
+	rows := &joinedRows{left: left.rows, right: right.rows, width: len(left.cols), pairs: pairs}
+	return &source{rows: rows, cols: cols, slots: slots}, nil
+}
+
+// joinedRows reads a join's output without building it: row i is pair i's
+// left row followed by its right row, ⊥ for a padded one.
+type joinedRows struct {
+	left, right rowReader
+	width       int // the left side's
+	pairs       []joinedRow
+}
+
+func (j *joinedRows) Len() int { return len(j.pairs) }
+
+func (j *joinedRows) At(i, c int) nrel.Value {
+	jr := j.pairs[i]
+	switch {
+	case c < j.width:
+		return j.left.At(jr.left, c)
+	case jr.right < 0:
+		return nrel.Null()
 	}
-	return &table{rel: out.Extent(), slots: slots}, nil
+	return j.right.At(jr.right, c-j.width)
 }
 
 // joinedRow pairs a left row index with a right one; right is -1 for a
@@ -427,16 +594,39 @@ func shouldStop(stop func() bool, i int) bool {
 	return stop != nil && i%cancelCheckEvery == 0 && stop()
 }
 
-func hashJoin(l nrel.Extent, lid int, r nrel.Extent, rid int, stop func() bool) []joinedRow {
-	index := map[string][]int{}
-	for i := 0; i < r.Len(); i++ {
+// hashJoin pairs the rows of l and r whose ID columns are equal, each left
+// row with its matches in right-row order.
+func hashJoin(l rowReader, lid int, r rowReader, rid int, stop func() bool) []joinedRow {
+	// An open-addressing table of the right side's distinct IDs (first row
+	// + 1; 0 is empty), at most half full, probed linearly; rows sharing
+	// an ID chain through next in row order.
+	n := r.Len()
+	slots := make([]int32, 1<<bits.Len(uint(2*n)))
+	tails := make([]int32, len(slots))
+	next := make([]int32, n)
+	mask := len(slots) - 1
+	find := func(id nodeid.ID) int {
+		p := int(hashID(id)) & mask
+		for slots[p] != 0 && !r.At(int(slots[p]-1), rid).ID.Equal(id) {
+			p = (p + 1) & mask
+		}
+		return p
+	}
+	for i := 0; i < n; i++ {
 		if shouldStop(stop, i) {
 			return nil
 		}
-		if v := r.At(i, rid); !v.IsNull() {
-			key := v.ID.String()
-			index[key] = append(index[key], i)
+		v := r.At(i, rid)
+		if v.IsNull() {
+			continue
 		}
+		p := find(v.ID)
+		if slots[p] == 0 {
+			slots[p] = int32(i) + 1
+		} else {
+			next[tails[p]-1] = int32(i) + 1
+		}
+		tails[p] = int32(i) + 1
 	}
 	var out []joinedRow
 	for i := 0; i < l.Len(); i++ {
@@ -447,18 +637,27 @@ func hashJoin(l nrel.Extent, lid int, r nrel.Extent, rid int, stop func() bool) 
 		if v.IsNull() {
 			continue
 		}
-		for _, j := range index[v.ID.String()] {
-			out = append(out, joinedRow{left: i, right: j})
+		for j := slots[find(v.ID)]; j != 0; j = next[j-1] {
+			out = append(out, joinedRow{left: i, right: int(j - 1)})
 		}
 	}
 	return out
+}
+
+// hashID hashes an ID's components (FNV-1a over 32-bit words).
+func hashID(id nodeid.ID) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range id {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	return h ^ h>>32
 }
 
 // stackStructuralJoin implements the Stack-Tree-Desc structural join of
 // Al-Khalifa et al. [reference 1 of the paper]: both inputs sorted in
 // document order, a stack of pending ancestors, each pair emitted exactly
 // once. O(|l| + |r| + |output|).
-func stackStructuralJoin(l nrel.Extent, lid int, r nrel.Extent, rid int, parentOnly bool, stop func() bool) []joinedRow {
+func stackStructuralJoin(l rowReader, lid int, r rowReader, rid int, parentOnly bool, stop func() bool) []joinedRow {
 	anc := sortedByID(l, lid, stop)
 	// An in-progress sort always completes, but poll between the two so
 	// an abandoned request pays for at most one of them.
@@ -521,7 +720,7 @@ func stackStructuralJoin(l nrel.Extent, lid int, r nrel.Extent, rid int, parentO
 // sortedByID returns the indexes of the rows with a non-null ID in col, in
 // document order on it, keeping the input order of equal IDs (duplicates
 // arise after prior joins).
-func sortedByID(e nrel.Extent, col int, stop func() bool) []int {
+func sortedByID(e rowReader, col int, stop func() bool) []int {
 	out := make([]int, 0, e.Len())
 	for i := 0; i < e.Len(); i++ {
 		if shouldStop(stop, i) {
@@ -565,36 +764,30 @@ func (ex *executor) union(p *core.Plan) (*table, error) {
 	return &table{rel: out.Extent(), slots: slots}, nil
 }
 
+// project keeps the plan's slots. It builds its input's kept columns
+// only: over a scan or a join, no other column is derived or copied.
 func (ex *executor) project(p *core.Plan) (*table, error) {
-	in, err := ex.run(p.Input)
+	src, err := ex.open(p.Input)
 	if err != nil {
 		return nil, err
 	}
-	out := nrel.NewRelation()
-	var colIdx []int
+	keep := []int{}
+	var cols []string
 	slots := make([]core.PlanSlot, len(p.Keep))
 	for newK, oldK := range p.Keep {
-		slots[newK] = in.slots[oldK]
+		slots[newK] = src.slots[oldK]
 		for _, attr := range []string{"id", "l", "v", "c"} {
-			if ci := in.rel.ColIndex(view.SlotCol(oldK, attr)); ci >= 0 {
-				colIdx = append(colIdx, ci)
-				out.Cols = append(out.Cols, view.SlotCol(newK, attr))
+			if ci := slices.Index(src.cols, view.SlotCol(oldK, attr)); ci >= 0 {
+				keep = append(keep, ci)
+				cols = append(cols, view.SlotCol(newK, attr))
 			}
 		}
 	}
-	for i := 0; i < in.rel.Len(); i++ {
-		if i%cancelCheckEvery == 0 {
-			if err := ex.cancelled(); err != nil {
-				return nil, err
-			}
-		}
-		nr := make(nrel.Tuple, len(colIdx))
-		for j, ci := range colIdx {
-			nr[j] = in.rel.At(i, ci)
-		}
-		out.Append(nr)
+	rel, err := ex.build(src, keep, cols)
+	if err != nil {
+		return nil, err
 	}
-	return &table{rel: out.Extent(), slots: slots}, nil
+	return &table{rel: rel, slots: slots}, nil
 }
 
 // selectRows runs σL (label equality) or σV (a value predicate)

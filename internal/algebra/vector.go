@@ -11,6 +11,8 @@
 package algebra
 
 import (
+	"slices"
+
 	"xmlviews/internal/core"
 	"xmlviews/internal/nodeid"
 	"xmlviews/internal/predicate"
@@ -46,7 +48,7 @@ func (s *ExecStats) Vectorized() bool {
 // store cannot serve the vectorized path; the caller then falls back to
 // row-at-a-time execution (which also reports the precise error for
 // malformed plans — this function never invents new failure modes).
-func (ex *executor) vectorSelect(p *core.Plan) (*table, bool, error) {
+func (ex *executor) vectorSelect(p *core.Plan) (*source, bool, error) {
 	var sels []*core.Plan
 	cur := p
 	for cur.Op == core.OpSelectLabel || cur.Op == core.OpSelectValue {
@@ -106,7 +108,7 @@ func (ex *executor) vectorSelect(p *core.Plan) (*table, bool, error) {
 
 	// First selection: walk blocks, consulting the zone map.
 	first := specs[0]
-	var idx []int
+	idx := []int{} // not nil: nil would read every row
 	nb := blocks.NumBlocks()
 	for bi := 0; bi < nb; bi++ {
 		if err := ex.cancelled(); err != nil {
@@ -162,16 +164,14 @@ func (ex *executor) vectorSelect(p *core.Plan) (*table, bool, error) {
 		}
 	}
 
-	// Late materialization: only surviving rows reach the output. A plain
-	// view's rows share the extent's tuples, exactly as the row path shares
-	// its input rows. A view with virtual slots derives its ID columns here,
-	// so only survivors pay the derivation (the row path derives them for
-	// every row before filtering — same values, same column order).
-	out, err := ex.materialize(rel, cur.View, len(idx), func(n int) int { return idx[n] })
-	if err != nil {
-		return nil, true, err
-	}
-	return &table{rel: out.Extent(), slots: core.Scan(cur.View).OutSlots()}, true, nil
+	// Late materialization: only surviving rows reach the output, and
+	// only when an operator above builds them. A plain view's rows share
+	// the extent's tuples, exactly as the row path shares its input rows;
+	// a view with virtual slots derives its ID columns as they are read,
+	// so only the survivors' kept columns pay the derivation (same values,
+	// same column order as the row path).
+	src, err := scanSource(rel, cur.View, idx)
+	return src, true, err
 }
 
 // joinRight produces the right input of a join. For structural joins whose
@@ -179,7 +179,7 @@ func (ex *executor) vectorSelect(p *core.Plan) (*table, bool, error) {
 // skip blocks wholly outside the left side's ancestor ID range — a pruned
 // row cannot be a descendant (or child) of any left row, so the join
 // output is unchanged, order included.
-func (ex *executor) joinRight(p *core.Plan, left *table) (*table, error) {
+func (ex *executor) joinRight(p *core.Plan, left *source) (*source, error) {
 	// Views with virtual slots are excluded: the pruned scan emits the
 	// stored columns only, but their row-path scan appends derived ID
 	// columns the join output must carry.
@@ -191,29 +191,29 @@ func (ex *executor) joinRight(p *core.Plan, left *table) (*table, error) {
 			}
 		}
 	}
-	return ex.run(p.Right)
+	return ex.open(p.Right)
 }
 
 // prunedScan scans the right-side view keeping only blocks overlapping
 // [min ancestor ID, max successor-of-ancestor-ID): every descendant of an
 // ancestor a lies in [a, succ(a)), so the union of those intervals bounds
 // all possible matches.
-func (ex *executor) prunedScan(p *core.Plan, left *table, blocks *store.Blocks) (*table, bool, error) {
+func (ex *executor) prunedScan(p *core.Plan, left *source, blocks *store.Blocks) (*source, bool, error) {
 	rel := blocks.Extent()
-	lid := left.rel.ColIndex(view.SlotCol(p.LeftSlot, "id"))
+	lid := slices.Index(left.cols, view.SlotCol(p.LeftSlot, "id"))
 	ci := rel.ColIndex(view.SlotCol(p.RightSlot, "id"))
 	if lid < 0 || ci < 0 {
 		return nil, false, nil // the join operator reports the error
 	}
 	var lo, hi nodeid.ID
 	haveRange, hiUnbounded := false, false
-	for i := 0; i < left.rel.Len(); i++ {
+	for i := 0; i < left.rows.Len(); i++ {
 		if i%cancelCheckEvery == 0 {
 			if err := ex.cancelled(); err != nil {
 				return nil, true, err
 			}
 		}
-		v := left.rel.At(i, lid)
+		v := left.rows.At(i, lid)
 		if v.IsNull() {
 			continue
 		}
@@ -232,7 +232,7 @@ func (ex *executor) prunedScan(p *core.Plan, left *table, blocks *store.Blocks) 
 		}
 	}
 	col := blocks.Column(ci)
-	var idx []int
+	idx := []int{} // not nil: nil would read every row
 	for bi := 0; bi < blocks.NumBlocks(); bi++ {
 		if err := ex.cancelled(); err != nil {
 			return nil, true, err
@@ -257,11 +257,8 @@ func (ex *executor) prunedScan(p *core.Plan, left *table, blocks *store.Blocks) 
 	if ex.opts.Stats != nil {
 		ex.opts.Stats.VecJoinPrunes++
 	}
-	out, err := ex.materialize(rel, p.Right.View, len(idx), func(n int) int { return idx[n] })
-	if err != nil {
-		return nil, true, err
-	}
-	return &table{rel: out.Extent(), slots: core.Scan(p.Right.View).OutSlots()}, true, nil
+	src, err := scanSource(rel, p.Right.View, idx)
+	return src, true, err
 }
 
 // succID returns the lexicographic successor bound of id's subtree: id

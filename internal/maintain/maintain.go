@@ -456,14 +456,14 @@ func diffRelations(old, new *nrel.Relation) (adds, dels *nrel.Relation) {
 }
 
 // rowKey's \x00 order intentionally differs from the " | " /query order
-// (nrel.Relation.RenderSorted): it is a storage invariant, not the API's.
+// (nrel.AppendRow): it is a storage invariant, not the API's.
 func rowKey(row nrel.Tuple) string {
-	var b strings.Builder
+	var buf [128]byte
+	b := buf[:0]
 	for _, v := range row {
-		b.WriteString(v.Render())
-		b.WriteByte(0)
+		b = append(nrel.AppendValue(b, v), 0)
 	}
-	return b.String()
+	return string(b)
 }
 
 // pathSet accumulates the rooted label paths a batch affects.

@@ -20,6 +20,9 @@ func (e Extent) Len() int { return e.r.Len() }
 // ColIndex returns the index of the named column, or -1.
 func (e Extent) ColIndex(name string) int { return e.r.ColIndex(name) }
 
+// Width returns the number of columns.
+func (e Extent) Width() int { return len(e.r.Cols) }
+
 // Cols returns a copy of the column names.
 func (e Extent) Cols() []string { return append([]string(nil), e.r.Cols...) }
 
@@ -45,7 +48,3 @@ func (e Extent) AppendRow(dst *Relation, i int) { dst.Append(e.r.Rows[i]) }
 // AppendValues appends a copy of row i's values to dst and returns the
 // extended tuple.
 func (e Extent) AppendValues(dst Tuple, i int) Tuple { return append(dst, e.r.Rows[i]...) }
-
-// Distinct returns a fresh relation of the distinct rows, as
-// Relation.Distinct does.
-func (e Extent) Distinct() *Relation { return e.r.Distinct() }

@@ -5,7 +5,6 @@
 package nrel
 
 import (
-	"sort"
 	"strings"
 
 	"xmlviews/internal/nodeid"
@@ -58,25 +57,46 @@ func (v Value) IsNull() bool { return v.Kind == KindNull }
 // Render returns a deterministic textual form of the value, used for
 // printing, equality, and sorting.
 func (v Value) Render() string {
+	if v.Kind == KindString {
+		return v.Str
+	}
+	return string(AppendValue(nil, v))
+}
+
+// AppendValue appends v's Render form to b and returns the extended buffer.
+func AppendValue(b []byte, v Value) []byte {
 	switch v.Kind {
 	case KindNull:
-		return "⊥"
+		return append(b, "⊥"...)
 	case KindString:
-		return v.Str
+		return append(b, v.Str...)
 	case KindID:
-		return v.ID.String()
+		return v.ID.AppendTo(b)
 	case KindContent:
 		if v.Content == nil {
-			return "⊥"
+			return append(b, "⊥"...)
 		}
-		return v.Content.Root.String()
+		return v.Content.Root.AppendTo(b)
 	case KindTable:
-		if v.Table == nil {
-			return "[]"
-		}
-		return v.Table.render(true)
+		return v.Table.appendCompact(b)
 	}
-	return "?"
+	return append(b, '?')
+}
+
+// rowSep separates a row's values in its rendering.
+const rowSep = " | "
+
+// AppendRow appends row's rendering — its values' Render forms joined
+// with " | " — to b and returns the extended buffer. The rendering is a
+// row's identity under set semantics and its /query sort key.
+func AppendRow(b []byte, row Tuple) []byte {
+	for i, v := range row {
+		if i > 0 {
+			b = append(b, rowSep...)
+		}
+		b = AppendValue(b, v)
+	}
+	return b
 }
 
 // Equal reports deep equality of two values. Nested tables compare as sets
@@ -163,19 +183,10 @@ func (r *Relation) Project(cols ...string) *Relation {
 }
 
 // Distinct returns a fresh relation, header included, with duplicate rows
-// removed (set semantics), preserving first-occurrence order. Tuples are
-// shared with r.
+// removed (set semantics), preserving first-occurrence order. Rows are
+// duplicates when they render identically. Tuples are shared with r.
 func (r *Relation) Distinct() *Relation {
-	out := NewRelation(append([]string(nil), r.Cols...)...)
-	out.Rows = make([]Tuple, 0, len(r.Rows))
-	seen := make(map[string]bool, len(r.Rows))
-	for _, row := range r.Rows {
-		k := renderRow(row)
-		if !seen[k] {
-			seen[k] = true
-			out.Append(row)
-		}
-	}
+	out, _ := renderRows(r.Cols, r.Rows, true)
 	return out
 }
 
@@ -191,88 +202,56 @@ func (r *Relation) EqualAsSet(o *Relation) bool {
 	return r.canonical() == o.canonical()
 }
 
+// canonical renders the distinct rows in sorted order, one per line.
 func (r *Relation) canonical() string {
-	rows := make([]string, 0, len(r.Rows))
-	seen := map[string]bool{}
-	for _, row := range r.Rows {
-		k := renderRow(row)
-		if !seen[k] {
-			seen[k] = true
-			rows = append(rows, k)
-		}
-	}
-	sort.Strings(rows)
-	return strings.Join(rows, "\n")
-}
-
-func renderRow(row Tuple) string {
-	parts := make([]string, len(row))
-	for i, v := range row {
-		parts[i] = v.Render()
-	}
-	return strings.Join(parts, " | ")
-}
-
-// String renders the relation as a small text table with a header.
-func (r *Relation) String() string { return r.render(false) }
-
-func (r *Relation) render(compact bool) string {
-	if r == nil {
-		return "[]"
-	}
+	_, rd := renderRows(r.Cols, r.Rows, true)
 	var b strings.Builder
-	if compact {
-		b.WriteByte('[')
-		for i, row := range r.Rows {
-			if i > 0 {
-				b.WriteString("; ")
-			}
-			b.WriteString(renderRow(row))
+	b.Grow(len(rd.buf) + rd.Len())
+	for n, i := range rd.order(0, rd.Len()) {
+		if n > 0 {
+			b.WriteByte('\n')
 		}
-		b.WriteByte(']')
-		return b.String()
-	}
-	b.WriteString(strings.Join(r.Cols, " | "))
-	b.WriteByte('\n')
-	for _, row := range r.Rows {
-		b.WriteString(renderRow(row))
-		b.WriteByte('\n')
+		b.Write(rd.row(i))
 	}
 	return b.String()
 }
 
-// RenderedRow is a row with its values rendered: Parts[i] is
-// Row[i].Render() and Key is the parts joined with " | ".
-type RenderedRow struct {
-	Key   string
-	Parts []string
-	Row   Tuple
-}
-
-// RenderSorted renders each row once and returns the rows in the /query
-// response order: ascending by Key, compared byte-wise. Rows whose keys
-// tie render identically, so the order among them is unobservable.
-func (r *Relation) RenderSorted() []RenderedRow {
-	out := make([]RenderedRow, len(r.Rows))
-	parts := make([]string, 0, len(r.Rows)*len(r.Cols))
-	for i, row := range r.Rows {
-		start := len(parts)
-		for _, v := range row {
-			parts = append(parts, v.Render())
-		}
-		p := parts[start:len(parts):len(parts)]
-		out[i] = RenderedRow{Key: strings.Join(p, " | "), Parts: p, Row: row}
+// String renders the relation as a small text table with a header.
+func (r *Relation) String() string {
+	if r == nil {
+		return "[]"
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	b := append([]byte(strings.Join(r.Cols, rowSep)), '\n')
+	for _, row := range r.Rows {
+		b = append(AppendRow(b, row), '\n')
+	}
+	return string(b)
 }
 
-// Sorted returns the rows in the /query response order of RenderSorted.
+// appendCompact appends the nested-table form of r: its rows' renderings
+// joined with "; " inside brackets.
+func (r *Relation) appendCompact(b []byte) []byte {
+	b = append(b, '[')
+	if r != nil {
+		for i, row := range r.Rows {
+			if i > 0 {
+				b = append(b, "; "...)
+			}
+			b = AppendRow(b, row)
+		}
+	}
+	return append(b, ']')
+}
+
+// Sorted returns the rows, duplicates included, in the /query response
+// order: ascending by rendering, compared byte-wise. Rows that render
+// identically keep their input order. Tuples are shared with r.
 func (r *Relation) Sorted() *Relation {
+	all, rd := renderRows(r.Cols, r.Rows, false)
 	out := NewRelation(r.Cols...)
-	out.Rows = make([]Tuple, r.Len())
-	for i, rr := range r.RenderSorted() {
-		out.Rows[i] = rr.Row
+	out.Rows = make([]Tuple, len(all.Rows))
+	for n, i := range rd.order(0, rd.Len()) {
+		out.Rows[n] = all.Rows[i]
 	}
 	return out
 }

@@ -319,8 +319,8 @@ type QueryResponse struct {
 	// Epoch is the store epoch the answer reflects.
 	Epoch int64 `json:"epoch"`
 	// Columns and Rows are the result: one rendered string per value, rows
-	// in nrel.Relation.RenderSorted order (by their values joined with
-	// " | ", compared byte-wise).
+	// ascending by their values joined with " | ", compared byte-wise
+	// (nrel.Rendering.Window).
 	// Rows is the window selected by the limit/offset parameters (capped
 	// at the server's maximum response size); TotalRows is the full result
 	// cardinality and Offset the window's first row index. An explicit
@@ -584,8 +584,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	es.plans.recordExecPath(key, execPath)
 	encodeStart := time.Now()
-	rel := out.Rel
-	total := rel.Len()
+	total := out.Rendering.Len()
 	if offset > total {
 		offset = total
 	}
@@ -593,14 +592,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if end > total || end < offset { // overflow-safe
 		end = total
 	}
-	// An explicit limit=0 is a count-only probe: the window stays empty,
-	// TotalRows still reports the full cardinality, and the result is
-	// never sorted or rendered.
-	rows := make([][]string, 0, end-offset)
+	// The executor rendered every row once to drop duplicates; the window
+	// is ordered and cut from that rendering. An explicit limit=0 is a
+	// count-only probe: the window stays empty, TotalRows still reports
+	// the full cardinality, and the rows are never sorted.
+	rows := [][]string{}
 	if limit > 0 {
-		for _, rr := range rel.RenderSorted()[offset:end] {
-			rows = append(rows, rr.Parts)
-		}
+		rows = out.Rendering.Window(offset, end)
 	}
 	s.met.rowsServed.Add(int64(len(rows)))
 	encodeDur := time.Since(encodeStart)
@@ -613,7 +611,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Alternatives:  verdict.alternatives,
 		PlanCached:    hit,
 		Epoch:         es.epoch,
-		Columns:       rel.Cols,
+		Columns:       out.Rel.Cols,
 		Rows:          rows,
 		TotalRows:     total,
 		Offset:        offset,
