@@ -236,8 +236,8 @@ func nestedLoopStructuralJoin(l nrel.Extent, lid int, r nrel.Extent, rid int, pa
 // renderKey renders the values of row i of e, each followed by a NUL.
 func renderKey(e nrel.Extent, i int) string {
 	var b strings.Builder
-	for _, v := range e.AppendValues(nil, i) {
-		b.WriteString(v.Render())
+	for j := 0; j < e.Width(); j++ {
+		b.WriteString(e.At(i, j).Render())
 		b.WriteByte(0)
 	}
 	return b.String()

@@ -6,7 +6,7 @@ package nrel
 // operators. The handle exposes no row slice and no tuple: a holder can
 // read values but cannot append to, sort or write into the rows. To
 // write, take a private copy with Clone, or build a fresh relation with
-// AppendRow and AppendValues. Values themselves are immutable by
+// AppendRow or from values read with At. Values themselves are immutable by
 // convention, as everywhere in this package: their IDs, contents and
 // nested tables are shared.
 type Extent struct{ r *Relation }
@@ -44,7 +44,3 @@ func (e Extent) Clone() *Relation {
 // tuple, so dst must be a relation the caller built and passes on only as
 // an Extent or as a result its readers do not write into.
 func (e Extent) AppendRow(dst *Relation, i int) { dst.Append(e.r.Rows[i]) }
-
-// AppendValues appends a copy of row i's values to dst and returns the
-// extended tuple.
-func (e Extent) AppendValues(dst Tuple, i int) Tuple { return append(dst, e.r.Rows[i]...) }
