@@ -159,19 +159,23 @@ func (ex *executor) open(p *core.Plan) (*source, error) {
 	if err := ex.cancelled(); err != nil {
 		return nil, err
 	}
+	var t *table
+	var err error
 	switch p.Op {
 	case core.OpScan:
 		return ex.openScan(p.View)
 	case core.OpJoin:
 		return ex.openJoin(p)
+	case core.OpUnnest, core.OpGroupBy:
+		return ex.open(p.Input)
 	case core.OpSelectLabel, core.OpSelectValue:
 		if src, ok, err := ex.vectorSelect(p); ok || err != nil {
 			return src, err
 		}
-	case core.OpUnnest, core.OpGroupBy:
-		return ex.open(p.Input)
+		t, err = ex.selectRows(p)
+	default:
+		t, err = ex.run(p)
 	}
-	t, err := ex.run(p)
 	if err != nil {
 		return nil, err
 	}
@@ -771,7 +775,7 @@ func (ex *executor) project(p *core.Plan) (*table, error) {
 	if err != nil {
 		return nil, err
 	}
-	keep := []int{}
+	keep := []int{} // not nil: nil keeps every column
 	var cols []string
 	slots := make([]core.PlanSlot, len(p.Keep))
 	for newK, oldK := range p.Keep {
